@@ -27,7 +27,7 @@ from .dynamics import (
     wavepacket_trajectory,
     zb_spectrum,
 )
-from .invariants import compute_invariants
+from .invariants import PLAQUETTE_MAX_GRID, check_grid, compute_invariants
 from .models import chiral_ti_3d, kane_mele, maxwell_lattice, spin_j_continuum
 from .verify import run_verify
 
@@ -102,6 +102,12 @@ def load_config(path: str, command: str) -> dict:
         _check_keys(config["dynamics"]["packet"], SECTION_KEYS["packet"], "dynamics.packet")
     if "seed" in config and not isinstance(config["seed"], int):
         raise ConfigError("seed must be an integer")
+    try:
+        for key, value in config.get("topology", {}).items():
+            upper = PLAQUETTE_MAX_GRID if key == "plaquette_grid" else None
+            check_grid(value, upper, f"topology.{key}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 

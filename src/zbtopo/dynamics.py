@@ -8,7 +8,10 @@ for the expectation in a fixed initial spinor; degenerate level pairs are
 excluded by the projector grouping of :mod:`zbtopo.spectral` (their cross
 term has no oscillation to contribute).  Closed forms for the spin-1 and
 the three-band chiral families provide an independent second route; both
-are checked against each other in the test suite.
+are checked against each other in the test suite.  Single momenta and
+Gaussian packets share one momentum-batched path: one stacked eigensolve
+over all K momenta, one einsum for the pair amplitudes and a phase-factored
+synthesis of the oscillation sum.
 
 Conventions: the constant r(0) offset is dropped, so trajectories carry
 only the oscillatory part (plus ``t * <velocity>`` when drift is enabled).
@@ -165,59 +168,57 @@ def _validate_sampling(times, omegas_present):
     return times
 
 
-def _resolve_spinor(model: BlochModel, spinor, k=None) -> np.ndarray:
-    """Mass-basis coefficients (or a band index) -> computational-basis state."""
+def _resolve_spinor(model: BlochModel, spinor):
+    """Mass-basis coefficients -> computational-basis state; band indices pass through."""
     if isinstance(spinor, (int, np.integer)):
-        dec = hermitian_eig(evaluate(model, k))
-        return dec.states[:, int(spinor)]
-    coeffs = np.asarray(spinor, dtype=complex)
-    if coeffs.shape != (model.band_count,):
-        raise ValueError(
-            f"spinor has {coeffs.shape} components, model '{model.name}' "
-            f"needs {model.band_count}"
-        )
-    norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"spinor is not normalized: |coeffs| = {norm:.12g}")
-    return model.mass_eigenbasis() @ coeffs
+        return int(spinor)
+    return model.mass_eigenbasis() @ _unit_spinor(spinor, model.band_count, model.name)
 
 
-def _pair_data(ham, grad_mats, psi):
-    """Level-pair oscillation amplitudes and the band-diagonal drift velocity.
+def _pair_data(hams, grad_mats, psi):
+    """Level-pair oscillation amplitudes and band-diagonal drift at K momenta.
 
-    Returns (omegas (P,), amps (P, 3) complex, drift (3,)) where pair p of
-    levels g < h oscillates as (2 / omega_p) Im(amps_p e^{i omega_p t}) with
-    omega_p = E_g - E_h.
+    ``hams`` (K, n, n) go through one stacked :func:`hermitian_eig`; ``psi``
+    is a state (n,) or (K, n), or a band index.  Returns (omegas (K, P), amps
+    (K, P, 3), drift (K, 3)) over the slot pairs g < h of the padded layout:
+    pair p oscillates as (2 / omega_p) Im(amps_p e^{i omega_p t}) with
+    omega_p = E_g - E_h; pairs touching an absorbed slot have zero amplitude.
     """
-    dec = hermitian_eig(ham)
-    dh = np.zeros((3,) + ham.shape, dtype=complex)
-    dh[: grad_mats.shape[0]] = grad_mats
-    proj_psi = np.einsum("gij,j->gi", dec.projectors, psi)
-    mat = np.einsum("gi,dij,hj->ghd", proj_psi.conj(), dh, proj_psi)
-    drift = np.einsum("ggd->d", mat).real
-    n_lvl = len(dec.levels)
-    omegas, amps = [], []
-    for g in range(n_lvl):
-        for h in range(g + 1, n_lvl):
-            omegas.append(dec.levels[g] - dec.levels[h])
-            amps.append(mat[g, h])
-    return np.array(omegas), np.array(amps).reshape(-1, 3), drift
+    dec = hermitian_eig(hams)
+    psi = dec.states[..., psi] if isinstance(psi, int) else np.broadcast_to(psi, hams.shape[:-1])
+    dh = np.zeros(hams.shape[:1] + (3,) + hams.shape[1:], dtype=complex)
+    dh[:, : grad_mats.shape[1]] = grad_mats
+    proj_psi = np.einsum("kgij,kj->kgi", dec.projectors, psi)
+    mat = np.einsum("kgi,kdij,khj->kghd", proj_psi.conj(), dh, proj_psi)
+    g, h = np.triu_indices(hams.shape[-1], k=1)
+    return dec.levels[:, g] - dec.levels[:, h], mat[:, g, h], np.einsum("kggd->kd", mat).real
 
 
 def _present_mask(amps):
-    mags = np.max(np.abs(amps), axis=1) if amps.size else np.zeros(0)
-    scale = mags.max() if mags.size else 0.0
+    mags = np.max(np.abs(amps), axis=-1)
+    scale = np.max(mags, axis=-1, keepdims=True, initial=0.0)
     return mags > 1e-12 * (1.0 + scale)
 
 
 def _oscillation(times, omegas, amps):
-    """sum_p (2 / omega_p) Im(amps_p e^{i omega_p t}) as a (T, 3) array."""
+    """sum_p (2 / omega_p) Im(amps_p e^{i omega_p t}) as a (T, 3) array.
+
+    On the uniform grid, with B = ceil(sqrt(T)), e^{i w t_{bB+j}} = e^{i w t_{bB}}
+    e^{i w j dt}: a (B, P) base block times one phase row per block, summed by
+    one complex matmul.  About 2 sqrt(T) P transcendentals instead of 2 T P,
+    and O(sqrt(T) P) memory instead of (T, P).
+    """
+    n_t = len(times)
     if omegas.size == 0:
-        return np.zeros((len(times), 3))
-    arg = np.outer(times, omegas)
-    re_part = (2.0 / omegas)[:, None] * amps.real
-    im_part = (2.0 / omegas)[:, None] * amps.imag
-    return np.sin(arg) @ re_part + np.cos(arg) @ im_part
+        return np.zeros((n_t, 3))
+    block = int(np.ceil(np.sqrt(n_t)))
+    n_blocks = -(-n_t // block)
+    dt = (times[-1] - times[0]) / (n_t - 1)
+    base = np.exp(1j * np.outer(np.arange(block) * dt, omegas))
+    rows = np.exp(1j * np.outer(omegas, times[::block]))
+    weighted = rows[:, :, None] * ((2.0 / omegas)[:, None] * amps)[:, None, :]
+    out = base @ weighted.reshape(len(omegas), n_blocks * 3)
+    return out.imag.reshape(block, n_blocks, 3).transpose(1, 0, 2).reshape(-1, 3)[:n_t]
 
 
 def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
@@ -232,21 +233,9 @@ def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
     from the oscillation frequencies actually present.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    psi = _resolve_spinor(model, spinor, k)
-    omegas, amps, drift = _pair_data(evaluate(model, k), gradient(model, k), psi)
-    mask = _present_mask(amps)
-    if times is None:
-        if mask.any():
-            times = zb_time_grid(np.abs(omegas[mask]).max(), np.abs(omegas[mask]).min(),
-                                 samples_per_period, periods)
-        else:
-            times = zb_time_grid(1.0, samples_per_period=samples_per_period, periods=periods)
-    times = _validate_sampling(times, omegas[mask])
-    pcm = _oscillation(times, omegas[mask], amps[mask])
-    if include_drift:
-        pcm = pcm + np.outer(times, drift)
-    present = np.sort(np.abs(omegas[mask]))
-    scale = _amp_scale(omegas[mask], amps[mask])
+    times, pcm, scale, omegas = _momentum_sum(
+        model, k[None], np.ones(1), spinor, times, include_drift, samples_per_period, periods)
+    present = np.sort(np.abs(omegas))
     meta = {
         "model": model.name,
         "momentum": tuple(float(x) for x in k),
@@ -258,10 +247,27 @@ def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
     return Trajectory(times=times, pcm=pcm, metadata=meta)
 
 
-def _amp_scale(omegas, amps) -> float:
-    if omegas.size == 0:
-        return 0.0
-    return float(np.max(2.0 * np.abs(amps) / np.abs(omegas)[:, None]))
+def _amp_scale(omegas, amps, mask) -> np.ndarray:
+    """Per-momentum largest predicted amplitude 2|amps| / |omega| over present pairs."""
+    ratio = 2.0 * np.abs(amps) / np.where(mask, np.abs(omegas), 1.0)[..., None]
+    return np.max(np.where(mask[..., None], ratio, 0.0), axis=(-2, -1), initial=0.0)
+
+
+def _momentum_sum(model, ks, weights, spinor, times, include_drift, spp, periods):
+    """Weighted projector-sum trajectory over momenta ``ks``: (times, pcm, zb_scale, omegas)."""
+    psi = _resolve_spinor(model, spinor)
+    omegas, amps, drifts = _pair_data(evaluate(model, ks), gradient(model, ks), psi)
+    mask = _present_mask(amps)
+    scale = float(weights @ _amp_scale(omegas, amps, mask))
+    omegas, amps = omegas[mask], (weights[:, None, None] * amps)[mask]
+    if times is None:
+        fast, slow = (np.abs(omegas).max(), np.abs(omegas).min()) if omegas.size else (1.0, None)
+        times = zb_time_grid(fast, slow, spp, periods)
+    times = _validate_sampling(times, omegas)
+    pcm = _oscillation(times, omegas, amps)
+    if include_drift:
+        pcm = pcm + np.outer(times, weights @ drifts)
+    return times, pcm, scale, omegas
 
 
 def _spinor_tag(spinor):
@@ -388,10 +394,12 @@ def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, tim
     return traj, form
 
 
-def _unit_spinor(spinor, dim):
+def _unit_spinor(spinor, dim, model_name=None):
     coeffs = np.asarray(spinor, dtype=complex)
     if coeffs.shape != (dim,):
-        raise ValueError(f"expected a {dim}-component spinor, got shape {coeffs.shape}")
+        raise ValueError(
+            f"expected a {dim}-component spinor, got shape {coeffs.shape}" if model_name is None
+            else f"spinor has {coeffs.shape} components, model '{model_name}' needs {dim}")
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"spinor is not normalized: |coeffs| = {norm:.12g}")
@@ -411,7 +419,8 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     |g(k)|^2 ~ exp(-d^2 |k - k0|^2) on a uniform grid.  ``grid_spec`` is an
     optional (half_width, points_per_axis) pair; the default covers
     |k - k0| <= 5/d with enough points for eight samples inside two
-    standard deviations per axis.  As d grows the result converges to
+    standard deviations per axis.  The whole mesh is diagonalized in one
+    stacked eigensolve.  As d grows the result converges to
     :func:`pcm_trajectory_exact` at k0.
     """
     center = _check_center(model, packet.center)
@@ -423,42 +432,8 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     weights = np.exp(-d * d * np.sum((mesh - center) ** 2, axis=1))
     weights /= weights.sum()
 
-    fixed_psi = None
-    band = None
-    if isinstance(packet.spinor, (int, np.integer)):
-        band = int(packet.spinor)
-    else:
-        fixed_psi = _resolve_spinor(model, packet.spinor)
-
-    hams = evaluate(model, mesh)
-    grads = gradient(model, mesh)
-    all_omegas, all_amps = [], []
-    drift = np.zeros(3)
-    scale = 0.0
-    for idx in range(mesh.shape[0]):
-        if band is not None:
-            psi = hermitian_eig(hams[idx]).states[:, band]
-        else:
-            psi = fixed_psi
-        omegas, amps, dvec = _pair_data(hams[idx], grads[idx], psi)
-        mask = _present_mask(amps)
-        all_omegas.append(omegas[mask])
-        all_amps.append(weights[idx] * amps[mask])
-        drift += weights[idx] * dvec
-        scale += weights[idx] * _amp_scale(omegas[mask], amps[mask])
-
-    omegas = np.concatenate(all_omegas) if all_omegas else np.zeros(0)
-    amps = np.concatenate(all_amps).reshape(-1, 3) if all_omegas else np.zeros((0, 3))
-    if times is None:
-        if omegas.size:
-            times = zb_time_grid(np.abs(omegas).max(), np.abs(omegas).min(),
-                                 samples_per_period, periods)
-        else:
-            times = zb_time_grid(1.0, samples_per_period=samples_per_period, periods=periods)
-    times = _validate_sampling(times, omegas)
-    pcm = _oscillation(times, omegas, amps)
-    if include_drift:
-        pcm = pcm + np.outer(times, drift)
+    times, pcm, scale, _ = _momentum_sum(model, mesh, weights, packet.spinor, times,
+                                         include_drift, samples_per_period, periods)
     meta = {
         "model": model.name,
         "packet": {"width": d, "center": tuple(float(x) for x in center)},
@@ -545,12 +520,9 @@ def rotation_index(traj: Trajectory, plane=(0, 1), scale: float | None = None) -
     n = len(times)
     dt = times[1] - times[0]
     span = n * dt
-    mags = np.sqrt(power)
     shift = 0.0
-    if 1 <= dom_bin < len(mags) - 1:
-        denom = mags[dom_bin - 1] - 2 * mags[dom_bin] + mags[dom_bin + 1]
-        if denom != 0:
-            shift = 0.5 * (mags[dom_bin - 1] - mags[dom_bin + 1]) / denom
+    if 1 <= dom_bin < len(power) - 1:
+        shift = _peak_shift(power[dom_bin - 1 : dom_bin + 2])
     omega_dom = 2 * np.pi * (dom_bin + shift) / span
     full_periods = int(np.floor(span * omega_dom / (2 * np.pi)))
     if full_periods < 1:
@@ -561,6 +533,13 @@ def rotation_index(traj: Trajectory, plane=(0, 1), scale: float | None = None) -
     if abs(area) < 1e-12 * np.pi * amp * amp * max(full_periods, 1):
         return 0
     return int(np.sign(area))
+
+
+def _peak_shift(power3):
+    """Bin offset of a peak from a parabola through sqrt of three powers around it."""
+    left, mid, right = np.sqrt(power3)
+    denom = left - 2 * mid + right
+    return 0.5 * (left - right) / denom if denom != 0 else 0.0
 
 
 def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
@@ -588,10 +567,7 @@ def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
         p = power[:, comp]
         for b in range(1, len(p) - 1):
             if p[b] >= 1e-10 and p[b] > p[b - 1] and p[b] >= p[b + 1]:
-                mag = np.sqrt(p[b - 1 : b + 2])
-                denom = mag[0] - 2 * mag[1] + mag[2]
-                shift = 0.5 * (mag[0] - mag[2]) / denom if denom != 0 else 0.0
-                peaks.append(((b + shift) * resolution, float(p[b])))
+                peaks.append(((b + _peak_shift(p[b - 1 : b + 2])) * resolution, float(p[b])))
     if peaks:
         dom = max(peaks, key=lambda pk: pk[1])
         if dom[0] / resolution < MIN_SPAN_PERIODS:

@@ -40,6 +40,7 @@ __all__ = [
 MASS_FLOOR = 1e-9
 PROJECTION_TOL = 1e-8
 PLAQUETTE_GAP_FLOOR = 1e-6
+PLAQUETTE_MAX_GRID = 512
 
 # Orientation of the plaquette field-strength sum and of the 3D degree
 # integral.  Both signs are pinned once so that the global integrals and
@@ -182,9 +183,10 @@ def chern_plaquette(model: BlochModel, band: int, grid: int = 64) -> int:
         raise ValueError("plaquette Chern numbers are defined for 2D models")
     if not 0 <= band < model.band_count:
         raise ValueError(f"band {band} outside 0..{model.band_count - 1}")
+    check_grid(grid, PLAQUETTE_MAX_GRID)
     previous = None
     n = grid
-    while n <= 512:
+    while n <= PLAQUETTE_MAX_GRID:
         raw = _fhs_sum(model, band, n)
         rounded = int(round(raw))
         good = abs(raw - rounded) < 1e-6
@@ -192,9 +194,16 @@ def chern_plaquette(model: BlochModel, band: int, grid: int = 64) -> int:
             return rounded
         previous = rounded if good else None
         n *= 2
-    raise ValueError(
-        f"plaquette sum did not stabilize on an integer up to grid 512 (last {raw!r})"
-    )
+    raise ValueError(f"plaquette sum did not stabilize on an integer up to grid "
+                     f"{PLAQUETTE_MAX_GRID} (last {raw!r})")
+
+
+def check_grid(grid, upper=None, name="grid"):
+    """Refuse a grid size that is not an integer in 1..upper (ValueError naming ``name``)."""
+    integer = isinstance(grid, (int, np.integer)) and not isinstance(grid, bool)
+    if not integer or grid < 1 or (upper is not None and grid > upper):
+        limit = f"an integer in 1..{upper}" if upper is not None else "a positive integer"
+        raise ValueError(f"{name} must be {limit}, got {grid!r}")
 
 
 def winding_from_hsp(model: BlochModel) -> int:
@@ -231,6 +240,7 @@ def winding_numerical(model: BlochModel, grid: int = 40):
         raise ValueError("the winding integral needs a 3D model")
     if len(model.generators) != 4:
         raise ValueError("the winding integral expects a four-generator chiral model")
+    check_grid(grid)
     axes = 2 * np.pi * np.arange(grid) / grid
     mesh = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1)
     d_vec = model.coeff(mesh)

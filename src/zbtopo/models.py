@@ -18,6 +18,7 @@ of the model's mass generator, columns ordered by ascending eigenvalue:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -256,7 +257,9 @@ _BOND_HATS = np.array(
 )
 
 
+@functools.cache
 def _km_generators() -> GeneratorSet:
+    """The ten honeycomb generators, built once and shared read-only."""
     mats = [np.kron(_SX, _S0), np.kron(_SY, _S0), np.kron(_SZ, _SZ), np.kron(_SZ, _S0)]
     labels = ["sx_s0", "sy_s0", "sz_sz", "sz_s0"]
     for jbond, (hx, hy) in enumerate(_BOND_HATS):
@@ -265,7 +268,9 @@ def _km_generators() -> GeneratorSet:
         mats.append(np.kron(_SY, spin_part))
         labels.append(f"sx_m{jbond}")
         labels.append(f"sy_m{jbond}")
-    return GeneratorSet(labels=tuple(labels), matrices=np.stack(mats))
+    matrices = np.stack(mats)
+    matrices.setflags(write=False)
+    return GeneratorSet(labels=tuple(labels), matrices=matrices)
 
 
 def _km_haldane_phase(k1, k2):

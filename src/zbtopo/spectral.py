@@ -20,17 +20,9 @@ DEGENERACY_TOL = 1e-8
 MAX_DIM = 8
 
 
-def _fix_phase(column):
-    pivot = column[int(np.argmax(np.abs(column)))]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return column
-    return column * (mag / pivot)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigen-data of one Hermitian matrix.
+    """Eigen-data of one Hermitian matrix or a stack (layouts: :func:`hermitian_eig`).
 
     ``energies``/``states`` hold the raw ascending eigensystem; ``levels``
     and ``projectors`` hold the degeneracy-merged version (projector i has
@@ -42,52 +34,63 @@ class SpectralDecomposition:
     states: np.ndarray
     levels: np.ndarray
     projectors: np.ndarray
-    group_sizes: tuple[int, ...]
+    group_sizes: tuple[int, ...] | np.ndarray
     group_velocities: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        return np.einsum("g,gij->ij", self.levels, self.projectors)
+        return np.einsum("...g,...gij->...ij", self.levels, self.projectors)
 
     def with_velocities(self, velocities) -> "SpectralDecomposition":
         return replace(self, group_velocities=np.asarray(velocities, dtype=float))
 
 
 def hermitian_eig(matrix) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix into merged levels and projectors.
+    """Diagonalize a Hermitian matrix or a stack (..., n, n) into merged levels and projectors.
+
+    One matrix gets the compact layout: ``levels`` (G,), ``projectors`` (G, n, n)
+    and a ``group_sizes`` tuple, one entry per merged group.  A stack gets the
+    padded layout, n slots per matrix (``levels`` (..., n), ``projectors``
+    (..., n, n, n), integer ``group_sizes`` (..., n)): a degenerate group's mean
+    level and projector sit in its first slot, and the slots it absorbs keep
+    the mean level with size 0 and a zero projector.  Only matrices with a gap
+    below ``DEGENERACY_TOL`` are merged in a Python loop.
 
     Raises ``ValueError`` if the input is further than ``HERMITICITY_TOL``
     from Hermitian (the defect norm is included in the message) or if the
     dimension is outside 2..8.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     if not 2 <= n <= MAX_DIM:
         raise ValueError(f"dimension {n} outside the supported range 2..{MAX_DIM}")
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    a_dag = np.swapaxes(a.conj(), -1, -2)
+    defect = float(np.max(np.abs(a - a_dag), initial=0.0))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
 
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    for col in range(n):
-        v[:, col] = _fix_phase(v[:, col])
+    w, v = np.linalg.eigh(0.5 * (a + a_dag))
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    v = v * np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=pivot != 0)
 
-    split_at = np.nonzero(np.diff(w) > DEGENERACY_TOL)[0] + 1
-    groups = np.split(np.arange(n), split_at)
-    levels = np.array([w[g].mean() for g in groups])
-    projectors = np.stack([v[:, g] @ v[:, g].conj().T for g in groups])
-    return SpectralDecomposition(
-        energies=w,
-        states=v,
-        levels=levels,
-        projectors=projectors,
-        group_sizes=tuple(len(g) for g in groups),
-    )
+    levels = w.copy()
+    projectors = np.einsum("...ig,...jg->...gij", v, v.conj())
+    sizes = np.ones(w.shape, dtype=int)
+    split = np.diff(w, axis=-1) > DEGENERACY_TOL
+    for idx in map(tuple, np.argwhere(~split.all(axis=-1))):
+        for g in np.split(np.arange(n), np.nonzero(split[idx])[0] + 1):
+            levels[idx][g], sizes[idx][g], projectors[idx][g] = w[idx][g].mean(), 0, 0.0
+            sizes[idx][g[0]] = len(g)
+            projectors[idx][g[0]] = v[idx][:, g] @ v[idx][:, g].conj().T
+    if a.ndim == 2:
+        keep = sizes > 0
+        levels, projectors, sizes = levels[keep], projectors[keep], tuple(map(int, sizes[keep]))
+    return SpectralDecomposition(w, v, levels, projectors, sizes)
 
 
 def evolve(matrix, state, t: float) -> np.ndarray:

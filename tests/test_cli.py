@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from zbtopo.cli import main
 from zbtopo.io import read_csv_table, read_spectrum_csv, read_trajectory_csv
@@ -182,6 +183,24 @@ def test_invariants_kane_mele_trivial(tmp_path, capsys):
     )
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["z2"] == 0
+
+
+@pytest.mark.parametrize("grid", [0, -2, 2.5, "64", True, 1024])
+def test_invariants_bad_plaquette_grid_is_config_error(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"topology": {"plaquette_grid": grid}}))
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "topology.plaquette_grid must be an integer in 1..512" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [0, -1, 40.0])
+def test_invariants_bad_winding_grid_is_config_error(tmp_path, capsys, grid):
+    cfg = write_config(
+        tmp_path,
+        {"model": {"name": "chiral_ti", "params": {"M": 1.0}},
+         "topology": {"winding_grid": grid}},
+    )
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "topology.winding_grid must be a positive integer" in capsys.readouterr().err
 
 
 def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):

@@ -145,6 +145,18 @@ def test_plaquette_band_range_checked():
         chern_plaquette(maxwell_lattice(1.0, 1.0), 3)
 
 
+def test_plaquette_grid_above_limit_rejected():
+    # a start grid past the doubling limit used to leave the sum unbound
+    with pytest.raises(ValueError, match="grid must be an integer in 1..512, got 1024"):
+        chern_plaquette(maxwell_lattice(1.0, 1.0), 0, 1024)
+
+
+@pytest.mark.parametrize("grid", [0, -8])
+def test_plaquette_grid_nonpositive_rejected(grid):
+    with pytest.raises(ValueError, match=f"grid must be an integer in 1..512, got {grid}"):
+        chern_plaquette(maxwell_lattice(1.0, 1.0), 0, grid)
+
+
 def test_cross_method_agreement_random_masses():
     rng = np.random.default_rng(2024)
     count = 0
@@ -185,6 +197,11 @@ def test_winding_gapless_rejected():
         winding_from_hsp(chiral_ti_3d(3.0))
     with pytest.raises(GaplessError):
         winding_numerical(chiral_ti_3d(3.0), 20)
+
+
+def test_winding_grid_zero_rejected():
+    with pytest.raises(ValueError, match="grid must be a positive integer, got 0"):
+        winding_numerical(chiral_ti_3d(1.0), 0)
 
 
 def test_winding_needs_3d():
@@ -255,6 +272,24 @@ def test_rotation_sense_matches_local_index(m_param):
         packet = WavePacket(width=20.0, center=np.asarray(K), spinor=spinor)
         traj = wavepacket_trajectory(model, packet)
         assert rotation_index(traj) == lin.nu
+
+
+@pytest.mark.parametrize("m_param, table", [(2.0, -1), (0.5, 2)])
+def test_chiral_packet_rotation_reads_winding(m_param, table):
+    # 3D counterpart: a c = 0 packet at each corner rotates in the xy plane
+    # with sgn(v_x v_y m); weighting by sgn(v_z) = sgn(cos K_z) recovers the winding
+    model = chiral_ti_3d(m_param)
+    spinor = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+    total = 0
+    for K in model.hsps:
+        lin = linearize_at_hsp(model, K)
+        v_x, v_y, _ = lin.velocities
+        packet = WavePacket(width=10.0, center=np.asarray(K), spinor=spinor)
+        sense = rotation_index(wavepacket_trajectory(model, packet, (0.35, 21)))
+        assert sense == int(np.sign(v_x * v_y * lin.mass))
+        total += sense * int(np.sign(np.cos(K[2])))
+    assert total % 2 == 0
+    assert total // 2 == winding_from_hsp(model) == table
 
 
 # ---------------------------------------------------------------- reports

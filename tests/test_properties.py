@@ -1,0 +1,212 @@
+"""Property tests for the momentum-batched spectral path and the packet synthesis.
+
+Each property is checked against a plain reference written here: per-matrix
+``hermitian_eig`` calls, amplitudes built from explicit eigenvectors, a dense
+sin/cos sum and a per-momentum packet loop.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from zbtopo import (
+    WavePacket,
+    chiral_ti_3d,
+    evaluate,
+    gradient,
+    hermitian_eig,
+    kane_mele,
+    maxwell_lattice,
+    wavepacket_trajectory,
+    zb_time_grid,
+)
+from zbtopo.dynamics import _oscillation, _pair_data
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def random_stack(rng, shape, dim, degenerate):
+    """Hermitian matrices; ``degenerate`` draws integer spectra with repeats."""
+    out = np.empty(shape + (dim, dim), dtype=complex)
+    for idx in np.ndindex(shape):
+        if degenerate:
+            levels = np.sort(rng.integers(-2, 3, dim)).astype(float)
+            u = random_unitary(rng, dim)
+            out[idx] = u @ np.diag(levels) @ u.conj().T
+        else:
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            out[idx] = 0.5 * (a + a.conj().T)
+    return out
+
+
+def assert_slotwise(stacked, matrices):
+    """The padded stack result holds each per-matrix result in its group slots."""
+    n = matrices.shape[-1]
+    for idx in np.ndindex(matrices.shape[:-2]):
+        single = hermitian_eig(matrices[idx])
+        sizes = stacked.group_sizes[idx]
+        used = sizes > 0
+        np.testing.assert_allclose(stacked.energies[idx], single.energies, atol=1e-12)
+        np.testing.assert_allclose(stacked.states[idx], single.states, atol=1e-12)
+        np.testing.assert_allclose(stacked.levels[idx][used], single.levels, atol=1e-12)
+        np.testing.assert_allclose(stacked.projectors[idx][used], single.projectors, atol=1e-12)
+        assert tuple(int(s) for s in sizes[used]) == single.group_sizes
+        assert sizes.sum() == n
+        assert not np.any(stacked.projectors[idx][~used])
+        np.testing.assert_allclose(stacked.reconstruct()[idx], matrices[idx], atol=1e-10)
+
+
+@given(seed=seeds, dim=st.integers(2, 8), count=st.integers(1, 12), degenerate=st.booleans())
+def test_stacked_eig_matches_per_matrix(seed, dim, count, degenerate):
+    rng = np.random.default_rng(seed)
+    matrices = random_stack(rng, (count,), dim, degenerate)
+    assert_slotwise(hermitian_eig(matrices), matrices)
+
+
+@given(seed=seeds, dim=st.integers(2, 5))
+def test_stacked_eig_accepts_several_stack_axes(seed, dim):
+    rng = np.random.default_rng(seed)
+    matrices = random_stack(rng, (2, 3), dim, degenerate=bool(seed % 2))
+    stacked = hermitian_eig(matrices)
+    assert stacked.levels.shape == (2, 3, dim)
+    assert stacked.projectors.shape == (2, 3, dim, dim, dim)
+    assert_slotwise(stacked, matrices)
+
+
+@given(seed=seeds, count=st.integers(1, 30))
+def test_stacked_eig_merges_kane_mele_kramers_pairs(seed, count):
+    # at lambda_r = lambda_v = 0 every momentum carries two Kramers pairs
+    rng = np.random.default_rng(seed)
+    model = kane_mele(1.0, 0.1, 0.0, 0.0)
+    hams = evaluate(model, rng.uniform(-np.pi, np.pi, (count, 2)))
+    stacked = hermitian_eig(hams)
+    assert np.array_equal(stacked.group_sizes, np.tile([2, 0, 2, 0], (count, 1)))
+    assert_slotwise(stacked, hams)
+
+
+def test_stacked_eig_checks_every_matrix():
+    stack = np.stack([np.eye(3), np.triu(np.ones((3, 3)))])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(stack)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros((4, 2, 3)))
+
+
+@pytest.mark.parametrize("model", [maxwell_lattice(1.0, 1.3), chiral_ti_3d(0.7)],
+                         ids=["maxwell", "chiral"])
+@given(seed=seeds, count=st.integers(1, 20))
+def test_pair_amplitudes_ignore_eigenvector_phases(model, seed, count):
+    rng = np.random.default_rng(seed)
+    n = model.band_count
+    ks = rng.uniform(-np.pi, np.pi, (count, model.momentum_dim))
+    hams, grads = evaluate(model, ks), gradient(model, ks)
+    raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = raw / np.linalg.norm(raw)
+
+    # amplitudes from eigenvectors carrying random per-k, per-band phases
+    v = hermitian_eig(hams).states * np.exp(2j * np.pi * rng.random((count, 1, n)))
+    dh = np.zeros((count, 3, n, n), dtype=complex)
+    dh[:, : model.momentum_dim] = grads
+    c = np.einsum("kig,i->kg", v.conj(), psi)
+    vdv = np.einsum("kig,kdij,kjh->kghd", v.conj(), dh, v)
+    expected = c.conj()[:, :, None, None] * c[:, None, :, None] * vdv
+    g, h = np.triu_indices(n, k=1)
+    _, amps, drift = _pair_data(hams, grads, psi)
+    np.testing.assert_allclose(amps, expected[:, g, h], atol=1e-12)
+    np.testing.assert_allclose(drift, np.einsum("kggd->kd", expected).real, atol=1e-12)
+
+    # a band-index spinor gives the same data as that eigenvector with any phase
+    band = int(rng.integers(n))
+    by_index = _pair_data(hams, grads, band)
+    by_state = _pair_data(hams, grads, v[..., band])
+    for a, b in zip(by_index, by_state):
+        np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def dense_oscillation(times, omegas, amps):
+    arg = np.outer(times, omegas)
+    coef = (2.0 / omegas)[:, None]
+    return np.sin(arg) @ (coef * amps.real) + np.cos(arg) @ (coef * amps.imag)
+
+
+@given(seed=seeds, n_t=st.integers(2, 400), n_p=st.integers(1, 40),
+       t0=st.floats(-20.0, 20.0))
+@example(seed=0, n_t=2, n_p=1, t0=0.0)
+@example(seed=1, n_t=2, n_p=5, t0=-7.25)
+@example(seed=2, n_t=101, n_p=1, t0=3.5)
+@example(seed=3, n_t=399, n_p=17, t0=0.0)
+def test_factored_oscillation_matches_dense(seed, n_t, n_p, t0):
+    rng = np.random.default_rng(seed)
+    times = t0 + rng.uniform(0.01, 0.2) * np.arange(n_t)
+    omegas = rng.uniform(0.1, 5.0, n_p) * rng.choice([-1.0, 1.0], n_p)
+    amps = rng.standard_normal((n_p, 3)) + 1j * rng.standard_normal((n_p, 3))
+    got = _oscillation(times, omegas, amps)
+    ref = dense_oscillation(times, omegas, amps)
+    assert got.shape == (n_t, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def reference_packet(model, packet, grid_spec):
+    """Per-momentum loop over single-matrix ``hermitian_eig`` with dense synthesis."""
+    half_width, n_pts = grid_spec
+    axes = [c + np.linspace(-half_width, half_width, n_pts) for c in packet.center]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    weights = np.exp(-packet.width**2 * np.sum((mesh - packet.center) ** 2, axis=1))
+    weights /= weights.sum()
+    n = model.band_count
+    omegas, amps, drift, scale = [], [], np.zeros(3), 0.0
+    for weight, k in zip(weights, mesh):
+        dec = hermitian_eig(evaluate(model, k))
+        if isinstance(packet.spinor, int):
+            psi = dec.states[:, packet.spinor]
+        else:
+            psi = model.mass_eigenbasis() @ packet.spinor
+        dh = np.zeros((3, n, n), dtype=complex)
+        dh[: model.momentum_dim] = gradient(model, k)
+        proj = dec.projectors @ psi
+        mat = np.einsum("gi,dij,hj->ghd", proj.conj(), dh, proj)
+        drift += weight * np.einsum("ggd->d", mat).real
+        pairs = [(dec.levels[g] - dec.levels[h], mat[g, h])
+                 for g in range(len(dec.levels)) for h in range(g + 1, len(dec.levels))]
+        mags = np.array([np.max(np.abs(a)) for _, a in pairs])
+        present = [(omega, amp) for (omega, amp), mag in zip(pairs, mags)
+                   if mag > 1e-12 * (1.0 + mags.max())]
+        scale += weight * max((2 * np.max(np.abs(a)) / abs(w) for w, a in present), default=0.0)
+        omegas += [omega for omega, _ in present]
+        amps += [weight * amp for _, amp in present]
+    omegas, amps = np.array(omegas), np.array(amps).reshape(-1, 3)
+    if omegas.size:
+        times = zb_time_grid(np.abs(omegas).max(), np.abs(omegas).min())
+    else:
+        times = zb_time_grid(1.0)
+    pcm = dense_oscillation(times, omegas, amps) if omegas.size else 0.0
+    return times, pcm + np.outer(times, drift), scale
+
+
+SPINOR3 = np.array([0.6, 0.48j, 0.64])
+SPINOR4 = np.array([0.5, -0.5j, 0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "model, center, spinor",
+    [
+        (maxwell_lattice(1.0, 1.7), (0.0, 0.0), SPINOR3),
+        (maxwell_lattice(1.0, 1.7), (0.0, 0.0), 0),
+        (kane_mele(1.0, 0.1, 0.0, 0.0), (2 * np.pi / 3, 4 * np.pi / 3), SPINOR4),
+        (kane_mele(1.0, 0.1, 0.05, 0.1), (0.0, 0.0), 1),
+    ],
+    ids=["maxwell-fixed", "maxwell-eigenstate", "kane-mele-degenerate-fixed",
+         "kane-mele-rashba-eigenstate"],
+)
+def test_packet_matches_per_k_reference(model, center, spinor):
+    packet = WavePacket(width=10.0, center=np.array(center), spinor=spinor)
+    traj = wavepacket_trajectory(model, packet, (0.35, 21))
+    times, pcm, scale = reference_packet(model, packet, (0.35, 21))
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.pcm - pcm)) <= 1e-12 * max(1.0, np.max(np.abs(pcm)))
+    assert abs(traj.metadata["zb_scale"] - scale) <= 1e-12 * max(1.0, scale)
