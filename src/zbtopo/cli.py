@@ -5,6 +5,7 @@
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
+Phase diagrams run in-process; ``--jobs`` is accepted and ignored.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
 0 success, 1 runtime error, 2 config error, 3 verification failure.
 """
@@ -15,20 +16,22 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import io as zio
 from .dynamics import (
+    MIN_SAMPLES_PER_PERIOD,
+    MIN_SPAN_PERIODS,
     WavePacket,
     pcm_trajectory_exact,
     rotation_index,
     wavepacket_trajectory,
     zb_spectrum,
 )
-from .invariants import PLAQUETTE_MAX_GRID, check_grid, compute_invariants
-from .models import chiral_ti_3d, kane_mele, maxwell_lattice, spin_j_continuum
+from .invariants import (PLAQUETTE_MAX_GRID, check_grid, chern_from_hsp, compute_invariants,
+                         linearize_at_hsp, winding_from_hsp, z2_kane_mele)
+from .models import chiral_ti_3d, evaluate, kane_mele, maxwell_lattice, spin_j_continuum
 from .verify import run_verify
 
 __all__ = ["main", "ConfigError"]
@@ -62,6 +65,10 @@ SECTION_KEYS = {
     "sweep": {"parameter", "start", "stop", "step"},
 }
 
+# Column name of the invariant a phase diagram records, per model.
+SWEEP_INVARIANT = {"maxwell": "chern", "chiral_ti": "winding", "kane_mele": "z2"}
+MAX_SWEEP_VALUES = 10**6
+
 COMMAND_SECTIONS = {
     "bands": {"required": {"model"}, "optional": {"bands_path", "seed"}},
     "zb": {"required": {"model", "dynamics"}, "optional": {"seed"}},
@@ -75,6 +82,21 @@ def _check_keys(section: dict, allowed: set, where: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value, name, positive=False):
+    """``value`` if it is a finite (positive) JSON number, else a ConfigError naming ``name``."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float))
+    if bad or not abs(value) <= sys.float_info.max or (positive and value <= 0):
+        raise ConfigError(f"{name} must be a {'positive' if positive else 'finite'} "
+                          f"number, got {value!r}")
+    return value
+
+
+def _integer(value, name, lower):
+    if isinstance(value, bool) or not isinstance(value, int) or value < lower:
+        raise ConfigError(f"{name} must be an integer >= {lower}, got {value!r}")
+    return value
 
 
 def load_config(path: str, command: str) -> dict:
@@ -98,10 +120,16 @@ def load_config(path: str, command: str) -> dict:
             if not isinstance(config[name], dict):
                 raise ConfigError(f"section '{name}' must be an object")
             _check_keys(config[name], SECTION_KEYS[name], f"section '{name}'")
-    if "dynamics" in config and "packet" in config["dynamics"]:
-        _check_keys(config["dynamics"]["packet"], SECTION_KEYS["packet"], "dynamics.packet")
-    if "seed" in config and not isinstance(config["seed"], int):
-        raise ConfigError("seed must be an integer")
+    dyn = config.get("dynamics", {})
+    if "packet" in dyn:
+        _check_keys(dyn["packet"], SECTION_KEYS["packet"], "dynamics.packet")
+        if "width" not in dyn["packet"]:
+            raise ConfigError("dynamics.packet.width is required")
+        _number(dyn["packet"]["width"], "dynamics.packet.width", positive=True)
+    _integer(dyn.get("samples_per_period", 64), "dynamics.samples_per_period",
+             MIN_SAMPLES_PER_PERIOD)
+    _integer(dyn.get("periods", 8), "dynamics.periods", MIN_SPAN_PERIODS)
+    _integer(config.get("seed", 0), "seed", 0)
     try:
         for key, value in config.get("topology", {}).items():
             upper = PLAQUETTE_MAX_GRID if key == "plaquette_grid" else None
@@ -119,6 +147,9 @@ def build_model(section: dict):
     if not isinstance(params, dict):
         raise ConfigError("model params must be an object")
     _check_keys(params, MODEL_PARAMS[name], f"model '{name}' params")
+    for key, value in params.items():
+        if key != "basis":
+            _number(value, f"model.params.{key}")
     try:
         if name == "maxwell":
             return maxwell_lattice(params["t_h"], params["M"])
@@ -134,6 +165,8 @@ def build_model(section: dict):
         return chiral_ti_3d(params["M"])
     except KeyError as exc:
         raise ConfigError(f"model '{name}' is missing parameter {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"model '{name}': {exc}") from exc
 
 
 def _parse_spinor(raw, dim):
@@ -179,12 +212,9 @@ _PATHS_3D = (
 
 
 def cmd_bands(config, out_dir):
-    from .models import evaluate
-
     model = build_model(config["model"])
-    points = config.get("bands_path", {}).get("points_per_segment", 60)
-    if not isinstance(points, int) or points < 2:
-        raise ConfigError("points_per_segment must be an integer >= 2")
+    points = _integer(config.get("bands_path", {}).get("points_per_segment", 60),
+                      "bands_path.points_per_segment", 2)
     if model.name == "kane_mele":
         nodes = _PATHS_HEX
     elif model.momentum_dim == 3:
@@ -194,21 +224,18 @@ def cmd_bands(config, out_dir):
     else:
         raise ConfigError(f"no band path defined for model '{model.name}'")
 
-    ks, arc = [], []
-    s = 0.0
+    seg = np.linspace(0.0, 1.0, points, endpoint=False)
+    ks, arc, s = [], [], 0.0
     for (_, a), (_, b) in zip(nodes[:-1], nodes[1:]):
         a, b = np.asarray(a), np.asarray(b)
-        seg = np.linspace(0.0, 1.0, points, endpoint=False)
-        for frac in seg:
-            ks.append(a + frac * (b - a))
-            arc.append(s + frac * np.linalg.norm(b - a))
-        s += float(np.linalg.norm(b - a))
-    ks.append(np.asarray(nodes[-1][1], dtype=float))
-    arc.append(s)
-    ks = np.array(ks)
+        length = np.linalg.norm(b - a)
+        ks.append(a + seg[:, None] * (b - a))
+        arc.append(s + seg * length)
+        s += float(length)
+    ks = np.concatenate(ks + [np.asarray([nodes[-1][1]], dtype=float)])
     energies = np.linalg.eigvalsh(evaluate(model, ks))
     path = os.path.join(out_dir, "bands.csv")
-    zio.write_bands_csv(path, np.array(arc), ks, energies)
+    zio.write_bands_csv(path, np.concatenate(arc + [[s]]), ks, energies)
     print(path)
     return 0
 
@@ -267,29 +294,22 @@ def cmd_invariants(config, out_dir):
     return 0
 
 
-def _sweep_value(args):
-    model_section, parameter, value, plaquette_grid = args
-    section = {
-        "name": model_section["name"],
-        "params": {**model_section.get("params", {}), parameter: value},
-    }
-    model = build_model(section)
-    from .invariants import linearize_at_hsp, chern_from_hsp, winding_from_hsp, z2_kane_mele
-
-    if model.name == "maxwell":
-        nus = [linearize_at_hsp(model, K).nu for K in model.hsps]
-        return [value, chern_from_hsp(model, -1)] + nus
-    if model.name == "chiral_ti":
-        nus = [linearize_at_hsp(model, K).nu for K in model.hsps]
-        return [value, winding_from_hsp(model)] + nus
+def _sweep_value(model_section, parameter, value):
+    model = build_model({"name": model_section["name"],
+                         "params": {**model_section.get("params", {}), parameter: value}})
     if model.name == "kane_mele":
         return [value, z2_kane_mele(model)]
-    raise ConfigError(f"phase-diagram sweep not defined for model '{model.name}'")
+    lins = linearize_at_hsp(model, model.hsps)
+    if model.name == "maxwell":
+        return [value, chern_from_hsp(model, -1, lins)] + [lin.nu for lin in lins]
+    return [value, winding_from_hsp(model, lins)] + [lin.nu for lin in lins]
 
 
-def cmd_phase_diagram(config, out_dir, jobs, allow_critical):
+def cmd_phase_diagram(config, out_dir, allow_critical):
     model_section = config["model"]
     model = build_model(model_section)
+    if model.name not in SWEEP_INVARIANT:
+        raise ConfigError(f"phase-diagram sweep not defined for model '{model.name}'")
     sweep = config["sweep"]
     parameter = sweep.get("parameter", model.sweep_parameter)
     if model.name == "kane_mele":
@@ -300,11 +320,14 @@ def cmd_phase_diagram(config, out_dir, jobs, allow_critical):
             f"model '{model.name}' sweeps over {model.sweep_parameter!r}, got {parameter!r}"
         )
     try:
-        start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
+        start, stop = _number(sweep["start"], "sweep.start"), _number(sweep["stop"], "sweep.stop")
+        step = _number(sweep["step"], "sweep.step", positive=True)
     except KeyError as exc:
         raise ConfigError(f"sweep is missing {exc}") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError("sweep needs step > 0 and stop >= start")
+    if stop < start:
+        raise ConfigError("sweep needs stop >= start")
+    if (stop - start) / step >= MAX_SWEEP_VALUES:
+        raise ConfigError(f"sweep.step {step!r} gives more than {MAX_SWEEP_VALUES} values")
     values = np.arange(start, stop + step / 2, step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
@@ -318,20 +341,9 @@ def cmd_phase_diagram(config, out_dir, jobs, allow_critical):
     if not kept:
         raise ConfigError("sweep contains only critical points; use --allow-critical")
 
-    tasks = [(model_section, parameter, v, config.get("topology", {}).get("plaquette_grid", 64))
-             for v in kept]
-    if jobs == 1:
-        rows = [_sweep_value(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_value, tasks))
-
-    if model.name == "maxwell":
-        header = [parameter, "chern"] + [_nu_col(K) for K in model.hsps]
-    elif model.name == "chiral_ti":
-        header = [parameter, "winding"] + [_nu_col(K) for K in model.hsps]
-    else:
-        header = [parameter, "z2"]
+    rows = [_sweep_value(model_section, parameter, v) for v in kept]
+    nus = [] if model.name == "kane_mele" else [_nu_col(K) for K in model.hsps]
+    header = [parameter, SWEEP_INVARIANT[model.name]] + nus
     path = os.path.join(out_dir, "phase_diagram.csv")
     zio.write_sweep_csv(path, header, rows)
     print(path)
@@ -369,7 +381,8 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=".")
-        cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        cmd.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility and ignored; sweeps run in-process")
         cmd.add_argument("--allow-critical", action="store_true")
     args = parser.parse_args(argv)
 
@@ -383,7 +396,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(config, args.out)
         if args.command == "phase-diagram":
-            return cmd_phase_diagram(config, args.out, max(args.jobs, 1), args.allow_critical)
+            return cmd_phase_diagram(config, args.out, args.allow_critical)
         return cmd_verify(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ parity / inversion-parity products for the honeycomb model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +69,12 @@ class HSPLinearization:
     sign_mass: int
 
 
-def _project_onto(generators, matrix, context):
-    """Hilbert-Schmidt coefficients of `matrix` on the generator set."""
-    coeffs = np.array(
-        [np.trace(g @ matrix).real / np.trace(g @ g).real for g in generators]
-    )
-    residual = float(np.max(np.abs(matrix - np.einsum("g,gij->ij", coeffs, generators))))
-    if residual > PROJECTION_TOL:
-        raise NotHighSymmetryError(
-            f"{context} is not in the generator span (residual {residual:.3e})"
-        )
-    return coeffs
+def linearize_at_hsp(model: BlochModel, K):
+    """Extract the velocities, mass and local index at high-symmetry points.
 
-
-def linearize_at_hsp(model: BlochModel, K) -> HSPLinearization:
-    """Extract the velocities, mass and local index at one high-symmetry point.
-
-    Coefficients come from Hilbert-Schmidt projections of H(K) and each
+    ``K`` is one point (D,) or a stack (H, D); a stack returns a tuple of
+    H linearizations, and the first failing point in stack order raises.
+    Coefficients are Hilbert-Schmidt projections of H(K) and each
     dH/dk_d(K) onto the model's generator set; H(K) must be proportional
     to the declared mass generator and the gap must be open.
     """
@@ -93,56 +83,53 @@ def linearize_at_hsp(model: BlochModel, K) -> HSPLinearization:
             f"model '{model.name}' does not declare a mass generator"
         )
     K = np.atleast_1d(np.asarray(K, dtype=float))
+    points = np.atleast_2d(K)
     gens = model.generators.matrices
-    ham = evaluate(model, K)
-    c_h = _project_onto(gens, ham, f"H at K={tuple(K)}")
-    others = np.delete(np.abs(c_h), model.mass_generator)
-    if others.size and others.max() > PROJECTION_TOL:
-        raise NotHighSymmetryError(
-            f"H at K={tuple(K)} is not proportional to the mass generator "
-            f"(max off-mass coefficient {others.max():.3e})"
-        )
-    mass = float(c_h[model.mass_generator])
-    if abs(mass) < MASS_FLOOR:
-        raise GaplessError(
-            f"gapless high-symmetry point K={tuple(K)}: |m| = {abs(mass):.3e}"
-        )
-
-    dh = gradient(model, K)
-    velocities = []
-    for d in range(model.momentum_dim):
-        c_g = _project_onto(gens, dh[d], f"dH/dk_{d} at K={tuple(K)}")
-        velocities.append(float(c_g[model.velocity_generators[d]]))
-    if any(abs(v) < 1e-12 for v in velocities):
-        raise NotHighSymmetryError(
-            f"vanishing velocity at K={tuple(K)}: {velocities}"
-        )
-
-    sign_v = int(np.sign(np.prod(velocities)))
-    sign_m = int(np.sign(mass))
-    return HSPLinearization(
-        hsp=tuple(float(x) for x in K),
-        velocities=tuple(velocities),
-        mass=mass,
-        nu=sign_v * sign_m,
-        sign_velocity=sign_v,
-        sign_mass=sign_m,
-    )
+    mats = np.concatenate([evaluate(model, points)[:, None], gradient(model, points)], axis=1)
+    # tr(G @ M) as matrix product plus diagonal sum, which rounds as np.trace
+    # does; a single einsum does not for irrational entries (spin-j ladders).
+    norms = (gens @ gens).diagonal(0, -2, -1).sum(axis=-1).real
+    coeffs = (gens @ mats[..., None, :, :]).diagonal(0, -2, -1).sum(axis=-1).real / norms
+    residuals = np.abs(mats - np.einsum("...g,gij->...ij", coeffs, gens)).max(axis=(-2, -1))
+    off_mass = np.delete(np.abs(coeffs[:, 0]), model.mass_generator, axis=-1).max(-1, initial=0.0)
+    vels = coeffs[:, 1:, list(model.velocity_generators)].diagonal(0, 1, 2)
+    lins = []
+    for k, res, off, mass, vel in zip(points, residuals.tolist(), off_mass.tolist(),
+                                      coeffs[:, 0, model.mass_generator].tolist(), vels.tolist()):
+        if res[0] > PROJECTION_TOL:
+            raise NotHighSymmetryError(
+                f"H at K={tuple(k)} is not in the generator span (residual {res[0]:.3e})")
+        if off > PROJECTION_TOL:
+            raise NotHighSymmetryError(f"H at K={tuple(k)} is not proportional to the mass "
+                                       f"generator (max off-mass coefficient {off:.3e})")
+        if not abs(mass) >= MASS_FLOOR:
+            raise GaplessError(f"gapless high-symmetry point K={tuple(k)}: |m| = {abs(mass):.3e}")
+        for d, r in enumerate(res[1:]):
+            if r > PROJECTION_TOL:
+                raise NotHighSymmetryError(f"dH/dk_{d} at K={tuple(k)} is not in the generator "
+                                           f"span (residual {r:.3e})")
+        if not all(abs(v) >= 1e-12 for v in vel):
+            raise NotHighSymmetryError(f"vanishing velocity at K={tuple(k)}: {vel}")
+        sign_v, sign_m = (1 if math.prod(vel) > 0 else -1), (1 if mass > 0 else -1)
+        lins.append(HSPLinearization(hsp=tuple(k.tolist()), velocities=tuple(vel), mass=mass,
+                                     nu=sign_v * sign_m, sign_velocity=sign_v, sign_mass=sign_m))
+    return tuple(lins) if K.ndim == 2 else lins[0]
 
 
-def chern_from_hsp(model: BlochModel, j):
+def chern_from_hsp(model: BlochModel, j, lins=None):
     """Band Chern number from the four local indices: -j * sum_K nu_K.
 
     ``j`` is the band's spin index (-J .. J counted from the lowest band).
     The sum of four signs is always even, so the result is integral even
-    for half-integer j; integral values are returned as int.
+    for half-integer j; integral values are returned as int.  ``lins``
+    reuses a linearization of ``model.hsps`` already at hand.
     """
     if model.momentum_dim != 2 or len(model.hsps) != 4:
         raise ValueError(
             "the four-point index formula needs a 2D lattice model with four "
             "high-symmetry points"
         )
-    total = sum(linearize_at_hsp(model, K).nu for K in model.hsps)
+    total = sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps))
     value = -j * total
     if abs(value - round(value)) < 1e-12:
         return int(round(value))
@@ -206,12 +193,12 @@ def check_grid(grid, upper=None, name="grid"):
         raise ValueError(f"{name} must be {limit}, got {grid!r}")
 
 
-def winding_from_hsp(model: BlochModel) -> int:
+def winding_from_hsp(model: BlochModel, lins=None) -> int:
     """3D winding number: half the sum of sgn(v_x v_y v_z) sgn(m) over the
-    eight corner points."""
+    eight corner points (``lins`` as in `chern_from_hsp`)."""
     if model.momentum_dim != 3 or len(model.hsps) != 8:
         raise ValueError("the eight-point winding formula needs a 3D model")
-    total = sum(linearize_at_hsp(model, K).nu for K in model.hsps)
+    total = sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps))
     if total % 2 != 0:
         raise ValueError(f"odd index sum {total}: inconsistent linearization")
     return total // 2
@@ -417,19 +404,19 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
     if model.name == "kane_mele":
         z2 = z2_kane_mele(model)
     elif model.momentum_dim == 2 and model.mass_generator is not None:
-        lins = tuple(linearize_at_hsp(model, K) for K in model.hsps)
+        lins = linearize_at_hsp(model, model.hsps)
         if len(model.hsps) == 4:
             spin_j = (model.band_count - 1) / 2.0
             js = [band - spin_j for band in range(model.band_count)]
-            chern_local = tuple(chern_from_hsp(model, j) for j in js)
+            chern_local = tuple(chern_from_hsp(model, j, lins) for j in js)
             if model.periodic:
                 chern_global = tuple(
                     chern_plaquette(model, band, plaquette_grid)
                     for band in range(model.band_count)
                 )
     elif model.momentum_dim == 3:
-        lins = tuple(linearize_at_hsp(model, K) for K in model.hsps)
-        winding = winding_from_hsp(model)
+        lins = linearize_at_hsp(model, model.hsps)
+        winding = winding_from_hsp(model, lins)
         w_num, winding_residual = winding_numerical(model, winding_grid)
         if w_num != winding:
             raise ValueError(

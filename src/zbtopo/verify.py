@@ -76,8 +76,8 @@ def check_phase_table(rng) -> CheckResult:
     lines, ok = [], True
     for m_param, expected in PHASE_TABLE.items():
         model = maxwell_lattice(1.0, m_param)
-        nus = tuple(linearize_at_hsp(model, K).nu for K in model.hsps)
-        local = chern_from_hsp(model, -1)
+        lins = linearize_at_hsp(model, model.hsps)
+        nus, local = tuple(lin.nu for lin in lins), chern_from_hsp(model, -1, lins)
         global_ = chern_plaquette(model, 0, 64)
         good = nus == expected["nu"] and local == global_ == expected["chern"]
         ok &= good

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from zbtopo import cli
 from zbtopo.cli import main
 from zbtopo.io import read_csv_table, read_spectrum_csv, read_trajectory_csv
 
@@ -283,11 +284,103 @@ def test_chiral_phase_diagram_winding_column(tmp_path, capsys):
     assert lookup == {-4.0: 0, -2.0: -1, 0.0: 2, 2.0: -1, 4.0: 0}
 
 
+@pytest.mark.parametrize("field", ["start", "stop", "step"])
+@pytest.mark.parametrize("bad", ["a", None, True, float("nan")])
+def test_phase_diagram_non_numeric_sweep_field_is_config_error(tmp_path, capsys, field, bad):
+    cfg = write_config(tmp_path, maxwell_config(0.0, {"sweep": {**SWEEP["sweep"], field: bad}}))
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+    kind = "positive" if field == "step" else "finite"
+    assert f"sweep.{field} must be a {kind} number, got {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-6])
+def test_phase_diagram_too_small_step_is_config_error(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, maxwell_config(0.0, {"sweep": {**SWEEP["sweep"], "step": step}}))
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"sweep.step {step!r} gives more than 1000000 values" in capsys.readouterr().err
+
+
+def test_phase_diagram_without_sweep_invariant_refused_up_front(tmp_path, capsys, monkeypatch):
+    def no_value(*args):
+        raise AssertionError("a sweep value was computed")
+
+    monkeypatch.setattr(cli, "_sweep_value", no_value)
+    cfg = write_config(
+        tmp_path,
+        {"model": {"name": "spin_j", "params": {"j": 1.0, "v_x": 1.0, "v_y": 1.0, "m": 0.5}},
+         "sweep": {"parameter": "m", "start": 0.5, "stop": 1.0, "step": 0.25}},
+    )
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "phase-diagram sweep not defined for model 'spin_j'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- typed config fields
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("bands", {}), ("zb", PACKET_DYNAMICS), ("invariants", {}), ("phase-diagram", SWEEP)],
+)
+def test_string_model_parameter_is_config_error(tmp_path, capsys, command, extra):
+    cfg = write_config(tmp_path, {"model": {"name": "maxwell", "params": {"t_h": "x", "M": 1.0}},
+                                  **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "model.params.t_h must be a finite number, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [({"name": "maxwell", "params": {"t_h": 0.0, "M": 1.0}}, "t_h must be nonzero"),
+     ({"name": "spin_j", "params": {"j": 0.7, "v_x": 1.0, "v_y": 1.0, "m": 0.5}},
+      "j must be a half-integer"),
+     ({"name": "spin_j", "params": {"j": 1.0, "v_x": 1.0, "v_y": 1.0, "m": 0.5, "basis": 3}},
+      "unknown basis 3")],
+)
+def test_model_constructor_refusal_is_config_error(tmp_path, capsys, model, message):
+    cfg = write_config(tmp_path, {"model": model})
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zb_packet_without_width_is_config_error(tmp_path, capsys):
+    dynamics = {"packet": {"center": [0.0, 0.0]}, "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "dynamics.packet.width is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0, -2.0, "20"])
+def test_zb_packet_bad_width_is_config_error(tmp_path, capsys, width):
+    dynamics = {"packet": {"width": width}, "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"dynamics.packet.width must be a positive number, got {width!r}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples_per_period", 0), ("samples_per_period", 3), ("samples_per_period", 64.0),
+     ("periods", "8"), ("periods", 2), ("periods", True)],
+)
+def test_zb_bad_time_sampling_is_config_error(tmp_path, capsys, field, value):
+    dynamics = {"momentum": [0.0, 0.0], "spinor": {"eigenstate": 0}, field: value}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"dynamics.{field} must be an integer >= 4, got {value!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_requires_seed(tmp_path):
     cfg = write_config(tmp_path, {})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, True, "3"])
+def test_verify_bad_seed_is_config_error(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, {"seed": seed})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, capsys, monkeypatch):

@@ -79,6 +79,28 @@ def test_linearize_rejects_gapless_point():
         linearize_at_hsp(maxwell_lattice(1.0, 2.0), [0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "model, first_gapless",
+    [
+        (maxwell_lattice(1.0, 0.0), (0.0, PI)),        # closes at (0, pi) and (pi, 0)
+        (maxwell_lattice(1.0, -2.0), (PI, PI)),
+        (chiral_ti_3d(1.0), (0.0, 0.0, PI)),           # three corners with one pi
+        (chiral_ti_3d(-1.0), (0.0, PI, PI)),           # three corners with two pi
+    ],
+)
+def test_stacked_linearization_names_first_gapless_point(model, first_gapless):
+    hsps = [tuple(K) for K in model.hsps]
+    for K in hsps[:hsps.index(first_gapless)]:  # every earlier point is gapped
+        linearize_at_hsp(model, K)
+    with pytest.raises(GaplessError) as single:
+        linearize_at_hsp(model, first_gapless)
+    with pytest.raises(GaplessError) as stacked:
+        linearize_at_hsp(model, model.hsps)
+    assert str(stacked.value) == str(single.value)
+    named = f"gapless high-symmetry point K={tuple(np.asarray(first_gapless))}: |m| = "
+    assert str(single.value).startswith(named)
+
+
 def test_linearize_needs_mass_generator():
     with pytest.raises(NotHighSymmetryError, match="mass generator"):
         linearize_at_hsp(kane_mele(1.0, 0.06, 0.0, 0.1), [0.0, 0.0])

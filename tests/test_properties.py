@@ -1,13 +1,14 @@
-"""Property tests for the momentum-batched spectral path and the packet synthesis.
+"""Property tests for the momentum-batched spectral path, the packet synthesis
+and the stacked high-symmetry-point linearization.
 
 Each property is checked against a plain reference written here: per-matrix
 ``hermitian_eig`` calls, amplitudes built from explicit eigenvectors, a dense
-sin/cos sum and a per-momentum packet loop.
+sin/cos sum, a per-momentum packet loop and per-generator trace projections.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from zbtopo import (
     WavePacket,
@@ -16,7 +17,9 @@ from zbtopo import (
     gradient,
     hermitian_eig,
     kane_mele,
+    linearize_at_hsp,
     maxwell_lattice,
+    spin_j_continuum,
     wavepacket_trajectory,
     zb_time_grid,
 )
@@ -210,3 +213,54 @@ def test_packet_matches_per_k_reference(model, center, spinor):
     assert np.array_equal(traj.times, times)
     assert np.max(np.abs(traj.pcm - pcm)) <= 1e-12 * max(1.0, np.max(np.abs(pcm)))
     assert abs(traj.metadata["zb_scale"] - scale) <= 1e-12 * max(1.0, scale)
+
+
+# ---------------------------------------------------------------- linearization
+
+def gapped(value, critical):
+    return all(abs(value - c) > 1e-3 for c in critical)
+
+
+@st.composite
+def hsp_models(draw):
+    """Random gapped instances of the three models that declare a mass generator."""
+    kind = draw(st.sampled_from(["maxwell", "chiral", "spin_j"]))
+    if kind == "maxwell":
+        mass = draw(st.floats(-3.0, 3.0))
+        assume(gapped(mass, (-2.0, 0.0, 2.0)))
+        return maxwell_lattice(draw(st.sampled_from([-1.3, 0.4, 1.0])), mass)
+    if kind == "chiral":
+        mass = draw(st.floats(-4.0, 4.0))
+        assume(gapped(mass, (-3.0, -1.0, 1.0, 3.0)))
+        return chiral_ti_3d(mass)
+    j = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+    basis = draw(st.sampled_from(["ladder", "cartesian"])) if j == 1.0 else "ladder"
+    v_x, v_y, mass = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    assume(gapped(v_x, (0.0,)) and gapped(v_y, (0.0,)) and gapped(mass, (0.0,)))
+    return spin_j_continuum(j, v_x, v_y, mass, basis)
+
+
+def reference_linearization(model, K):
+    """Mass and velocities from one np.trace(G @ M) projection per generator."""
+    gens = model.generators.matrices
+
+    def project(matrix):
+        return [np.trace(g @ matrix).real / np.trace(g @ g).real for g in gens]
+
+    mass = project(evaluate(model, K))[model.mass_generator]
+    dh = gradient(model, K)
+    velocities = tuple(float(project(dh[d])[g]) for d, g in enumerate(model.velocity_generators))
+    return float(mass), velocities
+
+
+@given(model=hsp_models())
+def test_stacked_linearization_matches_per_point(model):
+    stacked = linearize_at_hsp(model, model.hsps)
+    assert isinstance(stacked, tuple) and len(stacked) == len(model.hsps)
+    assert stacked == tuple(linearize_at_hsp(model, K) for K in model.hsps)
+    # a stack of repeated points gives each point's record at every slot
+    repeated = linearize_at_hsp(model, [model.hsps[-1]] * 3 + [model.hsps[0]])
+    assert repeated == (stacked[-1],) * 3 + (stacked[0],)
+    for lin, K in zip(stacked, model.hsps):
+        assert (lin.mass, lin.velocities) == reference_linearization(model, K)
+        assert lin.nu == int(np.sign(lin.mass) * np.sign(np.prod(lin.velocities)))
