@@ -93,6 +93,13 @@ def _number(value, name, positive=False):
     return value
 
 
+def _vector(value, name, dim):
+    """``value`` as a float array if it is a list of ``dim`` finite numbers, else a ConfigError."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(f"{name} must be a list of {dim} numbers, got {value!r}")
+    return np.array([_number(x, f"{name}[{i}]") for i, x in enumerate(value)], dtype=float)
+
+
 def _integer(value, name, lower):
     if isinstance(value, bool) or not isinstance(value, int) or value < lower:
         raise ConfigError(f"{name} must be an integer >= {lower}, got {value!r}")
@@ -122,10 +129,21 @@ def load_config(path: str, command: str) -> dict:
             _check_keys(config[name], SECTION_KEYS[name], f"section '{name}'")
     dyn = config.get("dynamics", {})
     if "packet" in dyn:
-        _check_keys(dyn["packet"], SECTION_KEYS["packet"], "dynamics.packet")
-        if "width" not in dyn["packet"]:
+        packet = dyn["packet"]
+        _check_keys(packet, SECTION_KEYS["packet"], "dynamics.packet")
+        if "width" not in packet:
             raise ConfigError("dynamics.packet.width is required")
-        _number(dyn["packet"]["width"], "dynamics.packet.width", positive=True)
+        for key in ("width", "half_width"):
+            if key in packet:
+                _number(packet[key], f"dynamics.packet.{key}", positive=True)
+        if "grid_points" in packet:
+            _integer(packet["grid_points"], "dynamics.packet.grid_points", 2)
+    plane = dyn.get("plane", [0, 1])
+    if (not isinstance(plane, list) or len(plane) != 2 or plane[0] == plane[1]
+            or any(type(p) is not int or not 0 <= p <= 2 for p in plane)):
+        raise ConfigError(f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}")
+    if not isinstance(dyn.get("include_drift", False), bool):
+        raise ConfigError(f"dynamics.include_drift must be a boolean, got {dyn['include_drift']!r}")
     _integer(dyn.get("samples_per_period", 64), "dynamics.samples_per_period",
              MIN_SAMPLES_PER_PERIOD)
     _integer(dyn.get("periods", 8), "dynamics.periods", MIN_SPAN_PERIODS)
@@ -252,14 +270,15 @@ def cmd_zb(config, out_dir):
         raise ConfigError("dynamics.spinor is required")
 
     if "momentum" in dyn:
-        k = np.asarray(dyn["momentum"], dtype=float)
+        k = _vector(dyn["momentum"], "dynamics.momentum", model.momentum_dim)
         traj = pcm_trajectory_exact(
             model, k, spinor, include_drift=dyn.get("include_drift", False),
             samples_per_period=spp, periods=periods,
         )
     else:
         pk = dyn["packet"]
-        center = np.asarray(pk.get("center", [0.0] * model.momentum_dim), dtype=float)
+        center = _vector(pk.get("center", [0.0] * model.momentum_dim), "dynamics.packet.center",
+                         model.momentum_dim)
         packet = WavePacket(width=pk["width"], center=center, spinor=spinor)
         grid_spec = None
         if "half_width" in pk or "grid_points" in pk:
@@ -360,9 +379,9 @@ def cmd_verify(config, out_dir):
     env_seed = os.environ.get("ZB_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _integer(int(env_seed), "ZB_SEED", 0)  # a ConfigError is a ValueError
         except ValueError as exc:
-            raise ConfigError(f"ZB_SEED must be an integer, got {env_seed!r}") from exc
+            raise ConfigError(f"ZB_SEED must be an integer >= 0, got {env_seed!r}") from exc
     text, ok = run_verify(seed)
     sys.stdout.write(text)
     path = os.path.join(out_dir, "verify_report.txt")

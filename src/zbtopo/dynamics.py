@@ -9,9 +9,9 @@ excluded by the projector grouping of :mod:`zbtopo.spectral` (their cross
 term has no oscillation to contribute).  Closed forms for the spin-1 and
 the three-band chiral families provide an independent second route; both
 are checked against each other in the test suite.  Single momenta and
-Gaussian packets share one momentum-batched path: one stacked eigensolve
-over all K momenta, one einsum for the pair amplitudes and a phase-factored
-synthesis of the oscillation sum.
+Gaussian packets share one momentum-batched path, streamed in chunks so
+memory does not grow with the packet grid: stacked eigensolves and einsum
+pair amplitudes per chunk of momenta, phase-factored synthesis per chunk of pairs.
 
 Conventions: the constant r(0) offset is dropped, so trajectories carry
 only the oscillatory part (plus ``t * <velocity>`` when drift is enabled).
@@ -48,6 +48,7 @@ __all__ = [
 MIN_SAMPLES_PER_PERIOD = 4
 MIN_SPAN_PERIODS = 4
 AMPLITUDE_FLOOR = 1e-12
+_CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
 
 
 @dataclass
@@ -204,20 +205,22 @@ def _oscillation(times, omegas, amps):
     """sum_p (2 / omega_p) Im(amps_p e^{i omega_p t}) as a (T, 3) array.
 
     On the uniform grid, with B = ceil(sqrt(T)), e^{i w t_{bB+j}} = e^{i w t_{bB}}
-    e^{i w j dt}: a (B, P) base block times one phase row per block, summed by
-    one complex matmul.  About 2 sqrt(T) P transcendentals instead of 2 T P,
-    and O(sqrt(T) P) memory instead of (T, P).
+    e^{i w j dt}: a (B, P) base block times one phase row per block, one complex
+    matmul per ``_CHUNK`` pairs, added in order (P <= _CHUNK is a single product).
+    About 2 sqrt(T) P transcendentals, and O(sqrt(T) _CHUNK) memory for any P.
     """
     n_t = len(times)
-    if omegas.size == 0:
-        return np.zeros((n_t, 3))
     block = int(np.ceil(np.sqrt(n_t)))
     n_blocks = -(-n_t // block)
     dt = (times[-1] - times[0]) / (n_t - 1)
-    base = np.exp(1j * np.outer(np.arange(block) * dt, omegas))
-    rows = np.exp(1j * np.outer(omegas, times[::block]))
-    weighted = rows[:, :, None] * ((2.0 / omegas)[:, None] * amps)[:, None, :]
-    out = base @ weighted.reshape(len(omegas), n_blocks * 3)
+    out = np.zeros((block, n_blocks * 3), dtype=complex)
+    for lo in range(0, omegas.size, _CHUNK):
+        w, a = omegas[lo:lo + _CHUNK], amps[lo:lo + _CHUNK]
+        base = np.exp(1j * np.outer(np.arange(block) * dt, w))
+        rows = np.exp(1j * np.outer(w, times[::block]))
+        weighted = rows[:, :, None] * ((2.0 / w)[:, None] * a)[:, None, :]
+        part = base @ weighted.reshape(len(w), n_blocks * 3)
+        out = out + part if lo else part
     return out.imag.reshape(block, n_blocks, 3).transpose(1, 0, 2).reshape(-1, 3)[:n_t]
 
 
@@ -256,7 +259,9 @@ def _amp_scale(omegas, amps, mask) -> np.ndarray:
 def _momentum_sum(model, ks, weights, spinor, times, include_drift, spp, periods):
     """Weighted projector-sum trajectory over momenta ``ks``: (times, pcm, zb_scale, omegas)."""
     psi = _resolve_spinor(model, spinor)
-    omegas, amps, drifts = _pair_data(evaluate(model, ks), gradient(model, ks), psi)
+    parts = [_pair_data(evaluate(model, c), gradient(model, c), psi)
+             for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
+    omegas, amps, drifts = (np.concatenate(x) for x in zip(*parts))
     mask = _present_mask(amps)
     scale = float(weights @ _amp_scale(omegas, amps, mask))
     omegas, amps = omegas[mask], (weights[:, None, None] * amps)[mask]
@@ -419,8 +424,8 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     |g(k)|^2 ~ exp(-d^2 |k - k0|^2) on a uniform grid.  ``grid_spec`` is an
     optional (half_width, points_per_axis) pair; the default covers
     |k - k0| <= 5/d with enough points for eight samples inside two
-    standard deviations per axis.  The whole mesh is diagonalized in one
-    stacked eigensolve.  As d grows the result converges to
+    standard deviations per axis.  The mesh is diagonalized in stacked
+    eigensolves of ``_CHUNK`` momenta.  As d grows the result converges to
     :func:`pcm_trajectory_exact` at k0.
     """
     center = _check_center(model, packet.center)

@@ -372,15 +372,8 @@ class InvariantReport:
         return {
             "model": self.model,
             "params": dict(self.params),
-            "hsp": [
-                {
-                    "k": list(lin.hsp),
-                    "v": list(lin.velocities),
-                    "m": lin.mass,
-                    "nu": lin.nu,
-                }
-                for lin in self.hsp
-            ],
+            "hsp": [{"k": list(lin.hsp), "v": list(lin.velocities), "m": lin.mass, "nu": lin.nu}
+                    for lin in self.hsp],
             "chern_hsp": list(self.chern_hsp) if self.chern_hsp is not None else None,
             "chern_plaquette": (
                 list(self.chern_plaquette) if self.chern_plaquette is not None else None
@@ -395,11 +388,7 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
                        winding_grid: int = 40) -> InvariantReport:
     """Run every invariant that applies to the given model."""
     lins = ()
-    chern_local = None
-    chern_global = None
-    winding = None
-    winding_residual = None
-    z2 = None
+    chern_local = chern_global = winding = winding_residual = z2 = None
 
     if model.name == "kane_mele":
         z2 = z2_kane_mele(model)

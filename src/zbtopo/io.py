@@ -45,7 +45,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    header, data = _read_table(path)
+    header, data = read_csv_table(path)
     if header != ["t", "x", "y", "z"]:
         raise ValueError(f"unexpected trajectory header {header}")
     return Trajectory(times=data[:, 0], pcm=data[:, 1:4])
@@ -60,7 +60,7 @@ def write_spectrum_csv(spectrum: ZBSpectrum, path) -> None:
 
 
 def read_spectrum_csv(path):
-    header, data = _read_table(path)
+    header, data = read_csv_table(path)
     if header != ["omega", "px", "py", "pz"]:
         raise ValueError(f"unexpected spectrum header {header}")
     return data[:, 0], data[:, 1:4]
@@ -85,10 +85,6 @@ def write_sweep_csv(path, header, rows) -> None:
 
 
 def read_csv_table(path):
-    return _read_table(path)
-
-
-def _read_table(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     header = raw[0].split(",")

@@ -19,6 +19,7 @@ of the model's mass generator, columns ordered by ascending eigenvalue:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,6 +97,11 @@ class BlochModel:
         return self.mass_basis
 
 
+def _zone_corners(dim):
+    """The 2^dim zone corners, each coordinate 0 or pi, the last axis fastest."""
+    return tuple(np.array(c) for c in itertools.product((0.0, np.pi), repeat=dim))
+
+
 def _check_momenta(model: BlochModel, k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape[-1] != model.momentum_dim:
@@ -110,14 +116,14 @@ def evaluate(model: BlochModel, k) -> np.ndarray:
     """Hamiltonian at momentum k; broadcasts over leading axes of k."""
     k = _check_momenta(model, k)
     c = model.coeff(k)
-    return np.einsum("...g,gij->...ij", c, model.generators.matrices)
+    return np.einsum("...g,gij->...ij", c.astype(complex), model.generators.matrices)
 
 
 def gradient(model: BlochModel, k) -> np.ndarray:
     """Analytic dH/dk_d, shape (..., momentum_dim, n, n)."""
     k = _check_momenta(model, k)
     dc = model.coeff_grad(k)
-    return np.einsum("...gd,gij->...dij", dc, model.generators.matrices)
+    return np.einsum("...gd,gij->...dij", dc.astype(complex), model.generators.matrices)
 
 
 def decompose(model: BlochModel, k) -> SpectralDecomposition:
@@ -213,7 +219,6 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         out[..., 2, 1] = 2 * _t * np.sin(k[..., 1])
         return out
 
-    pi = np.pi
     return BlochModel(
         name="maxwell",
         momentum_dim=2,
@@ -221,12 +226,7 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         generators=gens,
         coeff=coeff,
         coeff_grad=coeff_grad,
-        hsps=(
-            np.array([0.0, 0.0]),
-            np.array([0.0, pi]),
-            np.array([pi, 0.0]),
-            np.array([pi, pi]),
-        ),
+        hsps=_zone_corners(2),
         params={"t_h": t_h, "M": M},
         periodic=True,
         mass_generator=2,
@@ -420,13 +420,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
             out[..., 3, d] = np.sin(k[..., d])
         return out
 
-    pi = np.pi
-    corners = tuple(
-        np.array([a, b, c])
-        for a in (0.0, pi)
-        for b in (0.0, pi)
-        for c in (0.0, pi)
-    )
     return BlochModel(
         name="chiral_ti",
         momentum_dim=3,
@@ -434,7 +427,7 @@ def chiral_ti_3d(M: float) -> BlochModel:
         generators=gens,
         coeff=coeff,
         coeff_grad=coeff_grad,
-        hsps=corners,
+        hsps=_zone_corners(3),
         params={"M": M},
         periodic=True,
         mass_generator=3,

@@ -37,10 +37,6 @@ class SpectralDecomposition:
     group_sizes: tuple[int, ...] | np.ndarray
     group_velocities: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[-1]
-
     def reconstruct(self) -> np.ndarray:
         return np.einsum("...g,...gij->...ij", self.levels, self.projectors)
 

@@ -369,6 +369,71 @@ def test_zb_bad_time_sampling_is_config_error(tmp_path, capsys, field, value):
     assert f"dynamics.{field} must be an integer >= 4, got {value!r}" in capsys.readouterr().err
 
 
+MOMENTUM_DYNAMICS = {"momentum": [0.0, 0.0], "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}
+
+
+@pytest.mark.parametrize(
+    "dynamics, message",
+    [({"momentum": ["x", 0.0]}, "dynamics.momentum[0] must be a finite number, got 'x'"),
+     ({"momentum": [0.0, float("inf")]}, "dynamics.momentum[1] must be a finite number, got inf"),
+     ({"momentum": [0.0]}, "dynamics.momentum must be a list of 2 numbers, got [0.0]"),
+     ({"momentum": "ab"}, "dynamics.momentum must be a list of 2 numbers, got 'ab'")],
+)
+def test_zb_bad_momentum_is_config_error(tmp_path, capsys, dynamics, message):
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": {**MOMENTUM_DYNAMICS,
+                                                                   **dynamics}}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "packet, message",
+    [({"center": "ab"}, "dynamics.packet.center must be a list of 2 numbers, got 'ab'"),
+     ({"center": [0.0, 0.0, 0.0]},
+      "dynamics.packet.center must be a list of 2 numbers, got [0.0, 0.0, 0.0]"),
+     ({"center": [0.0, None]}, "dynamics.packet.center[1] must be a finite number, got None"),
+     ({"grid_points": "x"}, "dynamics.packet.grid_points must be an integer >= 2, got 'x'"),
+     ({"grid_points": 61.0}, "dynamics.packet.grid_points must be an integer >= 2, got 61.0"),
+     ({"grid_points": 1}, "dynamics.packet.grid_points must be an integer >= 2, got 1"),
+     ({"half_width": -1}, "dynamics.packet.half_width must be a positive number, got -1"),
+     ({"half_width": 0.0}, "dynamics.packet.half_width must be a positive number, got 0.0"),
+     ({"half_width": "0.25"},
+      "dynamics.packet.half_width must be a positive number, got '0.25'")],
+)
+def test_zb_bad_packet_field_is_config_error(tmp_path, capsys, packet, message):
+    dynamics = {"packet": {"width": 20.0, **packet},
+                "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plane", [[0, 7], [1, 1], [-1, 0], [0, 1.0], [0, True], [0, 1, 2],
+                                   "xy"])
+def test_zb_bad_plane_is_config_error(tmp_path, capsys, plane):
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": {**MOMENTUM_DYNAMICS,
+                                                                   "plane": plane}}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag", ["yes", 1, None])
+def test_zb_non_boolean_include_drift_is_config_error(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": {**MOMENTUM_DYNAMICS,
+                                                                   "include_drift": flag}}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"dynamics.include_drift must be a boolean, got {flag!r}" in capsys.readouterr().err
+
+
+def test_zb_accepts_valid_plane_and_drift(tmp_path, capsys):
+    dynamics = {**MOMENTUM_DYNAMICS, "momentum": [0, 0.0], "plane": [1, 0],
+                "include_drift": True}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "1"  # swapped axes flip the x-y sense -1
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_requires_seed(tmp_path):
@@ -389,3 +454,11 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"seed": 3})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "ZB_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env_seed", ["-4", "-0x1", "1.5"])
+def test_env_seed_must_be_non_negative_integer(tmp_path, capsys, monkeypatch, env_seed):
+    monkeypatch.setenv("ZB_SEED", env_seed)
+    cfg = write_config(tmp_path, {"seed": 3})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"ZB_SEED must be an integer >= 0, got {env_seed!r}" in capsys.readouterr().err

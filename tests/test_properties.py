@@ -1,10 +1,13 @@
-"""Property tests for the momentum-batched spectral path, the packet synthesis
-and the stacked high-symmetry-point linearization.
+"""Property tests for Hamiltonian assembly, the momentum-batched spectral path,
+the chunked packet synthesis and the stacked high-symmetry-point linearization.
 
-Each property is checked against a plain reference written here: per-matrix
-``hermitian_eig`` calls, amplitudes built from explicit eigenvectors, a dense
-sin/cos sum, a per-momentum packet loop and per-generator trace projections.
+Each property is checked against a plain reference written here: the real
+coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
+explicit eigenvectors, a dense sin/cos sum, a one-shot factored product, a
+per-momentum packet loop and per-generator trace projections.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +20,15 @@ from zbtopo import (
     gradient,
     hermitian_eig,
     kane_mele,
+    kane_mele_spin_sector,
     linearize_at_hsp,
     maxwell_lattice,
     spin_j_continuum,
     wavepacket_trajectory,
     zb_time_grid,
 )
-from zbtopo.dynamics import _oscillation, _pair_data
+from zbtopo import dynamics
+from zbtopo.dynamics import _CHUNK, _oscillation, _pair_data
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -63,6 +68,43 @@ def assert_slotwise(stacked, matrices):
         assert not np.any(stacked.projectors[idx][~used])
         np.testing.assert_allclose(stacked.reconstruct()[idx], matrices[idx], atol=1e-10)
 
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------- assembly
+
+ALL_MODELS = [
+    maxwell_lattice(1.0, 1.3),
+    spin_j_continuum(1.5, 0.8, -1.1, 0.4),
+    spin_j_continuum(1.0, 1.0, 0.7, -0.3, "cartesian"),
+    kane_mele(1.0, 0.06, 0.05, 0.1),
+    kane_mele_spin_sector(1.0, 0.06, 0.1, -1),
+    chiral_ti_3d(2.0),
+]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS,
+                         ids=["maxwell", "spin-j-ladder", "spin-j-cartesian", "kane-mele",
+                              "kane-mele-sector", "chiral"])
+@given(seed=seeds, count=st.integers(1, 40))
+def test_assembly_matches_real_coefficient_einsum(model, seed, count):
+    # exact zeros and pi put signed zeros into the coefficients
+    rng = np.random.default_rng(seed)
+    ks = rng.uniform(-2 * np.pi, 2 * np.pi, (count, model.momentum_dim))
+    special = rng.random(ks.shape) < 0.3
+    ks[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
+    gens = model.generators.matrices
+    assert same_bits(evaluate(model, ks), np.einsum("...g,gij->...ij", model.coeff(ks), gens))
+    assert same_bits(gradient(model, ks),
+                     np.einsum("...gd,gij->...dij", model.coeff_grad(ks), gens))
+    assert same_bits(evaluate(model, ks[0]), np.einsum("g,gij->ij", model.coeff(ks[0]), gens))
+
+
+# ---------------------------------------------------------------- eigensolve
 
 @given(seed=seeds, dim=st.integers(2, 8), count=st.integers(1, 12), degenerate=st.booleans())
 def test_stacked_eig_matches_per_matrix(seed, dim, count, degenerate):
@@ -154,6 +196,61 @@ def test_factored_oscillation_matches_dense(seed, n_t, n_p, t0):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def one_shot_oscillation(times, omegas, amps):
+    """The phase-factored synthesis with every pair in a single matmul."""
+    n_t = len(times)
+    block = int(np.ceil(np.sqrt(n_t)))
+    n_blocks = -(-n_t // block)
+    dt = (times[-1] - times[0]) / (n_t - 1)
+    base = np.exp(1j * np.outer(np.arange(block) * dt, omegas))
+    rows = np.exp(1j * np.outer(omegas, times[::block]))
+    weighted = rows[:, :, None] * ((2.0 / omegas)[:, None] * amps)[:, None, :]
+    out = base @ weighted.reshape(len(omegas), n_blocks * 3)
+    return out.imag.reshape(block, n_blocks, 3).transpose(1, 0, 2).reshape(-1, 3)[:n_t]
+
+
+def random_pairs(seed, n_p, n_t):
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(-5.0, 5.0) + rng.uniform(0.01, 0.2) * np.arange(n_t)
+    omegas = rng.uniform(0.1, 5.0, n_p) * rng.choice([-1.0, 1.0], n_p)
+    amps = rng.standard_normal((n_p, 3)) + 1j * rng.standard_normal((n_p, 3))
+    amps[:, 2] = 0.0  # the z row of an in-plane spinor
+    return times, omegas, amps
+
+
+@pytest.mark.parametrize("n_p", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_pair_chunks_match_dense(n_p):
+    times, omegas, amps = random_pairs(n_p, n_p, 57)
+    got = _oscillation(times, omegas, amps)
+    ref = dense_oscillation(times, omegas, amps)
+    assert got.shape == (57, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_p", [1, 2, _CHUNK - 1, _CHUNK])
+@pytest.mark.parametrize("n_t", [2, 57, 1042])
+def test_one_pair_chunk_is_the_one_shot_product(n_p, n_t):
+    times, omegas, amps = random_pairs(n_t + n_p, n_p, n_t)
+    assert same_bits(_oscillation(times, omegas, amps), one_shot_oscillation(times, omegas, amps))
+
+
+def test_no_pairs_give_a_zero_track():
+    times = 0.1 * np.arange(10)
+    assert same_bits(_oscillation(times, np.zeros(0), np.zeros((0, 3), dtype=complex)),
+                     np.zeros((10, 3)))
+
+
+def test_oscillation_memory_is_bounded_by_the_chunk():
+    times, omegas, amps = random_pairs(0, 100_000, 1000)
+    tracemalloc.start()
+    try:
+        _oscillation(times, omegas, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def reference_packet(model, packet, grid_spec):
     """Per-momentum loop over single-matrix ``hermitian_eig`` with dense synthesis."""
     half_width, n_pts = grid_spec
@@ -195,6 +292,15 @@ SPINOR3 = np.array([0.6, 0.48j, 0.64])
 SPINOR4 = np.array([0.5, -0.5j, 0.5, 0.5])
 
 
+def assert_packet_matches_reference(model, center, spinor):
+    packet = WavePacket(width=10.0, center=np.array(center), spinor=spinor)
+    traj = wavepacket_trajectory(model, packet, (0.35, 21))
+    times, pcm, scale = reference_packet(model, packet, (0.35, 21))
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.pcm - pcm)) <= 1e-12 * max(1.0, np.max(np.abs(pcm)))
+    assert abs(traj.metadata["zb_scale"] - scale) <= 1e-12 * max(1.0, scale)
+
+
 @pytest.mark.parametrize(
     "model, center, spinor",
     [
@@ -207,12 +313,53 @@ SPINOR4 = np.array([0.5, -0.5j, 0.5, 0.5])
          "kane-mele-rashba-eigenstate"],
 )
 def test_packet_matches_per_k_reference(model, center, spinor):
-    packet = WavePacket(width=10.0, center=np.array(center), spinor=spinor)
-    traj = wavepacket_trajectory(model, packet, (0.35, 21))
-    times, pcm, scale = reference_packet(model, packet, (0.35, 21))
-    assert np.array_equal(traj.times, times)
-    assert np.max(np.abs(traj.pcm - pcm)) <= 1e-12 * max(1.0, np.max(np.abs(pcm)))
-    assert abs(traj.metadata["zb_scale"] - scale) <= 1e-12 * max(1.0, scale)
+    assert_packet_matches_reference(model, center, spinor)
+
+
+@pytest.mark.parametrize("model, spinor", [(maxwell_lattice(1.0, 1.7), SPINOR3),
+                                           (kane_mele(1.0, 0.1, 0.05, 0.1), 1)],
+                         ids=["maxwell-fixed", "kane-mele-rashba-eigenstate"])
+def test_chunked_packet_matches_per_k_reference(monkeypatch, model, spinor):
+    # 441 momenta in five momentum chunks, their pairs in a dozen or more pair chunks
+    monkeypatch.setattr(dynamics, "_CHUNK", 97)
+    assert_packet_matches_reference(model, (0.0, 0.0), spinor)
+
+
+@pytest.mark.parametrize(
+    "model, grid, spinor, chunk",
+    [
+        (maxwell_lattice(1.0, 1.7), (0.35, 21), SPINOR3, 100),
+        (chiral_ti_3d(2.0), (0.15, 9), 1, 7),
+        (kane_mele(1.0, 0.1, 0.0, 0.0), (0.15, 15), SPINOR4, 50),
+        (maxwell_lattice(1.0, 1.7), (0.35, 65), 0, _CHUNK),
+    ],
+    ids=["maxwell-100", "chiral-eigenstate-7", "kane-mele-kramers-50",
+         "maxwell-eigenstate-default-chunk"],
+)
+def test_momentum_chunks_give_one_shot_pair_data(monkeypatch, model, grid, spinor, chunk):
+    momenta, states, parts = [], [], []
+
+    def recording_evaluate(model, ks):
+        momenta.append(ks)
+        return evaluate(model, ks)
+
+    def recording_pair_data(hams, grads, psi):
+        states.append(psi)
+        parts.append(_pair_data(hams, grads, psi))
+        return parts[-1]
+
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "evaluate", recording_evaluate)
+    monkeypatch.setattr(dynamics, "_pair_data", recording_pair_data)
+    packet = WavePacket(width=10.0, center=np.zeros(model.momentum_dim), spinor=spinor)
+    wavepacket_trajectory(model, packet, grid)
+    n_k = grid[1] ** model.momentum_dim
+    assert n_k % chunk
+    assert [len(ks) for ks in momenta] == [chunk] * (n_k // chunk) + [n_k % chunk]
+    ks = np.concatenate(momenta)
+    one_shot = _pair_data(evaluate(model, ks), gradient(model, ks), states[0])
+    for chunked, whole in zip(zip(*parts), one_shot):
+        assert same_bits(np.concatenate(chunked), whole)
 
 
 # ---------------------------------------------------------------- linearization
