@@ -7,7 +7,7 @@ independent global cross-checks.
 """
 
 from .errors import GaplessError, NotHighSymmetryError
-from .spectral import SpectralDecomposition, hermitian_eig, evolve
+from .spectral import SpectralDecomposition, hermitian_eig
 from .generators import GeneratorSet, spin_matrices, gell_mann, adjacent_amplitude
 from .models import (
     BlochModel,

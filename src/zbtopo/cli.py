@@ -5,6 +5,9 @@
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
+``FACTORIES`` is the one list of model names: a model's parameters are its
+factory's arguments, and its band path, sweep invariant and sweep
+parameters are read off the ``BlochModel`` the factory returns.
 Phase diagrams run in-process; ``--jobs`` is accepted and ignored.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
 0 success, 1 runtime error, 2 config error, 3 verification failure.
@@ -13,6 +16,7 @@ The environment variable ZB_SEED overrides the config seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,6 +24,7 @@ import sys
 import numpy as np
 
 from . import io as zio
+from . import models
 from .dynamics import (
     MIN_SAMPLES_PER_PERIOD,
     MIN_SPAN_PERIODS,
@@ -31,7 +36,7 @@ from .dynamics import (
 )
 from .invariants import (PLAQUETTE_MAX_GRID, check_grid, chern_from_hsp, compute_invariants,
                          linearize_at_hsp, winding_from_hsp, z2_kane_mele)
-from .models import chiral_ti_3d, evaluate, kane_mele, maxwell_lattice, spin_j_continuum
+from .models import evaluate
 from .verify import run_verify
 
 __all__ = ["main", "ConfigError"]
@@ -41,12 +46,17 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-MODEL_PARAMS = {
-    "maxwell": {"t_h", "M"},
-    "spin_j": {"j", "v_x", "v_y", "m", "basis"},
-    "kane_mele": {"t", "lambda_so", "lambda_r", "lambda_v"},
-    "chiral_ti": {"M"},
+# Config model name -> factory in ``zbtopo.models``.  Factories are looked up
+# on the module at call time, so a wrapper bound there is the one called.
+FACTORIES = {
+    "maxwell": "maxwell_lattice",
+    "spin_j": "spin_j_continuum",
+    "kane_mele": "kane_mele",
+    "chiral_ti": "chiral_ti_3d",
 }
+# Each factory's parameters, read once: the config keys a model accepts.
+_PARAMETERS = {name: inspect.signature(getattr(models, factory)).parameters
+               for name, factory in FACTORIES.items()}
 
 SECTION_KEYS = {
     "model": {"name", "params"},
@@ -65,8 +75,6 @@ SECTION_KEYS = {
     "sweep": {"parameter", "start", "stop", "step"},
 }
 
-# Column name of the invariant a phase diagram records, per model.
-SWEEP_INVARIANT = {"maxwell": "chern", "chiral_ti": "winding", "kane_mele": "z2"}
 MAX_SWEEP_VALUES = 10**6
 
 COMMAND_SECTIONS = {
@@ -130,6 +138,8 @@ def load_config(path: str, command: str) -> dict:
     dyn = config.get("dynamics", {})
     if "packet" in dyn:
         packet = dyn["packet"]
+        if not isinstance(packet, dict):
+            raise ConfigError(f"dynamics.packet must be an object, got {packet!r}")
         _check_keys(packet, SECTION_KEYS["packet"], "dynamics.packet")
         if "width" not in packet:
             raise ConfigError("dynamics.packet.width is required")
@@ -158,31 +168,24 @@ def load_config(path: str, command: str) -> dict:
 
 
 def build_model(section: dict):
+    """The model a config ``model`` section names; parameters annotated ``str``
+    are passed as given, every other one must be a finite number."""
     name = section.get("name")
-    if name not in MODEL_PARAMS:
-        raise ConfigError(f"unknown model {name!r}; choose from {sorted(MODEL_PARAMS)}")
+    if name not in FACTORIES:
+        raise ConfigError(f"unknown model {name!r}; choose from {sorted(FACTORIES)}")
     params = section.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model params must be an object")
-    _check_keys(params, MODEL_PARAMS[name], f"model '{name}' params")
+    signature = _PARAMETERS[name]
+    _check_keys(params, set(signature), f"model '{name}' params")
     for key, value in params.items():
-        if key != "basis":
+        if signature[key].annotation != "str":
             _number(value, f"model.params.{key}")
+    for key, parameter in signature.items():
+        if parameter.default is parameter.empty and key not in params:
+            raise ConfigError(f"model '{name}' is missing parameter {key!r}")
     try:
-        if name == "maxwell":
-            return maxwell_lattice(params["t_h"], params["M"])
-        if name == "spin_j":
-            return spin_j_continuum(
-                params["j"], params["v_x"], params["v_y"], params["m"],
-                params.get("basis", "ladder"),
-            )
-        if name == "kane_mele":
-            return kane_mele(
-                params["t"], params["lambda_so"], params["lambda_r"], params["lambda_v"]
-            )
-        return chiral_ti_3d(params["M"])
-    except KeyError as exc:
-        raise ConfigError(f"model '{name}' is missing parameter {exc}") from exc
+        return getattr(models, FACTORIES[name])(**params)
     except ValueError as exc:
         raise ConfigError(f"model '{name}': {exc}") from exc
 
@@ -190,9 +193,9 @@ def build_model(section: dict):
 def _parse_spinor(raw, dim):
     if isinstance(raw, dict):
         _check_keys(raw, {"eigenstate"}, "dynamics.spinor")
-        band = raw["eigenstate"]
-        if not isinstance(band, int) or not 0 <= band < dim:
-            raise ConfigError(f"eigenstate index must be in 0..{dim - 1}")
+        band = _integer(raw.get("eigenstate"), "dynamics.spinor.eigenstate", 0)
+        if band >= dim:
+            raise ConfigError(f"dynamics.spinor.eigenstate must be in 0..{dim - 1}, got {band}")
         return band
     if not isinstance(raw, list) or len(raw) != dim:
         raise ConfigError(f"spinor must be a list of {dim} [re, im] pairs")
@@ -207,41 +210,11 @@ def _parse_spinor(raw, dim):
 # commands
 # ----------------------------------------------------------------------
 
-_PATHS_2D = (
-    ("G", (0.0, 0.0)),
-    ("X", (np.pi, 0.0)),
-    ("M", (np.pi, np.pi)),
-    ("G", (0.0, 0.0)),
-)
-_PATHS_HEX = (
-    ("G", (0.0, 0.0)),
-    ("K", (2 * np.pi / 3, 4 * np.pi / 3)),
-    ("M", (np.pi, np.pi)),
-    ("K'", (4 * np.pi / 3, 2 * np.pi / 3)),
-    ("G", (0.0, 0.0)),
-)
-_PATHS_3D = (
-    ("G", (0.0, 0.0, 0.0)),
-    ("X", (np.pi, 0.0, 0.0)),
-    ("M", (np.pi, np.pi, 0.0)),
-    ("G", (0.0, 0.0, 0.0)),
-    ("R", (np.pi, np.pi, np.pi)),
-)
-
-
 def cmd_bands(config, out_dir):
     model = build_model(config["model"])
     points = _integer(config.get("bands_path", {}).get("points_per_segment", 60),
                       "bands_path.points_per_segment", 2)
-    if model.name == "kane_mele":
-        nodes = _PATHS_HEX
-    elif model.momentum_dim == 3:
-        nodes = _PATHS_3D
-    elif model.momentum_dim == 2:
-        nodes = _PATHS_2D
-    else:
-        raise ConfigError(f"no band path defined for model '{model.name}'")
-
+    nodes = model.band_path
     seg = np.linspace(0.0, 1.0, points, endpoint=False)
     ks, arc, s = [], [], 0.0
     for (_, a), (_, b) in zip(nodes[:-1], nodes[1:]):
@@ -316,28 +289,24 @@ def cmd_invariants(config, out_dir):
 def _sweep_value(model_section, parameter, value):
     model = build_model({"name": model_section["name"],
                          "params": {**model_section.get("params", {}), parameter: value}})
-    if model.name == "kane_mele":
+    if model.invariant == "z2":
         return [value, z2_kane_mele(model)]
     lins = linearize_at_hsp(model, model.hsps)
-    if model.name == "maxwell":
-        return [value, chern_from_hsp(model, -1, lins)] + [lin.nu for lin in lins]
-    return [value, winding_from_hsp(model, lins)] + [lin.nu for lin in lins]
+    index = (chern_from_hsp(model, -1, lins) if model.invariant == "chern"
+             else winding_from_hsp(model, lins))
+    return [value, index] + [lin.nu for lin in lins]
 
 
 def cmd_phase_diagram(config, out_dir, allow_critical):
     model_section = config["model"]
     model = build_model(model_section)
-    if model.name not in SWEEP_INVARIANT:
+    if model.invariant is None:
         raise ConfigError(f"phase-diagram sweep not defined for model '{model.name}'")
     sweep = config["sweep"]
-    parameter = sweep.get("parameter", model.sweep_parameter)
-    if model.name == "kane_mele":
-        if parameter not in ("lambda_v", "lambda_so"):
-            raise ConfigError("kane_mele sweeps support parameter lambda_v or lambda_so")
-    elif parameter != model.sweep_parameter:
-        raise ConfigError(
-            f"model '{model.name}' sweeps over {model.sweep_parameter!r}, got {parameter!r}"
-        )
+    parameter = sweep.get("parameter", model.sweep_parameters[0])
+    if parameter not in model.sweep_parameters:
+        raise ConfigError(f"sweep.parameter must be one of {list(model.sweep_parameters)} "
+                          f"for model '{model.name}', got {parameter!r}")
     try:
         start, stop = _number(sweep["start"], "sweep.start"), _number(sweep["stop"], "sweep.stop")
         step = _number(sweep["step"], "sweep.step", positive=True)
@@ -361,8 +330,8 @@ def cmd_phase_diagram(config, out_dir, allow_critical):
         raise ConfigError("sweep contains only critical points; use --allow-critical")
 
     rows = [_sweep_value(model_section, parameter, v) for v in kept]
-    nus = [] if model.name == "kane_mele" else [_nu_col(K) for K in model.hsps]
-    header = [parameter, SWEEP_INVARIANT[model.name]] + nus
+    nus = [] if model.invariant == "z2" else [_nu_col(K) for K in model.hsps]
+    header = [parameter, model.invariant] + nus
     path = os.path.join(out_dir, "phase_diagram.csv")
     zio.write_sweep_csv(path, header, rows)
     print(path)

@@ -255,7 +255,7 @@ _KM_KPRIME = np.array([4 * np.pi / 3, 2 * np.pi / 3])
 
 
 def _km_params(model: BlochModel) -> dict:
-    if model.name != "kane_mele":
+    if model.invariant != "z2":
         raise ValueError(f"expected the honeycomb model, got '{model.name}'")
     return model.params
 
@@ -386,25 +386,28 @@ class InvariantReport:
 
 def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
                        winding_grid: int = 40) -> InvariantReport:
-    """Run every invariant that applies to the given model."""
+    """Run every invariant that applies to the given model.
+
+    The model's declared ``invariant`` picks the route; every model with a
+    mass generator also reports its high-symmetry-point linearizations.
+    """
     lins = ()
     chern_local = chern_global = winding = winding_residual = z2 = None
 
-    if model.name == "kane_mele":
+    if model.invariant == "z2":
         z2 = z2_kane_mele(model)
-    elif model.momentum_dim == 2 and model.mass_generator is not None:
+    elif model.mass_generator is not None:
         lins = linearize_at_hsp(model, model.hsps)
-        if len(model.hsps) == 4:
-            spin_j = (model.band_count - 1) / 2.0
-            js = [band - spin_j for band in range(model.band_count)]
-            chern_local = tuple(chern_from_hsp(model, j, lins) for j in js)
-            if model.periodic:
-                chern_global = tuple(
-                    chern_plaquette(model, band, plaquette_grid)
-                    for band in range(model.band_count)
-                )
-    elif model.momentum_dim == 3:
-        lins = linearize_at_hsp(model, model.hsps)
+    if model.invariant == "chern":
+        spin_j = (model.band_count - 1) / 2.0
+        js = [band - spin_j for band in range(model.band_count)]
+        chern_local = tuple(chern_from_hsp(model, j, lins) for j in js)
+        if model.periodic:
+            chern_global = tuple(
+                chern_plaquette(model, band, plaquette_grid)
+                for band in range(model.band_count)
+            )
+    elif model.invariant == "winding":
         winding = winding_from_hsp(model, lins)
         w_num, winding_residual = winding_numerical(model, winding_grid)
         if w_num != winding:

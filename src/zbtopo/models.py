@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -64,6 +64,24 @@ _CHIRAL_MASS_BASIS = np.array(
 )
 
 
+# Band-structure paths: (label, momentum) nodes joined by straight segments.
+_SQUARE_PATH = (("G", (0.0, 0.0)), ("X", (np.pi, 0.0)), ("M", (np.pi, np.pi)), ("G", (0.0, 0.0)))
+_HEX_PATH = (
+    ("G", (0.0, 0.0)),
+    ("K", (2 * np.pi / 3, 4 * np.pi / 3)),
+    ("M", (np.pi, np.pi)),
+    ("K'", (4 * np.pi / 3, 2 * np.pi / 3)),
+    ("G", (0.0, 0.0)),
+)
+_CUBIC_PATH = (
+    ("G", (0.0, 0.0, 0.0)),
+    ("X", (np.pi, 0.0, 0.0)),
+    ("M", (np.pi, np.pi, 0.0)),
+    ("G", (0.0, 0.0, 0.0)),
+    ("R", (np.pi, np.pi, np.pi)),
+)
+
+
 @dataclass(frozen=True)
 class BlochModel:
     """A momentum-space Hamiltonian H(k) = sum_G coeff_G(k) * G.
@@ -73,6 +91,14 @@ class BlochModel:
     momentum_dim) analytic gradient.  ``velocity_generators[d]`` names the
     generator whose coefficient carries the axis-d velocity at a
     high-symmetry point, ``mass_generator`` the one carrying the local gap.
+
+    Each factory also declares what differs between the systems, so callers
+    never switch on ``name``: ``band_path`` holds the (label, momentum)
+    nodes of the band-structure path; ``invariant`` names the invariant a
+    parameter sweep records (``"chern"``, ``"winding"``, ``"z2"``, or None
+    when the model has no sweep); ``sweep_parameters`` lists the parameters
+    a sweep may vary, the first being the default; ``critical_values`` are
+    the parameter values where the gap closes.
     """
 
     name: str
@@ -88,7 +114,9 @@ class BlochModel:
     velocity_generators: tuple[int, ...] = ()
     mass_basis: np.ndarray | None = None
     momentum_cutoff: float | None = None
-    sweep_parameter: str | None = None
+    band_path: tuple = ()
+    invariant: str | None = None
+    sweep_parameters: tuple[str, ...] = ()
     critical_values: tuple[float, ...] = ()
 
     def mass_eigenbasis(self) -> np.ndarray:
@@ -184,8 +212,7 @@ def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder")
         velocity_generators=(0, 1),
         mass_basis=mass_basis,
         momentum_cutoff=10.0,
-        sweep_parameter="m",
-        critical_values=(0.0,),
+        band_path=_SQUARE_PATH,
     )
 
 
@@ -232,7 +259,9 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         mass_generator=2,
         velocity_generators=(0, 1),
         mass_basis=_SPIN1_MASS_BASIS,
-        sweep_parameter="M",
+        band_path=_SQUARE_PATH,
+        invariant="chern",
+        sweep_parameters=("M",),
         critical_values=(-2.0, 0.0, 2.0),
     )
 
@@ -273,11 +302,6 @@ def _km_generators() -> GeneratorSet:
     return GeneratorSet(labels=tuple(labels), matrices=matrices)
 
 
-def _km_haldane_phase(k1, k2):
-    # Next-nearest-neighbour loop factor; sign alternates with sublattice.
-    return np.sin(k1) - np.sin(k2) - np.sin(k1 - k2)
-
-
 def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> BlochModel:
     """Honeycomb lattice with intrinsic + Rashba spin-orbit terms and a
     staggered sublattice potential, in reduced momentum coordinates.
@@ -301,7 +325,7 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
         out = np.empty(k.shape[:-1] + (10,))
         out[..., 0] = _t * (1 + np.cos(k1) + np.cos(k2))
         out[..., 1] = _t * (np.sin(k1) + np.sin(k2))
-        out[..., 2] = 2 * _so * _km_haldane_phase(k1, k2)
+        out[..., 2] = 2 * _so * (np.sin(k1) - np.sin(k2) - np.sin(k1 - k2))  # Haldane g(k)
         out[..., 3] = _v
         out[..., 4] = 0.0        # sin of zero bond phase
         out[..., 5] = -_r
@@ -349,45 +373,42 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
             "lambda_v": lambda_v,
         },
         periodic=True,
+        band_path=_HEX_PATH,
+        invariant="z2",
+        sweep_parameters=("lambda_v", "lambda_so"),
     )
 
 
 def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int) -> BlochModel:
-    """One decoupled 2x2 spin sector of the honeycomb model at lambda_r = 0."""
+    """One decoupled 2x2 spin sector of the honeycomb model at lambda_r = 0.
+
+    Its coefficients are those of ``kane_mele`` with intrinsic coupling
+    spin * lambda_so, folded onto (sx, sy, sz): the two hopping rows, and
+    the staggered potential plus the Haldane row on sz.
+    """
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
+    full = kane_mele(t, spin * lambda_so, 0.0, lambda_v)
     gens = GeneratorSet(labels=("sx", "sy", "sz"), matrices=np.stack([_SX, _SY, _SZ]))
 
-    def coeff(k, _t=t, _so=lambda_so, _v=lambda_v, _s=spin):
-        k1, k2 = k[..., 0], k[..., 1]
-        out = np.empty(k.shape[:-1] + (3,))
-        out[..., 0] = _t * (1 + np.cos(k1) + np.cos(k2))
-        out[..., 1] = _t * (np.sin(k1) + np.sin(k2))
-        out[..., 2] = _v + _s * 2 * _so * _km_haldane_phase(k1, k2)
-        return out
+    def coeff(k, _c=full.coeff):
+        c = _c(k)
+        return np.stack([c[..., 0], c[..., 1], c[..., 3] + c[..., 2]], axis=-1)
 
-    def coeff_grad(k, _t=t, _so=lambda_so, _s=spin):
-        k1, k2 = k[..., 0], k[..., 1]
-        out = np.zeros(k.shape[:-1] + (3, 2))
-        out[..., 0, 0] = -_t * np.sin(k1)
-        out[..., 0, 1] = -_t * np.sin(k2)
-        out[..., 1, 0] = _t * np.cos(k1)
-        out[..., 1, 1] = _t * np.cos(k2)
-        out[..., 2, 0] = _s * 2 * _so * (np.cos(k1) - np.cos(k1 - k2))
-        out[..., 2, 1] = _s * 2 * _so * (-np.cos(k2) + np.cos(k1 - k2))
-        return out
+    def coeff_grad(k, _g=full.coeff_grad):
+        return _g(k)[..., :3, :]
 
-    pi = np.pi
-    return BlochModel(
+    return replace(
+        full,
         name="kane_mele_sector",
-        momentum_dim=2,
         band_count=2,
         generators=gens,
         coeff=coeff,
         coeff_grad=coeff_grad,
-        hsps=(np.array([2 * pi / 3, 4 * pi / 3]), np.array([4 * pi / 3, 2 * pi / 3])),
+        hsps=full.hsps[1:3],
         params={"t": t, "lambda_so": lambda_so, "lambda_v": lambda_v, "spin": spin},
-        periodic=True,
+        invariant=None,
+        sweep_parameters=(),
     )
 
 
@@ -433,7 +454,9 @@ def chiral_ti_3d(M: float) -> BlochModel:
         mass_generator=3,
         velocity_generators=(0, 1, 2),
         mass_basis=_CHIRAL_MASS_BASIS,
-        sweep_parameter="M",
+        band_path=_CUBIC_PATH,
+        invariant="winding",
+        sweep_parameters=("M",),
         critical_values=(-3.0, -1.0, 1.0, 3.0),
     )
 

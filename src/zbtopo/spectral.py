@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["SpectralDecomposition", "hermitian_eig", "evolve"]
+__all__ = ["SpectralDecomposition", "hermitian_eig"]
 
 HERMITICITY_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
@@ -88,13 +88,3 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
         levels, projectors, sizes = levels[keep], projectors[keep], tuple(map(int, sizes[keep]))
     return SpectralDecomposition(w, v, levels, projectors, sizes)
 
-
-def evolve(matrix, state, t: float) -> np.ndarray:
-    """Apply exp(-i H t) to a normalized state via the spectral decomposition."""
-    psi = np.asarray(state, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized: |psi| = {norm:.12g}")
-    dec = hermitian_eig(matrix)
-    phases = np.exp(-1j * dec.levels * t)
-    return np.einsum("g,gij,j->i", phases, dec.projectors, psi)

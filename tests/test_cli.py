@@ -70,6 +70,83 @@ def test_bad_spinor_rejected(tmp_path):
     assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "spinor, message",
+    [({}, "dynamics.spinor.eigenstate must be an integer >= 0, got None"),
+     ({"eigenstate": True}, "dynamics.spinor.eigenstate must be an integer >= 0, got True"),
+     ({"eigenstate": 1.0}, "dynamics.spinor.eigenstate must be an integer >= 0, got 1.0"),
+     ({"eigenstate": -1}, "dynamics.spinor.eigenstate must be an integer >= 0, got -1"),
+     ({"eigenstate": 3}, "dynamics.spinor.eigenstate must be in 0..2, got 3")],
+)
+def test_bad_eigenstate_is_config_error(tmp_path, capsys, spinor, message):
+    dynamics = {"momentum": [0.0, 0.0], "spinor": spinor}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- per-model data
+
+# Every model the CLI accepts: parameters, band-path labels, sweep invariant
+# and sweep parameters (the first is the default).
+MODEL_CASES = {
+    "maxwell": ({"t_h": 1.0, "M": 1.0}, "G X M G", "chern", ("M",)),
+    "spin_j": ({"j": 1.0, "v_x": 1.0, "v_y": 1.0, "m": 0.5}, "G X M G", None, ()),
+    "kane_mele": ({"t": 1.0, "lambda_so": 0.06, "lambda_r": 0.0, "lambda_v": 0.1},
+                  "G K M K' G", "z2", ("lambda_v", "lambda_so")),
+    "chiral_ti": ({"M": 2.0}, "G X M G R", "winding", ("M",)),
+}
+
+
+def test_model_cases_cover_every_cli_model():
+    assert set(MODEL_CASES) == set(cli.FACTORIES)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_bands_follow_declared_path(tmp_path, capsys, name):
+    params, labels, _, _ = MODEL_CASES[name]
+    model = cli.build_model({"name": name, "params": params})
+    assert " ".join(label for label, _ in model.band_path) == labels
+    cfg = write_config(tmp_path, {"model": {"name": name, "params": params},
+                                  "bands_path": {"points_per_segment": 4}})
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, data = read_csv_table(tmp_path / "bands.csv")
+    assert len(data) == 4 * (len(model.band_path) - 1) + 1
+    for i, (_, node) in enumerate(model.band_path):
+        np.testing.assert_array_equal(data[4 * i, 1:1 + model.momentum_dim], node)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_phase_diagram_follows_declared_sweep_data(tmp_path, capsys, name):
+    params, _, invariant, parameters = MODEL_CASES[name]
+    model = cli.build_model({"name": name, "params": params})
+    assert (model.invariant, model.sweep_parameters) == (invariant, parameters)
+    span = {"start": 0.5, "stop": 1.5, "step": 0.5}
+
+    def run(out, **sweep):
+        cfg = write_config(tmp_path, {"model": {"name": name, "params": params},
+                                      "sweep": {**span, **sweep}})
+        code = main(["phase-diagram", "--config", cfg, "--out", str(tmp_path / out)])
+        return code, capsys.readouterr().err
+
+    if invariant is None:
+        for sweep in ({}, {"parameter": "m"}):
+            assert run("none", **sweep) == (
+                2, f"config error: phase-diagram sweep not defined for model '{name}'\n")
+        return
+    assert run("default")[0] == 0  # no parameter: the first declared one
+    assert run("explicit", parameter=parameters[0])[0] == 0
+    default = (tmp_path / "default" / "phase_diagram.csv").read_bytes()
+    assert default == (tmp_path / "explicit" / "phase_diagram.csv").read_bytes()
+    assert default.decode().splitlines()[0].split(",")[:2] == [parameters[0], invariant]
+    for outside in ("t_h", "lambda_r", "bogus"):
+        code, err = run("outside", parameter=outside)
+        assert code == 2
+        assert (f"sweep.parameter must be one of {list(parameters)} for model '{name}', "
+                f"got '{outside}'") in err
+
+
 # ---------------------------------------------------------------- bands
 
 def test_bands_triple_point_at_transition(tmp_path):
@@ -339,6 +416,14 @@ def test_model_constructor_refusal_is_config_error(tmp_path, capsys, model, mess
     cfg = write_config(tmp_path, {"model": model})
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("packet", [5, "wide", [20.0], None])
+def test_zb_packet_not_an_object_is_config_error(tmp_path, capsys, packet):
+    dynamics = {"packet": packet, "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"dynamics.packet must be an object, got {packet!r}" in capsys.readouterr().err
 
 
 def test_zb_packet_without_width_is_config_error(tmp_path, capsys):

@@ -198,6 +198,12 @@ def test_kane_mele_sector_matches_full_model():
             )
         )
         assert np.allclose(w_full, w_split, atol=1e-12)
+    # and each sector is the full model's spin block (sublattice (x) spin order)
+    ks = RNG.uniform(-7.0, 7.0, (50, 2))
+    for sector, block in ((up, [0, 2]), (down, [1, 3])):
+        for fn in (evaluate, gradient):
+            h_full = fn(full, ks)[..., block, :][..., block]
+            assert np.allclose(fn(sector, ks), h_full, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------- chiral 3D

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zbtopo import evolve, hermitian_eig, spin_matrices
+from zbtopo import hermitian_eig, spin_matrices
 
 
 def random_hermitian(rng, dim):
@@ -91,46 +91,3 @@ def test_eigenvalues_invariant_under_unitary_conjugation():
             w2 = hermitian_eig(q @ h @ q.conj().T).energies
             assert np.max(np.abs(w1 - w2)) < 1e-9
 
-
-def test_evolve_t0_identity_and_norm():
-    rng = np.random.default_rng(2)
-    h = random_hermitian(rng, 4)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi /= np.linalg.norm(psi)
-    assert np.allclose(evolve(h, psi, 0.0), psi, atol=1e-12)
-    out = evolve(h, psi, 3.7)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-
-
-def test_evolve_stationary_state_phase():
-    jz = spin_matrices(1, "cartesian")["Jz"]
-    phi_plus = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-    out = evolve(jz, phi_plus, 1.0)
-    assert np.allclose(out, np.exp(-1j) * phi_plus, atol=1e-12)
-
-
-def test_evolve_spin_half_flip():
-    # H = m Jz at p = 0; (1,1)/sqrt2 flips to (1,-1)/sqrt2 (up to phase) at t = pi/m
-    m = 1.4
-    h = m * spin_matrices(0.5)["Jz"]
-    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    out = evolve(h, psi, np.pi / m)
-    flipped = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert abs(abs(np.vdot(flipped, out)) - 1.0) < 1e-10
-
-
-def test_evolve_composition():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        h = random_hermitian(rng, 5)
-        psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        psi /= np.linalg.norm(psi)
-        t1, t2 = rng.uniform(-3, 3, 2)
-        step = evolve(h, evolve(h, psi, t1), t2)
-        direct = evolve(h, psi, t1 + t2)
-        assert np.max(np.abs(step - direct)) < 1e-10
-
-
-def test_evolve_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not normalized"):
-        evolve(np.eye(2), np.array([1.0, 1.0]), 0.5)
