@@ -28,7 +28,9 @@ from . import models
 from .dynamics import (
     MIN_SAMPLES_PER_PERIOD,
     MIN_SPAN_PERIODS,
+    SPINOR_NORM_TOL,
     WavePacket,
+    packet_grid,
     pcm_trajectory_exact,
     rotation_index,
     wavepacket_trajectory,
@@ -76,6 +78,11 @@ SECTION_KEYS = {
 }
 
 MAX_SWEEP_VALUES = 10**6
+# Size caps for `zb zb`, checked before anything is allocated: time samples
+# scale with samples_per_period x periods (64 x 8 by default) and a packet
+# sums over points ** momentum_dim momenta (at most 31^3 by default).
+_MAX_PERIOD_SAMPLES = 10**5
+_MAX_PACKET_MOMENTA = 10**5
 
 COMMAND_SECTIONS = {
     "bands": {"required": {"model"}, "optional": {"bands_path", "seed"}},
@@ -154,9 +161,12 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}")
     if not isinstance(dyn.get("include_drift", False), bool):
         raise ConfigError(f"dynamics.include_drift must be a boolean, got {dyn['include_drift']!r}")
-    _integer(dyn.get("samples_per_period", 64), "dynamics.samples_per_period",
-             MIN_SAMPLES_PER_PERIOD)
-    _integer(dyn.get("periods", 8), "dynamics.periods", MIN_SPAN_PERIODS)
+    spp = _integer(dyn.get("samples_per_period", 64), "dynamics.samples_per_period",
+                   MIN_SAMPLES_PER_PERIOD)
+    periods = _integer(dyn.get("periods", 8), "dynamics.periods", MIN_SPAN_PERIODS)
+    if spp * periods > _MAX_PERIOD_SAMPLES:
+        raise ConfigError(f"dynamics.samples_per_period x dynamics.periods must be at most "
+                          f"{_MAX_PERIOD_SAMPLES}, got {spp} x {periods}")
     _integer(config.get("seed", 0), "seed", 0)
     try:
         for key, value in config.get("topology", {}).items():
@@ -199,10 +209,11 @@ def _parse_spinor(raw, dim):
         return band
     if not isinstance(raw, list) or len(raw) != dim:
         raise ConfigError(f"spinor must be a list of {dim} [re, im] pairs")
-    try:
-        coeffs = np.array([complex(re, im) for re, im in raw])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad spinor entry: {exc}") from exc
+    pairs = [_vector(pair, f"dynamics.spinor[{i}]", 2) for i, pair in enumerate(raw)]
+    coeffs = np.array([complex(re, im) for re, im in pairs])
+    norm = float(np.linalg.norm(coeffs))
+    if abs(norm - 1.0) > SPINOR_NORM_TOL:
+        raise ConfigError(f"dynamics.spinor must have unit norm, got |spinor| = {norm:.12g}")
     return coeffs
 
 
@@ -256,6 +267,11 @@ def cmd_zb(config, out_dir):
         grid_spec = None
         if "half_width" in pk or "grid_points" in pk:
             grid_spec = (pk.get("half_width", 5.0 / pk["width"]), pk.get("grid_points"))
+        points = packet_grid(model, pk["width"], grid_spec)[1]
+        if points ** model.momentum_dim > _MAX_PACKET_MOMENTA:
+            field = "grid_points" if "grid_points" in pk else "half_width"
+            raise ConfigError(f"dynamics.packet.{field} gives {points}^{model.momentum_dim} "
+                              f"momenta, more than {_MAX_PACKET_MOMENTA}")
         traj = wavepacket_trajectory(
             model, packet, grid_spec, include_drift=dyn.get("include_drift", True),
             samples_per_period=spp, periods=periods,

@@ -48,6 +48,7 @@ __all__ = [
 MIN_SAMPLES_PER_PERIOD = 4
 MIN_SPAN_PERIODS = 4
 AMPLITUDE_FLOOR = 1e-12
+SPINOR_NORM_TOL = 1e-10
 _CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
 
 
@@ -406,7 +407,7 @@ def _unit_spinor(spinor, dim, model_name=None):
             f"expected a {dim}-component spinor, got shape {coeffs.shape}" if model_name is None
             else f"spinor has {coeffs.shape} components, model '{model_name}' needs {dim}")
     norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > SPINOR_NORM_TOL:
         raise ValueError(f"spinor is not normalized: |coeffs| = {norm:.12g}")
     return coeffs
 
@@ -430,7 +431,7 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     """
     center = _check_center(model, packet.center)
     d = packet.width
-    half_width, n_pts = _packet_grid(model, d, grid_spec)
+    half_width, n_pts = packet_grid(model, d, grid_spec)
 
     axes = [center[i] + np.linspace(-half_width, half_width, n_pts) for i in range(model.momentum_dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.momentum_dim)
@@ -460,7 +461,8 @@ def _check_center(model, center):
     return center
 
 
-def _packet_grid(model, d, grid_spec):
+def packet_grid(model, d, grid_spec):
+    """(half_width, points per axis) of the momentum grid of a packet of width ``d``."""
     if grid_spec is None:
         half_width, n_pts = 5.0 / d, None
     else:

@@ -56,17 +56,15 @@ DEGREE_ORIENTATION = -1.0
 class HSPLinearization:
     """Local expansion data H(K + p) ~ sum_d v_d p_d G_d + m G_mass.
 
-    In 2D ``nu`` = sgn(v_x v_y m) (the rotation sense of the local
-    oscillation); in 3D the stored pair is (sgn(v_x v_y v_z), sgn(m)) and
-    ``nu`` is their product, the quantity summed by the winding formula.
+    ``nu`` = sgn(prod_d v_d) sgn(m): in 2D sgn(v_x v_y m), the rotation
+    sense of the local oscillation; in 3D the quantity summed by the
+    winding formula.
     """
 
     hsp: tuple
     velocities: tuple
     mass: float
     nu: int
-    sign_velocity: int
-    sign_mass: int
 
 
 def linearize_at_hsp(model: BlochModel, K):
@@ -110,9 +108,8 @@ def linearize_at_hsp(model: BlochModel, K):
                                            f"span (residual {r:.3e})")
         if not all(abs(v) >= 1e-12 for v in vel):
             raise NotHighSymmetryError(f"vanishing velocity at K={tuple(k)}: {vel}")
-        sign_v, sign_m = (1 if math.prod(vel) > 0 else -1), (1 if mass > 0 else -1)
-        lins.append(HSPLinearization(hsp=tuple(k.tolist()), velocities=tuple(vel), mass=mass,
-                                     nu=sign_v * sign_m, sign_velocity=sign_v, sign_mass=sign_m))
+        nu = (1 if math.prod(vel) > 0 else -1) * (1 if mass > 0 else -1)
+        lins.append(HSPLinearization(hsp=tuple(k.tolist()), velocities=tuple(vel), mass=mass, nu=nu))
     return tuple(lins) if K.ndim == 2 else lins[0]
 
 
@@ -136,11 +133,15 @@ def chern_from_hsp(model: BlochModel, j, lins=None):
     return float(value)
 
 
-def _fhs_sum(model: BlochModel, band: int, n_grid: int) -> float:
-    """Lattice field-strength sum over the zone for one band, in units of 2*pi."""
+def _zone_eigh(model: BlochModel, n_grid: int):
+    """Eigenvalues and eigenvectors of H on the n x n zone mesh k_d = 2 pi i / n."""
     axes = 2 * np.pi * np.arange(n_grid) / n_grid
-    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
-    w, v = np.linalg.eigh(evaluate(model, mesh))
+    return np.linalg.eigh(evaluate(model, np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)))
+
+
+def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
+    """Lattice field-strength sum of one band over a zone solve, in units of 2*pi."""
+    axes = 2 * np.pi * np.arange(len(w)) / len(w)
     gap = np.full(w.shape[:2], np.inf)
     if band > 0:
         gap = np.minimum(gap, w[..., band] - w[..., band - 1])
@@ -159,22 +160,18 @@ def _fhs_sum(model: BlochModel, band: int, n_grid: int) -> float:
     return PLAQUETTE_ORIENTATION * float(np.angle(plaq).sum()) / (2 * np.pi)
 
 
-def chern_plaquette(model: BlochModel, band: int, grid: int = 64) -> int:
-    """Gauge-invariant plaquette Chern number of one band.
-
-    The grid is doubled (up to 512 per side) until two successive sizes
-    agree on the rounded integer; each value must sit within 1e-6 of an
-    integer.  Bands touching a neighbour anywhere on the grid are refused.
-    """
-    if model.momentum_dim != 2:
-        raise ValueError("plaquette Chern numbers are defined for 2D models")
-    if not 0 <= band < model.band_count:
-        raise ValueError(f"band {band} outside 0..{model.band_count - 1}")
-    check_grid(grid, PLAQUETTE_MAX_GRID)
+def _refine_band(model: BlochModel, band: int, grid: int, solves: dict) -> int:
     previous = None
     n = grid
     while n <= PLAQUETTE_MAX_GRID:
-        raw = _fhs_sum(model, band, n)
+        if n not in solves:
+            # A band with no agreeing value yet cannot stop at n: solve 2n and
+            # take n as its [::2, ::2] subsample, bit-equal to a direct solve
+            # since 2 * (2 pi i) / (2 n) == 2 pi i / n.
+            step = 2 if previous is None and 2 * n <= PLAQUETTE_MAX_GRID else 1
+            w, v = solves[step * n] = _zone_eigh(model, step * n)
+            solves[n] = w[::step, ::step], v[::step, ::step]
+        raw = _fhs_sum(model, band, *solves[n])
         rounded = int(round(raw))
         good = abs(raw - rounded) < 1e-6
         if good and previous == rounded:
@@ -183,6 +180,29 @@ def chern_plaquette(model: BlochModel, band: int, grid: int = 64) -> int:
         n *= 2
     raise ValueError(f"plaquette sum did not stabilize on an integer up to grid "
                      f"{PLAQUETTE_MAX_GRID} (last {raw!r})")
+
+
+def chern_plaquette(model: BlochModel, band, grid: int = 64):
+    """Gauge-invariant plaquette Chern number of one band, or a tuple of them.
+
+    ``band`` is one index (returns an int) or a tuple of indices (returns a
+    tuple in the same order).  Each band doubles its grid (up to 512 per
+    side) until two successive sizes agree on the rounded integer, each
+    within 1e-6 of an integer, and is refused where it touches a neighbour
+    on a grid; bands go in tuple order, each coarse grid before the finer.
+    Every zone mesh is diagonalized at most once per call, for all bands,
+    and a band that cannot yet stop at grid n solves 2n and reads n off it.
+    """
+    if model.momentum_dim != 2:
+        raise ValueError("plaquette Chern numbers are defined for 2D models")
+    bands = band if isinstance(band, tuple) else (band,)
+    for b in bands:
+        if not 0 <= b < model.band_count:
+            raise ValueError(f"band {b} outside 0..{model.band_count - 1}")
+    check_grid(grid, PLAQUETTE_MAX_GRID)
+    solves = {}
+    values = tuple(_refine_band(model, b, grid, solves) for b in bands)
+    return values if isinstance(band, tuple) else values[0]
 
 
 def check_grid(grid, upper=None, name="grid"):
@@ -403,10 +423,8 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         js = [band - spin_j for band in range(model.band_count)]
         chern_local = tuple(chern_from_hsp(model, j, lins) for j in js)
         if model.periodic:
-            chern_global = tuple(
-                chern_plaquette(model, band, plaquette_grid)
-                for band in range(model.band_count)
-            )
+            chern_global = chern_plaquette(model, tuple(range(model.band_count)),
+                                           plaquette_grid)
     elif model.invariant == "winding":
         winding = winding_from_hsp(model, lins)
         w_num, winding_residual = winding_numerical(model, winding_grid)

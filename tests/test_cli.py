@@ -85,6 +85,26 @@ def test_bad_eigenstate_is_config_error(tmp_path, capsys, spinor, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spinor, message",
+    [([[SQH, 0.0, 0.0], [SQH, 0.0], [0.0, 0.0]],
+      "dynamics.spinor[0] must be a list of 2 numbers, got [0.7071067811865476, 0.0, 0.0]"),
+     ([[SQH, 0.0], [SQH], [0.0, 0.0]], "dynamics.spinor[1] must be a list of 2 numbers, got "),
+     ([[SQH, 0.0], [SQH, 0.0], "ab"], "dynamics.spinor[2] must be a list of 2 numbers, got 'ab'"),
+     ([["a", 0.0], [SQH, 0.0], [0.0, 0.0]], "dynamics.spinor[0][0] must be a finite number, got 'a'"),
+     ([[SQH, 0.0], [SQH, None], [0.0, 0.0]],
+      "dynamics.spinor[1][1] must be a finite number, got None"),
+     ([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+      "dynamics.spinor must have unit norm, got |spinor| = 1.41421356237"),
+     ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "dynamics.spinor must have unit norm, got |spinor| = 0")],
+)
+def test_bad_spinor_list_is_config_error(tmp_path, capsys, spinor, message):
+    dynamics = {"momentum": [0.0, 0.0], "spinor": spinor}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- per-model data
 
 # Every model the CLI accepts: parameters, band-path labels, sweep invariant
@@ -452,6 +472,42 @@ def test_zb_bad_time_sampling_is_config_error(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
     assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"dynamics.{field} must be an integer >= 4, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sampling, product",
+    [({"samples_per_period": 1000, "periods": 101}, "1000 x 101"),
+     ({"samples_per_period": 100001}, "100001 x 8"),
+     ({"periods": 1563}, "64 x 1563")],
+)
+def test_zb_too_many_time_samples_is_config_error(tmp_path, capsys, monkeypatch, sampling,
+                                                  product):
+    # refused while the config is read, before any model or trajectory exists
+    monkeypatch.setattr(cli, "build_model", None)
+    dynamics = {"momentum": [0.0, 0.0], "spinor": {"eigenstate": 0}, **sampling}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("dynamics.samples_per_period x dynamics.periods must be at most 100000, "
+            f"got {product}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, packet, message",
+    [({"name": "maxwell", "params": {"t_h": 1.0, "M": 1.0}}, {"grid_points": 317},
+      "dynamics.packet.grid_points gives 317^2 momenta, more than 100000"),
+     ({"name": "chiral_ti", "params": {"M": 2.0}}, {"grid_points": 47},
+      "dynamics.packet.grid_points gives 47^3 momenta, more than 100000"),
+     ({"name": "maxwell", "params": {"t_h": 1.0, "M": 1.0}}, {"half_width": 3.0},
+      "dynamics.packet.half_width gives 341^2 momenta, more than 100000")],
+)
+def test_zb_too_many_packet_momenta_is_config_error(tmp_path, capsys, monkeypatch, model, packet,
+                                                    message):
+    # refused before the packet is built
+    monkeypatch.setattr(cli, "wavepacket_trajectory", None)
+    dynamics = {"packet": {"width": 20.0, **packet}, "spinor": {"eigenstate": 0}}
+    cfg = write_config(tmp_path, {"model": model, "dynamics": dynamics})
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 MOMENTUM_DYNAMICS = {"momentum": [0.0, 0.0], "spinor": PACKET_DYNAMICS["dynamics"]["spinor"]}

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from zbtopo import (
     z2_kane_mele,
     z2_spin_chern_parity,
 )
+from zbtopo import invariants
 
 PI = np.pi
 
@@ -53,8 +57,8 @@ def test_linearize_maxwell_corner():
 
 def test_linearize_chiral_signs():
     lin = linearize_at_hsp(chiral_ti_3d(2.0), [PI, 0.0, 0.0])
-    assert lin.sign_velocity == -1
-    assert lin.sign_mass == +1
+    assert np.sign(math.prod(lin.velocities)) == -1
+    assert np.sign(lin.mass) == +1
     assert abs(lin.mass - 1.0) < 1e-12
 
 
@@ -150,6 +154,85 @@ def test_plaquette_per_band_values():
     values = [chern_plaquette(model, band) for band in range(3)]
     assert values == [-2, 0, 2]
     assert sum(values) == 0
+
+
+def test_plaquette_band_tuple_returns_a_tuple():
+    model = maxwell_lattice(1.0, 1.0)
+    assert chern_plaquette(model, (0, 1, 2)) == (-2, 0, 2)
+    assert chern_plaquette(model, (2, 0)) == (2, -2)
+    assert chern_plaquette(model, (1,)) == (0,)
+    with pytest.raises(ValueError, match="band 3 outside 0..2"):
+        chern_plaquette(model, (0, 3))
+
+
+@pytest.mark.parametrize("n", [32, 33, 64])
+def test_subsampled_zone_solve_is_bit_equal_to_a_direct_solve(monkeypatch, n):
+    raw_sums = {}
+    real = invariants._fhs_sum
+
+    def spy(model, band, w, v):
+        raw_sums[band, len(w)] = real(model, band, w, v)
+        return raw_sums[band, len(w)]
+
+    monkeypatch.setattr(invariants, "_fhs_sum", spy)
+    for model in (maxwell_lattice(1.0, 1.3), kane_mele_spin_sector(1.0, 0.06, 0.1, +1)):
+        w, v = invariants._zone_eigh(model, 2 * n)
+        w_n, v_n = invariants._zone_eigh(model, n)
+        assert np.array_equal(w[::2, ::2], w_n) and np.array_equal(v[::2, ::2], v_n)
+        # the grid-n sums inside a call, read off the 2n solve, equal a direct solve's
+        raw_sums.clear()
+        chern_plaquette(model, tuple(range(model.band_count)), n)
+        for band in range(model.band_count):
+            assert raw_sums[band, n] == real(model, band, w_n, v_n)
+            assert raw_sums[band, 2 * n] == real(model, band, w, v)
+
+
+@pytest.mark.parametrize(
+    "band, grid, solved",
+    [(0, 64, [128]), ((0, 1, 2), 64, [128]), ((2, 1, 0), 16, [32]), (0, 300, [300])],
+)
+def test_plaquette_solves_each_grid_once(monkeypatch, band, grid, solved):
+    shapes = []
+    real = invariants.evaluate
+
+    def spy(model, k):
+        shapes.append(k.shape[:-1])
+        return real(model, k)
+
+    monkeypatch.setattr(invariants, "evaluate", spy)
+    try:
+        chern_plaquette(maxwell_lattice(1.0, 1.0), band, grid)
+    except ValueError as exc:
+        # a grid above half the limit has no finer grid to agree with
+        assert grid > invariants.PLAQUETTE_MAX_GRID // 2 and "did not stabilize" in str(exc)
+    assert shapes == [(n, n) for n in solved]
+
+
+GAPLESS_MESSAGES = {
+    2.0: "touches a neighbour near k = (0.000000, 0.000000): gap 0.000e+00",
+    0.0: "touches a neighbour near k = (0.000000, 3.141593): gap 2.449e-16",
+}
+
+
+@pytest.mark.parametrize("m_param", sorted(GAPLESS_MESSAGES))
+@pytest.mark.parametrize("band, first", [(0, 0), (1, 1), (2, 2), ((0, 1, 2), 0), ((2, 1, 0), 2)])
+@pytest.mark.parametrize("grid", [33, 64])
+def test_plaquette_gapless_messages(m_param, band, first, grid):
+    with pytest.raises(GaplessError) as info:
+        chern_plaquette(maxwell_lattice(1.0, m_param), band, grid)
+    assert str(info.value) == f"band {first} {GAPLESS_MESSAGES[m_param]}"
+
+
+def test_plaquette_reports_a_coarse_grid_closing_from_the_coarse_grid():
+    # Gap 2e-8 at every point of the 32 grid and 0 at the points only the 64
+    # grid holds: the 32 grid is checked first, so it names its own minimum.
+    def coeff(k):
+        comb = 1e-8 * (1.0 + np.cos(32 * k[..., 0])) / 2
+        return np.stack([comb, np.zeros_like(comb), np.zeros_like(comb)], axis=-1)
+
+    model = replace(kane_mele_spin_sector(1.0, 0.06, 0.1, +1), coeff=coeff)
+    with pytest.raises(GaplessError, match=r"near k = \(0\.000000, 0\.000000\): gap 2\.000e-08"):
+        chern_plaquette(model, (1, 0), 32)
 
 
 def test_plaquette_band_sum_zero_generic():

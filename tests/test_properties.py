@@ -1,20 +1,25 @@
 """Property tests for Hamiltonian assembly, the momentum-batched spectral path,
-the chunked packet synthesis and the stacked high-symmetry-point linearization.
+the chunked packet synthesis, the stacked high-symmetry-point linearization,
+the shared-solve plaquette Chern numbers and the rotation sense.
 
 Each property is checked against a plain reference written here: the real
 coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
 explicit eigenvectors, a dense sin/cos sum, a one-shot factored product, a
-per-momentum packet loop and per-generator trace projections.
+per-momentum packet loop, per-generator trace projections and per-band
+plaquette calls.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from zbtopo import (
+    GaplessError,
     WavePacket,
+    chern_plaquette,
     chiral_ti_3d,
     evaluate,
     gradient,
@@ -23,11 +28,13 @@ from zbtopo import (
     kane_mele_spin_sector,
     linearize_at_hsp,
     maxwell_lattice,
+    pcm_trajectory_exact,
+    rotation_index,
     spin_j_continuum,
     wavepacket_trajectory,
     zb_time_grid,
 )
-from zbtopo import dynamics
+from zbtopo import dynamics, invariants
 from zbtopo.dynamics import _CHUNK, _oscillation, _pair_data
 
 seeds = st.integers(0, 2**32 - 1)
@@ -411,3 +418,86 @@ def test_stacked_linearization_matches_per_point(model):
     for lin, K in zip(stacked, model.hsps):
         assert (lin.mass, lin.velocities) == reference_linearization(model, K)
         assert lin.nu == int(np.sign(lin.mass) * np.sign(np.prod(lin.velocities)))
+
+
+@st.composite
+def plaquette_models(draw):
+    """Random gapped 2D lattice models: the spin-1 lattice and a Kane-Mele spin sector."""
+    if draw(st.booleans()):
+        mass = draw(st.floats(-3.0, 3.0))
+        assume(gapped(mass, (-2.0, 0.0, 2.0)))
+        return maxwell_lattice(draw(st.sampled_from([-1.3, 0.4, 1.0])), mass)
+    lambda_so, lambda_v = draw(st.floats(0.02, 0.1)), draw(st.floats(0.0, 0.6))
+    assume(gapped(lambda_v, (3 * np.sqrt(3) * lambda_so,)))
+    return kane_mele_spin_sector(1.0, lambda_so, lambda_v, draw(st.sampled_from([1, -1])))
+
+
+def recorded_plaquette(model, band, grid):
+    """Outcome of one ``chern_plaquette`` call (value, or exception type and
+    message), the (band, grid) of every plaquette sum and the grids solved."""
+    sums, solved = [], []
+    real_sum, real_evaluate = invariants._fhs_sum, invariants.evaluate
+
+    def spy_sum(model, band, w, v):
+        sums.append((band, len(w)))
+        return real_sum(model, band, w, v)
+
+    def spy_evaluate(model, k):
+        solved.append(k.shape[0])
+        return real_evaluate(model, k)
+
+    with mock.patch.object(invariants, "_fhs_sum", spy_sum), \
+            mock.patch.object(invariants, "evaluate", spy_evaluate):
+        try:
+            outcome = chern_plaquette(model, band, grid)
+        except (GaplessError, ValueError) as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, sums, solved
+
+
+@given(model=plaquette_models(), grid=st.sampled_from([1, 2, 3, 5, 7, 8, 16, 33]),
+       descending=st.booleans())
+def test_plaquette_band_tuple_matches_per_band_calls(model, grid, descending):
+    bands = tuple(range(model.band_count))[::-1 if descending else 1]
+    joint, joint_sums, joint_solved = recorded_plaquette(model, bands, grid)
+    # A loop of single-band calls stops at the first band that raises.
+    values, sums = [], []
+    for band in bands:
+        outcome, band_sums, _ = recorded_plaquette(model, band, grid)
+        sums += band_sums
+        if isinstance(outcome, tuple):
+            values = outcome
+            break
+        values.append(outcome)
+    else:
+        values = tuple(values)
+    assert joint == values
+    # every band keeps its own grids, coarse before fine, in tuple order
+    assert joint_sums == sums
+    # and each grid is diagonalized at most once per call
+    assert len(set(joint_solved)) == len(joint_solved)
+
+
+@st.composite
+def oscillating_trajectories(draw):
+    """A spin-1 lattice trajectory at a random gapped momentum and spinor, and
+    its common period (levels -|d|, 0, |d| make every frequency a multiple of |d|)."""
+    model = maxwell_lattice(1.0, draw(st.floats(-3.0, 3.0)))
+    k = np.array([draw(st.floats(0.0, 2 * np.pi)) for _ in range(2)])
+    levels = np.linalg.eigvalsh(evaluate(model, k))
+    assume(levels[-1] > 0.05)
+    rng = np.random.default_rng(draw(seeds))
+    spinor = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    spinor /= np.linalg.norm(spinor)
+    samples = draw(st.sampled_from([16, 64]))
+    return model, k, spinor, samples, 2 * np.pi / levels[-1]
+
+
+@given(case=oscillating_trajectories(), shifts=st.integers(1, 5))
+def test_rotation_index_is_unchanged_by_whole_period_shifts(case, shifts):
+    model, k, spinor, samples, period = case
+    traj = pcm_trajectory_exact(model, k, spinor, samples_per_period=samples)
+    later = pcm_trajectory_exact(model, k, spinor, traj.times + shifts * period)
+    assert np.allclose(later.pcm, traj.pcm, rtol=0.0, atol=1e-9 * traj.metadata["zb_scale"])
+    for plane in ((0, 1), (1, 0)):
+        assert rotation_index(later, plane) == rotation_index(traj, plane)
