@@ -2,18 +2,17 @@
 
 Small multi-band lattice / continuum models, exact center-of-mass
 oscillation trajectories, rotation-sense classification at high-symmetry
-points, and invariant reconstruction (Chern, 3D winding, Z2) with
+points, and invariant recovery (Chern, 3D winding, Z2) with
 independent global cross-checks.
 """
 
-from .errors import GaplessError, NotHighSymmetryError
+from .errors import GaplessError, GridSizeError, NotHighSymmetryError
 from .spectral import SpectralDecomposition, hermitian_eig
 from .generators import GeneratorSet, spin_matrices, gell_mann, adjacent_amplitude
 from .models import (
     BlochModel,
     evaluate,
     gradient,
-    decompose,
     spin_j_continuum,
     maxwell_lattice,
     kane_mele,

@@ -36,6 +36,7 @@ from .dynamics import (
     wavepacket_trajectory,
     zb_spectrum,
 )
+from .errors import GridSizeError
 from .invariants import (PLAQUETTE_MAX_GRID, check_grid, chern_from_hsp, compute_invariants,
                          linearize_at_hsp, winding_from_hsp, z2_kane_mele)
 from .models import evaluate
@@ -253,29 +254,32 @@ def cmd_zb(config, out_dir):
     if spinor is None:
         raise ConfigError("dynamics.spinor is required")
 
-    if "momentum" in dyn:
-        k = _vector(dyn["momentum"], "dynamics.momentum", model.momentum_dim)
-        traj = pcm_trajectory_exact(
-            model, k, spinor, include_drift=dyn.get("include_drift", False),
-            samples_per_period=spp, periods=periods,
-        )
-    else:
-        pk = dyn["packet"]
-        center = _vector(pk.get("center", [0.0] * model.momentum_dim), "dynamics.packet.center",
-                         model.momentum_dim)
-        packet = WavePacket(width=pk["width"], center=center, spinor=spinor)
-        grid_spec = None
-        if "half_width" in pk or "grid_points" in pk:
-            grid_spec = (pk.get("half_width", 5.0 / pk["width"]), pk.get("grid_points"))
-        points = packet_grid(model, pk["width"], grid_spec)[1]
-        if points ** model.momentum_dim > _MAX_PACKET_MOMENTA:
-            field = "grid_points" if "grid_points" in pk else "half_width"
-            raise ConfigError(f"dynamics.packet.{field} gives {points}^{model.momentum_dim} "
-                              f"momenta, more than {_MAX_PACKET_MOMENTA}")
-        traj = wavepacket_trajectory(
-            model, packet, grid_spec, include_drift=dyn.get("include_drift", True),
-            samples_per_period=spp, periods=periods,
-        )
+    try:
+        if "momentum" in dyn:
+            k = _vector(dyn["momentum"], "dynamics.momentum", model.momentum_dim)
+            traj = pcm_trajectory_exact(
+                model, k, spinor, include_drift=dyn.get("include_drift", False),
+                samples_per_period=spp, periods=periods,
+            )
+        else:
+            pk = dyn["packet"]
+            center = _vector(pk.get("center", [0.0] * model.momentum_dim), "dynamics.packet.center",
+                             model.momentum_dim)
+            packet = WavePacket(width=pk["width"], center=center, spinor=spinor)
+            grid_spec = None
+            if "half_width" in pk or "grid_points" in pk:
+                grid_spec = (pk.get("half_width", 5.0 / pk["width"]), pk.get("grid_points"))
+            points = packet_grid(model, pk["width"], grid_spec)[1]
+            if points ** model.momentum_dim > _MAX_PACKET_MOMENTA:
+                field = "grid_points" if "grid_points" in pk else "half_width"
+                raise ConfigError(f"dynamics.packet.{field} gives {points}^{model.momentum_dim} "
+                                  f"momenta, more than {_MAX_PACKET_MOMENTA}")
+            traj = wavepacket_trajectory(
+                model, packet, grid_spec, include_drift=dyn.get("include_drift", True),
+                samples_per_period=spp, periods=periods,
+            )
+    except GridSizeError as exc:
+        raise ConfigError(f"dynamics.samples_per_period x dynamics.periods: {exc}") from exc
 
     spectrum = zb_spectrum(traj)
     plane = tuple(dyn.get("plane", (0, 1)))
@@ -308,7 +312,7 @@ def _sweep_value(model_section, parameter, value):
     if model.invariant == "z2":
         return [value, z2_kane_mele(model)]
     lins = linearize_at_hsp(model, model.hsps)
-    index = (chern_from_hsp(model, -1, lins) if model.invariant == "chern"
+    index = (chern_from_hsp(model, model.band_spin(0), lins) if model.invariant == "chern"
              else winding_from_hsp(model, lins))
     return [value, index] + [lin.nu for lin in lins]
 

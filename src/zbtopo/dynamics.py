@@ -4,11 +4,11 @@ The exact route evaluates the projector double sum
 
     r_o(t) = i sum_{m != n} e^{i (E_m - E_n) t} <Q_m dH/dp Q_n> / (E_n - E_m)
 
-for the expectation in a fixed initial spinor; degenerate level pairs are
-excluded by the projector grouping of :mod:`zbtopo.spectral` (their cross
-term has no oscillation to contribute).  Closed forms for the spin-1 and
-the three-band chiral families provide an independent second route; both
-are checked against each other in the test suite.  Single momenta and
+for the expectation in a fixed initial spinor, Q_m = |m><m| over eigenvectors.
+Ascending energies at most ``DEGENERACY_TOL`` apart form one degenerate chain,
+whose inner pairs do not oscillate but add to the drift.  Closed forms for
+the spin-1 and the three-band chiral families give an independent second
+route; both are checked against each other in the test suite.  Single momenta and
 Gaussian packets share one momentum-batched path, streamed in chunks so
 memory does not grow with the packet grid: stacked eigensolves and einsum
 pair amplitudes per chunk of momenta, phase-factored synthesis per chunk of pairs.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GaplessError
+from .errors import GaplessError, GridSizeError
 from .models import BlochModel, evaluate, gradient, spin_j_continuum
 from .spectral import hermitian_eig
 
@@ -49,6 +49,8 @@ MIN_SAMPLES_PER_PERIOD = 4
 MIN_SPAN_PERIODS = 4
 AMPLITUDE_FLOOR = 1e-12
 SPINOR_NORM_TOL = 1e-10
+DEGENERACY_TOL = 1e-8  # neighbouring energies at most this far apart share a degenerate chain
+_MAX_TIME_SAMPLES = 4 * 10**6  # default time grid; `zb zb` peaks near 350 bytes per sample
 _CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
 
 
@@ -59,7 +61,8 @@ class Trajectory:
     ``pcm[i]`` is the 3-vector (<x>, <y>, <z>) at ``times[i]``.  Metadata
     records how it was generated (model, momentum or packet, spinor, drift
     flag) plus ``zb_scale``, the predicted oscillation amplitude scale used
-    by :func:`rotation_index` to tell real rotation from numerical noise.
+    by :func:`rotation_index` to tell real rotation from numerical noise (exact
+    routes: max 2 |amps_p| / |omega_p| over eigenvector pairs, momentum-averaged).
     """
 
     times: np.ndarray
@@ -125,15 +128,20 @@ class WavePacket:
 
 def zb_time_grid(omega_fast: float, omega_slow: float | None = None,
                  samples_per_period: int = 64, periods: int = 8) -> np.ndarray:
-    """Uniform grid resolving omega_fast and spanning ``periods`` of omega_slow."""
+    """Uniform grid resolving omega_fast and spanning ``periods`` of omega_slow;
+    refused with GridSizeError, unallocated, above ``_MAX_TIME_SAMPLES`` samples."""
     omega_fast = abs(float(omega_fast))
     if omega_fast == 0.0:
         raise ValueError("omega_fast must be nonzero")
     omega_slow = omega_fast if omega_slow is None else abs(float(omega_slow))
     dt = 2 * np.pi / (omega_fast * samples_per_period)
     span = periods * 2 * np.pi / omega_slow
-    n = int(round(span / dt))
-    return np.arange(n) * dt
+    if span / dt > _MAX_TIME_SAMPLES:
+        raise GridSizeError(
+            f"{samples_per_period} x {periods} gives a time grid of {span / dt:.3g} samples "
+            f"(omega_fast / omega_slow = {omega_fast / omega_slow:.3g}), "
+            f"more than {_MAX_TIME_SAMPLES}")
+    return np.arange(int(round(span / dt))) * dt
 
 
 def _check_uniform(times) -> np.ndarray:
@@ -178,22 +186,28 @@ def _resolve_spinor(model: BlochModel, spinor):
 
 
 def _pair_data(hams, grad_mats, psi):
-    """Level-pair oscillation amplitudes and band-diagonal drift at K momenta.
+    """Eigenvector-pair oscillation amplitudes and drift at K momenta.
 
-    ``hams`` (K, n, n) go through one stacked :func:`hermitian_eig`; ``psi``
-    is a state (n,) or (K, n), or a band index.  Returns (omegas (K, P), amps
-    (K, P, 3), drift (K, 3)) over the slot pairs g < h of the padded layout:
-    pair p oscillates as (2 / omega_p) Im(amps_p e^{i omega_p t}) with
-    omega_p = E_g - E_h; pairs touching an absorbed slot have zero amplitude.
+    ``hams`` (K, n, n) go through one stacked :func:`hermitian_eig`; ``psi`` is a
+    state (n,) or (K, n), or a band index (one-hot).  With y_g = v_g (v_g^dag psi),
+    returns (omegas (K, P), amps (K, P, 3), drift (K, 3)) over eigenvector pairs
+    g < h: pair p oscillates as (2 / omega_p) Im(amps_p e^{i omega_p t}), omega_p =
+    E_g - E_h at chain-mean energies, amps_p = <y_g| dH |y_h>, zero inside a chain.
+    The drift sums each chain's whole block: <psi| P_G dH P_G |psi> over chains G.
     """
-    dec = hermitian_eig(hams)
-    psi = dec.states[..., psi] if isinstance(psi, int) else np.broadcast_to(psi, hams.shape[:-1])
+    w, v = hermitian_eig(hams)
+    n = hams.shape[-1]
+    y = v * (np.eye(n)[psi] if isinstance(psi, int) else
+             np.einsum("kig,ki->kg", v.conj(), np.broadcast_to(psi, hams.shape[:-1]))[:, None])
     dh = np.zeros(hams.shape[:1] + (3,) + hams.shape[1:], dtype=complex)
     dh[:, : grad_mats.shape[1]] = grad_mats
-    proj_psi = np.einsum("kgij,kj->kgi", dec.projectors, psi)
-    mat = np.einsum("kgi,kdij,khj->kghd", proj_psi.conj(), dh, proj_psi)
-    g, h = np.triu_indices(hams.shape[-1], k=1)
-    return dec.levels[:, g] - dec.levels[:, h], mat[:, g, h], np.einsum("kggd->kd", mat).real
+    mat = np.einsum("kig,kdij,kjh->kghd", y.conj(), dh, y)
+    chain = np.cumsum(np.diff(w, prepend=w[:, :1]) > DEGENERACY_TOL, axis=-1)
+    same = chain[:, :, None] == chain[:, None, :]
+    level = np.where(same, w[:, None, :], 0.0).sum(axis=-1) / same.sum(axis=-1)
+    g, h = np.triu_indices(n, k=1)
+    amps = np.where(same[:, g, h, None], 0.0, mat[:, g, h])
+    return level[:, g] - level[:, h], amps, np.einsum("kghd,kgh->kd", mat, same).real
 
 
 def _present_mask(amps):
@@ -228,7 +242,7 @@ def _oscillation(times, omegas, amps):
 def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
                          include_drift: bool = False, *,
                          samples_per_period: int = 64, periods: int = 8) -> Trajectory:
-    """Oscillatory center-of-mass trajectory from the projector double sum.
+    """Oscillatory center-of-mass trajectory from the eigenvector-pair double sum.
 
     ``spinor`` holds coefficients in the model's mass eigenbasis (or a band
     index for an energy eigenstate, which yields an identically zero
@@ -237,16 +251,14 @@ def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
     from the oscillation frequencies actually present.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    times, pcm, scale, omegas = _momentum_sum(
+    times, pcm, scale = _momentum_sum(
         model, k[None], np.ones(1), spinor, times, include_drift, samples_per_period, periods)
-    present = np.sort(np.abs(omegas))
     meta = {
         "model": model.name,
         "momentum": tuple(float(x) for x in k),
         "spinor": _spinor_tag(spinor),
         "include_drift": include_drift,
         "zb_scale": scale,
-        "present_frequencies": tuple(float(w) for w in present),
     }
     return Trajectory(times=times, pcm=pcm, metadata=meta)
 
@@ -258,7 +270,7 @@ def _amp_scale(omegas, amps, mask) -> np.ndarray:
 
 
 def _momentum_sum(model, ks, weights, spinor, times, include_drift, spp, periods):
-    """Weighted projector-sum trajectory over momenta ``ks``: (times, pcm, zb_scale, omegas)."""
+    """Weighted pair-sum trajectory over momenta ``ks``: (times, pcm, zb_scale)."""
     psi = _resolve_spinor(model, spinor)
     parts = [_pair_data(evaluate(model, c), gradient(model, c), psi)
              for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
@@ -273,7 +285,7 @@ def _momentum_sum(model, ks, weights, spinor, times, include_drift, spp, periods
     pcm = _oscillation(times, omegas, amps)
     if include_drift:
         pcm = pcm + np.outer(times, weights @ drifts)
-    return times, pcm, scale, omegas
+    return times, pcm, scale
 
 
 def _spinor_tag(spinor):
@@ -438,8 +450,8 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     weights = np.exp(-d * d * np.sum((mesh - center) ** 2, axis=1))
     weights /= weights.sum()
 
-    times, pcm, scale, _ = _momentum_sum(model, mesh, weights, packet.spinor, times,
-                                         include_drift, samples_per_period, periods)
+    times, pcm, scale = _momentum_sum(model, mesh, weights, packet.spinor, times,
+                                      include_drift, samples_per_period, periods)
     meta = {
         "model": model.name,
         "packet": {"width": d, "center": tuple(float(x) for x in center)},
@@ -552,9 +564,10 @@ def _peak_shift(power3):
 def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
     """Per-component Fourier magnitude spectrum with interpolated peak list.
 
-    The mean and any linear drift are removed before the transform.  Raises
-    if the sampling is non-uniform or spans fewer than four cycles of the
-    dominant oscillation.
+    The mean and any linear drift are removed before the transform; what is
+    left at or below 1e-12 of max |pcm| (a pure drift's roundoff) gives zero
+    power and no peaks.  Raises if the sampling is non-uniform or spans fewer
+    than four cycles of the dominant oscillation.
     """
     times = _check_uniform(traj.times)
     clean = _detrended(traj)
@@ -565,8 +578,8 @@ def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
     power = np.abs(spec) ** 2
     top = power.max()
     resolution = 2 * np.pi / (n * dt)
-    if top == 0.0:
-        return ZBSpectrum(omegas=omegas, power=power, peaks=(), resolution=resolution)
+    if top <= (1e-12 * n * np.max(np.abs(traj.pcm))) ** 2:  # |rfft| <= n max|clean|
+        return ZBSpectrum(omegas=omegas, power=0.0 * power, peaks=(), resolution=resolution)
     power = power / top
 
     peaks = []

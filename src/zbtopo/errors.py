@@ -7,3 +7,7 @@ class GaplessError(ValueError):
 
 class NotHighSymmetryError(ValueError):
     """The requested momentum does not have the structure of a mass-type high-symmetry point."""
+
+
+class GridSizeError(ValueError):
+    """A sampling grid would hold more points than the package allocates."""

@@ -419,9 +419,8 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
     elif model.mass_generator is not None:
         lins = linearize_at_hsp(model, model.hsps)
     if model.invariant == "chern":
-        spin_j = (model.band_count - 1) / 2.0
-        js = [band - spin_j for band in range(model.band_count)]
-        chern_local = tuple(chern_from_hsp(model, j, lins) for j in js)
+        chern_local = tuple(chern_from_hsp(model, model.band_spin(band), lins)
+                            for band in range(model.band_count))
         if model.periodic:
             chern_global = chern_plaquette(model, tuple(range(model.band_count)),
                                            plaquette_grid)

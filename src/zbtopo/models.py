@@ -26,13 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .generators import GeneratorSet, gell_mann, spin_matrices
-from .spectral import SpectralDecomposition, hermitian_eig
 
 __all__ = [
     "BlochModel",
     "evaluate",
     "gradient",
-    "decompose",
     "spin_j_continuum",
     "maxwell_lattice",
     "kane_mele",
@@ -119,6 +117,10 @@ class BlochModel:
     sweep_parameters: tuple[str, ...] = ()
     critical_values: tuple[float, ...] = ()
 
+    def band_spin(self, band: int) -> float:
+        """Spin index of ``band`` counted from the lowest: -J .. J, J = (bands - 1) / 2."""
+        return band - (self.band_count - 1) / 2.0
+
     def mass_eigenbasis(self) -> np.ndarray:
         if self.mass_basis is None:
             return np.eye(self.band_count, dtype=complex)
@@ -152,20 +154,6 @@ def gradient(model: BlochModel, k) -> np.ndarray:
     k = _check_momenta(model, k)
     dc = model.coeff_grad(k)
     return np.einsum("...gd,gij->...dij", dc.astype(complex), model.generators.matrices)
-
-
-def decompose(model: BlochModel, k) -> SpectralDecomposition:
-    """Spectral decomposition at one momentum with group velocities filled in."""
-    k = _check_momenta(model, k)
-    if k.ndim != 1:
-        raise ValueError("decompose expects a single momentum")
-    dec = hermitian_eig(evaluate(model, k))
-    dh = gradient(model, k)
-    vel = np.zeros((len(dec.levels), 3))
-    for g, (proj, size) in enumerate(zip(dec.projectors, dec.group_sizes)):
-        for d in range(model.momentum_dim):
-            vel[g, d] = np.trace(proj @ dh[d]).real / size
-    return dec.with_velocities(vel)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zbtopo import cli
+from zbtopo import cli, models
+from zbtopo import chern_from_hsp, compute_invariants, spin_matrices
 from zbtopo.cli import main
 from zbtopo.io import read_csv_table, read_spectrum_csv, read_trajectory_csv
 
@@ -397,6 +399,24 @@ def test_phase_diagram_too_small_step_is_config_error(tmp_path, capsys, step):
     assert f"sweep.step {step!r} gives more than 1000000 values" in capsys.readouterr().err
 
 
+def test_sweep_chern_column_uses_the_models_lowest_band_spin(monkeypatch):
+    # a two-band (spin-1/2) lattice under the maxwell name: the lowest band has
+    # spin -1/2, so its Chern number is half the spin-1 value of -1 * sum nu
+    spin1 = models.maxwell_lattice
+    half_gens = spin_matrices(0.5, "ladder")
+
+    def spin_half_lattice(t_h, M):
+        return replace(spin1(t_h, M), band_count=2, generators=half_gens, mass_basis=None)
+
+    monkeypatch.setattr(models, "maxwell_lattice", spin_half_lattice)
+    section = {"name": "maxwell", "params": {"t_h": 1.0}}
+    for mass, expected in ((-1.0, 1), (1.0, -1), (3.0, 0)):
+        row = cli._sweep_value(section, "M", mass)
+        model = spin_half_lattice(1.0, mass)
+        assert row[1] == expected == compute_invariants(model).chern_hsp[0]
+        assert row[1] == chern_from_hsp(model, -0.5)
+
+
 def test_phase_diagram_without_sweep_invariant_refused_up_front(tmp_path, capsys, monkeypatch):
     def no_value(*args):
         raise AssertionError("a sweep value was computed")
@@ -489,6 +509,22 @@ def test_zb_too_many_time_samples_is_config_error(tmp_path, capsys, monkeypatch,
     assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert ("dynamics.samples_per_period x dynamics.periods must be at most 100000, "
             f"got {product}") in capsys.readouterr().err
+
+
+def test_zb_too_long_time_grid_is_config_error(tmp_path, capsys, monkeypatch):
+    # next to the M = 2 band inversion the packet's slowest pair is 3.5e5 times
+    # slower than its fastest, so 64 x 8 would need 1.8e8 time samples
+    def unreachable(*args):
+        raise AssertionError("the oversized time grid reached the synthesis")
+
+    monkeypatch.setattr("zbtopo.dynamics._oscillation", unreachable)
+    cfg = write_config(tmp_path, maxwell_config(2.000001, PACKET_DYNAMICS))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: dynamics.samples_per_period x dynamics.periods: 64 x 8 gives a "
+            "time grid of 1.82e+08 samples") in err
+    assert "more than 4000000" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,14 @@ import pytest
 
 from zbtopo import (
     GaplessError,
+    GridSizeError,
     Trajectory,
     WavePacket,
     chiral_ti_3d,
     closed_form_chiral,
     closed_form_spin1,
+    evaluate,
+    gradient,
     maxwell_lattice,
     pcm_trajectory_exact,
     rotation_index,
@@ -17,6 +20,8 @@ from zbtopo import (
     zb_spectrum,
     zb_time_grid,
 )
+from zbtopo import dynamics
+from zbtopo.dynamics import _pair_data
 
 SQ2 = np.sqrt(2.0)
 ORIGIN2 = np.zeros(2)
@@ -30,11 +35,43 @@ def random_spinor(rng, dim):
 
 # ---------------------------------------------------------------- exact route
 
+def test_time_grid_is_capped_before_allocation(monkeypatch):
+    # 3 / 1 at 64 x 8 is 1536 samples: admitted at a cap of 1536, refused below it
+    monkeypatch.setattr(dynamics, "_MAX_TIME_SAMPLES", 1536)
+    assert len(zb_time_grid(3.0, 1.0)) == 1536
+    monkeypatch.setattr(dynamics, "_MAX_TIME_SAMPLES", 1535)
+    with pytest.raises(GridSizeError, match="64 x 8 gives a time grid of 1.54e[+]03 samples"):
+        zb_time_grid(3.0, 1.0)
+    # a ratio of 1e12 would need 5e14 samples; it is refused, not allocated
+    monkeypatch.undo()
+    with pytest.raises(GridSizeError, match="5.12e[+]14 samples .* more than 4000000"):
+        zb_time_grid(1e6, 1e-6)
+
+
 def test_eigenstate_gives_zero_oscillation():
     model = maxwell_lattice(1.0, 1.0)
     traj = pcm_trajectory_exact(model, ORIGIN2, 0, zb_time_grid(2.0))
     assert np.max(np.abs(traj.pcm)) == 0.0
     assert rotation_index(traj) == 0
+
+
+@pytest.mark.parametrize(
+    "model, k",
+    [(maxwell_lattice(1.0, 2.7), [0.3, -0.2]), (maxwell_lattice(1.0, 1.3), [2.0, 1.0]),
+     (chiral_ti_3d(2.0), [0.3, -0.2, 0.1]), (spin_j_continuum(2.5, 0.9, -1.1, 0.7), [0.3, -0.2])],
+    ids=["maxwell-2.7", "maxwell-1.3", "chiral", "spin-5/2"],
+)
+def test_pure_drift_has_an_empty_spectrum(model, k):
+    # an eigenstate only drifts: what the line fit leaves is roundoff, not a peak
+    k = np.array(k)
+    tracks = [pcm_trajectory_exact(model, k, band, include_drift=True)
+              for band in range(model.band_count)]
+    tracks.append(wavepacket_trajectory(model, WavePacket(10.0, k, 0), (0.1, 9)))
+    for traj in tracks:
+        assert np.max(np.abs(traj.pcm)) > 0.0
+        spec = zb_spectrum(traj)
+        assert spec.peaks == () and not spec.power.any()
+        assert rotation_index(traj) == 0
 
 
 def test_exact_matches_spin1_closed_form():
@@ -218,15 +255,12 @@ def test_packet_finite_width_decays_within_envelope():
     # pointwise bound: ideal point amplitude plus the worst group-velocity drift
     _, form = closed_form_spin1(2.0, 2.0, 2 * (1.9 - 2.0), spinor, traj.times)
     ideal = np.hypot(form.amplitude[0], form.amplitude[1])
-    from zbtopo.models import decompose
-
     half, npts = traj.metadata["grid"]["half_width"], traj.metadata["grid"]["points"]
-    axes = np.linspace(-half, half, npts)
-    vmax = max(
-        np.max(np.abs(decompose(model, np.array([kx, ky])).group_velocities))
-        for kx in axes[:: npts // 4]
-        for ky in axes[:: npts // 4]
-    )
+    axes = np.linspace(-half, half, npts)[:: npts // 4]
+    ks = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    hams, grads = evaluate(model, ks), gradient(model, ks)
+    # band velocities are the band-index drifts <n| dH/dk |n>
+    vmax = max(np.max(np.abs(_pair_data(hams, grads, band)[2])) for band in range(3))
     total = np.linalg.norm(traj.pcm, axis=1)
     assert np.all(total <= ideal + traj.times * vmax + 1e-9)
 

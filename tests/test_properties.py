@@ -4,9 +4,9 @@ the shared-solve plaquette Chern numbers and the rotation sense.
 
 Each property is checked against a plain reference written here: the real
 coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
-explicit eigenvectors, a dense sin/cos sum, a one-shot factored product, a
-per-momentum packet loop, per-generator trace projections and per-band
-plaquette calls.
+explicit eigenvectors and from explicit degenerate-group projectors, a dense
+sin/cos sum, a one-shot factored product, a per-momentum packet loop,
+per-generator trace projections and per-band plaquette calls.
 """
 
 import tracemalloc
@@ -59,21 +59,15 @@ def random_stack(rng, shape, dim, degenerate):
     return out
 
 
-def assert_slotwise(stacked, matrices):
-    """The padded stack result holds each per-matrix result in its group slots."""
-    n = matrices.shape[-1]
+def assert_matches_per_matrix(stacked, matrices):
+    """The stacked result holds each per-matrix result and rebuilds every matrix."""
     for idx in np.ndindex(matrices.shape[:-2]):
         single = hermitian_eig(matrices[idx])
-        sizes = stacked.group_sizes[idx]
-        used = sizes > 0
         np.testing.assert_allclose(stacked.energies[idx], single.energies, atol=1e-12)
         np.testing.assert_allclose(stacked.states[idx], single.states, atol=1e-12)
-        np.testing.assert_allclose(stacked.levels[idx][used], single.levels, atol=1e-12)
-        np.testing.assert_allclose(stacked.projectors[idx][used], single.projectors, atol=1e-12)
-        assert tuple(int(s) for s in sizes[used]) == single.group_sizes
-        assert sizes.sum() == n
-        assert not np.any(stacked.projectors[idx][~used])
-        np.testing.assert_allclose(stacked.reconstruct()[idx], matrices[idx], atol=1e-10)
+    v = stacked.states
+    rebuilt = (v * stacked.energies[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    np.testing.assert_allclose(rebuilt, matrices, atol=1e-10)
 
 
 def same_bits(a, b):
@@ -117,7 +111,7 @@ def test_assembly_matches_real_coefficient_einsum(model, seed, count):
 def test_stacked_eig_matches_per_matrix(seed, dim, count, degenerate):
     rng = np.random.default_rng(seed)
     matrices = random_stack(rng, (count,), dim, degenerate)
-    assert_slotwise(hermitian_eig(matrices), matrices)
+    assert_matches_per_matrix(hermitian_eig(matrices), matrices)
 
 
 @given(seed=seeds, dim=st.integers(2, 5))
@@ -125,20 +119,25 @@ def test_stacked_eig_accepts_several_stack_axes(seed, dim):
     rng = np.random.default_rng(seed)
     matrices = random_stack(rng, (2, 3), dim, degenerate=bool(seed % 2))
     stacked = hermitian_eig(matrices)
-    assert stacked.levels.shape == (2, 3, dim)
-    assert stacked.projectors.shape == (2, 3, dim, dim, dim)
-    assert_slotwise(stacked, matrices)
+    assert stacked.energies.shape == (2, 3, dim)
+    assert stacked.states.shape == (2, 3, dim, dim)
+    assert_matches_per_matrix(stacked, matrices)
 
 
 @given(seed=seeds, count=st.integers(1, 30))
-def test_stacked_eig_merges_kane_mele_kramers_pairs(seed, count):
-    # at lambda_r = lambda_v = 0 every momentum carries two Kramers pairs
+def test_stacked_eig_keeps_kane_mele_kramers_pairs(seed, count):
+    # at lambda_r = lambda_v = 0 every momentum carries two Kramers pairs, and
+    # each level of a pair keeps its own eigenvector column
     rng = np.random.default_rng(seed)
     model = kane_mele(1.0, 0.1, 0.0, 0.0)
     hams = evaluate(model, rng.uniform(-np.pi, np.pi, (count, 2)))
     stacked = hermitian_eig(hams)
-    assert np.array_equal(stacked.group_sizes, np.tile([2, 0, 2, 0], (count, 1)))
-    assert_slotwise(stacked, hams)
+    gaps = np.diff(stacked.energies, axis=-1)
+    assert np.all(gaps[:, [0, 2]] <= dynamics.DEGENERACY_TOL)
+    assert np.all(gaps[:, 1] > dynamics.DEGENERACY_TOL)
+    overlaps = np.swapaxes(stacked.states.conj(), -1, -2) @ stacked.states
+    np.testing.assert_allclose(overlaps, np.broadcast_to(np.eye(4), overlaps.shape), atol=1e-12)
+    assert_matches_per_matrix(stacked, hams)
 
 
 def test_stacked_eig_checks_every_matrix():
@@ -178,6 +177,94 @@ def test_pair_amplitudes_ignore_eigenvector_phases(model, seed, count):
     by_state = _pair_data(hams, grads, v[..., band])
     for a, b in zip(by_index, by_state):
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def group_reference(ham, dh, psi):
+    """One momentum from explicit group projectors P_G = sum_{g in G} v_g v_g^dag.
+
+    Ascending levels join a group while each lies within ``DEGENERACY_TOL`` of
+    the one below.  Returns the energies, the groups, their mean levels and
+    table[G, H] = <psi| P_G dH P_H |psi> (``psi`` may be a band index).
+    """
+    dec = hermitian_eig(ham)
+    w, v = dec.energies, dec.states
+    psi = v[:, psi] if isinstance(psi, int) else psi
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] <= dynamics.DEGENERACY_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    proj = [sum(np.outer(v[:, g], v[:, g].conj()) for g in group) @ psi for group in groups]
+    table = np.array([[np.einsum("i,dij,j->d", a.conj(), dh, b) for b in proj] for a in proj])
+    return w, groups, np.array([w[group].mean() for group in groups]), table
+
+
+@st.composite
+def pair_data_cases(draw):
+    """(hams, grads, psi): a random or integer-degenerate stack, Kane-Mele Kramers
+    pairs, or stacks holding a three-level chain spaced 0.6e-8 apart; psi is one
+    state, one state per momentum or a band index."""
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["random", "degenerate", "kramers", "chain"]))
+    count = draw(st.integers(1, 8))
+    if kind == "kramers":
+        model = kane_mele(1.0, 0.1, 0.0, 0.0)
+        ks = rng.uniform(-np.pi, np.pi, (count, 2))
+        hams, grads = evaluate(model, ks), gradient(model, ks)
+    else:
+        dim = draw(st.integers(3, 8))
+        if kind == "chain":
+            hams = np.empty((count, dim, dim), dtype=complex)
+            for k in range(count):
+                low = rng.uniform(-1.0, 1.0)
+                levels = np.concatenate([low + 0.6e-8 * np.arange(3),
+                                         low + rng.uniform(0.5, 2.5, dim - 3)])
+                u = random_unitary(rng, dim)
+                hams[k] = (u * levels) @ u.conj().T
+        else:
+            hams = random_stack(rng, (count,), dim, kind == "degenerate")
+        grads = random_stack(rng, (count, draw(st.integers(1, 3))), dim, False)
+    n = hams.shape[-1]
+    form = draw(st.sampled_from(["shared", "per-momentum", "band"]))
+    if form == "band":
+        return hams, grads, int(rng.integers(n))
+    raw = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    psi = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    return hams, grads, psi[0] if form == "shared" else psi
+
+
+@given(case=pair_data_cases())
+def test_pair_data_matches_group_projector_reference(case):
+    hams, grads, psi = case
+    count, n = hams.shape[:2]
+    dh = np.zeros((count, 3, n, n), dtype=complex)
+    dh[:, : grads.shape[1]] = grads
+    omegas, amps, drift = _pair_data(hams, grads, psi)
+    g, h = np.triu_indices(n, k=1)
+    times = np.linspace(0.0, 20.0, 41)
+    for k in range(count):
+        state = psi if isinstance(psi, int) else np.broadcast_to(psi, (count, n))[k]
+        w, groups, means, table = group_reference(hams[k], dh[k], state)
+        label = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+        tol = 1e-12 * max(1.0, np.max(np.abs(table)))
+        # every pair oscillates at the gap of its groups' mean levels
+        np.testing.assert_allclose(omegas[k], means[label[g]] - means[label[h]], rtol=0, atol=1e-12)
+        # the pairs between two groups sum to the group pair's amplitude, and
+        # the pairs inside one group (the diagonal) carry none
+        summed = np.zeros_like(table)
+        np.add.at(summed, (label[g], label[h]), amps[k])
+        expected = np.triu(np.ones(table.shape[:2]), k=1)[..., None] * table
+        np.testing.assert_allclose(summed, expected, rtol=0, atol=tol)
+        np.testing.assert_allclose(drift[k], np.einsum("ggd->d", table).real, rtol=0, atol=tol)
+        # so the oscillation summed over pairs is the one summed over group pairs
+        a, b = np.triu_indices(len(groups), k=1)
+        if a.size:
+            cross = label[g] != label[h]
+            ref = dense_oscillation(times, means[a] - means[b], table[a, b])
+            got = dense_oscillation(times, omegas[k][cross], amps[k][cross])
+            bound = max(1.0, np.sum(np.abs(table[a, b]) / np.abs(means[a] - means[b])[:, None]))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * bound
 
 
 def dense_oscillation(times, omegas, amps):
@@ -259,7 +346,12 @@ def test_oscillation_memory_is_bounded_by_the_chunk():
 
 
 def reference_packet(model, packet, grid_spec):
-    """Per-momentum loop over single-matrix ``hermitian_eig`` with dense synthesis."""
+    """Per-momentum loop over explicit group projectors with dense synthesis.
+
+    Group pairs oscillate at the gap of the groups' mean levels; ``zb_scale``
+    is the largest 2 |<y_g| dH |y_h>| / |omega| over present pairs of
+    eigenvectors y_g = v_g (v_g^dag psi) in different groups.
+    """
     half_width, n_pts = grid_spec
     axes = [c + np.linspace(-half_width, half_width, n_pts) for c in packet.center]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -268,24 +360,31 @@ def reference_packet(model, packet, grid_spec):
     n = model.band_count
     omegas, amps, drift, scale = [], [], np.zeros(3), 0.0
     for weight, k in zip(weights, mesh):
-        dec = hermitian_eig(evaluate(model, k))
-        if isinstance(packet.spinor, int):
-            psi = dec.states[:, packet.spinor]
-        else:
-            psi = model.mass_eigenbasis() @ packet.spinor
+        ham = evaluate(model, k)
+        psi = packet.spinor
+        if not isinstance(psi, int):
+            psi = model.mass_eigenbasis() @ psi
         dh = np.zeros((3, n, n), dtype=complex)
         dh[: model.momentum_dim] = gradient(model, k)
-        proj = dec.projectors @ psi
-        mat = np.einsum("gi,dij,hj->ghd", proj.conj(), dh, proj)
-        drift += weight * np.einsum("ggd->d", mat).real
-        pairs = [(dec.levels[g] - dec.levels[h], mat[g, h])
-                 for g in range(len(dec.levels)) for h in range(g + 1, len(dec.levels))]
-        mags = np.array([np.max(np.abs(a)) for _, a in pairs])
+        w, groups, means, table = group_reference(ham, dh, psi)
+        drift += weight * np.einsum("ggd->d", table).real
+        pairs = [(means[a] - means[b], table[a, b])
+                 for a in range(len(groups)) for b in range(a + 1, len(groups))]
+        mags = np.array([np.max(np.abs(amp)) for _, amp in pairs])
         present = [(omega, amp) for (omega, amp), mag in zip(pairs, mags)
                    if mag > 1e-12 * (1.0 + mags.max())]
-        scale += weight * max((2 * np.max(np.abs(a)) / abs(w) for w, a in present), default=0.0)
         omegas += [omega for omega, _ in present]
         amps += [weight * amp for _, amp in present]
+
+        v = hermitian_eig(ham).states
+        y = v * (np.eye(n)[psi] if isinstance(psi, int) else v.conj().T @ psi)
+        label = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+        level = means[label]
+        eigen_pairs = [(level[a] - level[b], np.einsum("i,dij,j->d", y[:, a].conj(), dh, y[:, b]))
+                       for a in range(n) for b in range(a + 1, n) if label[a] != label[b]]
+        mags = np.array([np.max(np.abs(amp)) for _, amp in eigen_pairs] or [0.0])
+        scale += weight * max((2 * mag / abs(omega) for (omega, _), mag in zip(eigen_pairs, mags)
+                               if mag > 1e-12 * (1.0 + mags.max())), default=0.0)
     omegas, amps = np.array(omegas), np.array(amps).reshape(-1, 3)
     if omegas.size:
         times = zb_time_grid(np.abs(omegas).max(), np.abs(omegas).min())

@@ -9,6 +9,11 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
+def rebuild(dec):
+    """sum_i E_i v_i v_i^dag from the eigenvector columns."""
+    return (dec.states * dec.energies) @ dec.states.conj().T
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_projector_invariants_random(dim):
     rng = np.random.default_rng(100 + dim)
@@ -16,21 +21,22 @@ def test_projector_invariants_random(dim):
     for _ in range(1000):
         h = random_hermitian(rng, dim)
         dec = hermitian_eig(h)
-        total = dec.projectors.sum(axis=0)
+        projectors = np.einsum("ig,jg->gij", dec.states, dec.states.conj())
+        total = projectors.sum(axis=0)
         assert np.max(np.abs(total - eye)) < 1e-10
-        for i, qi in enumerate(dec.projectors):
-            for j, qj in enumerate(dec.projectors):
+        for i, qi in enumerate(projectors):
+            for j, qj in enumerate(projectors):
                 expect = qi if i == j else 0.0
                 assert np.max(np.abs(qi @ qj - expect)) < 1e-10
-        assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
+        assert np.max(np.abs(rebuild(dec) - h)) < 1e-10
         assert np.all(np.diff(dec.energies) >= -1e-12)
 
 
 def test_pauli_z_pattern():
     dec = hermitian_eig(np.diag([1.0, -1.0]))
     assert np.allclose(dec.energies, [-1.0, 1.0])
-    assert np.allclose(dec.projectors[0], np.diag([0.0, 1.0]))
-    assert np.allclose(dec.projectors[1], np.diag([1.0, 0.0]))
+    assert np.allclose(np.outer(dec.states[:, 0], dec.states[:, 0].conj()), np.diag([0.0, 1.0]))
+    assert np.allclose(np.outer(dec.states[:, 1], dec.states[:, 1].conj()), np.diag([1.0, 0.0]))
 
 
 def test_spin1_jz_spectrum():
@@ -43,7 +49,7 @@ def test_random_5x5_reconstruction_seed42():
     rng = np.random.default_rng(42)
     h = random_hermitian(rng, 5)
     dec = hermitian_eig(h)
-    assert np.linalg.norm(dec.reconstruct() - h) < 1e-10
+    assert np.linalg.norm(rebuild(dec) - h) < 1e-10
 
 
 def test_degenerate_levels_grouped():
@@ -51,10 +57,11 @@ def test_degenerate_levels_grouped():
                      + 1j * np.random.default_rng(6).standard_normal((4, 4)))[0]
     h = u @ np.diag([1.0, 1.0, 2.0, 3.0]) @ u.conj().T
     dec = hermitian_eig(h)
-    assert dec.group_sizes == (2, 1, 1)
-    assert len(dec.levels) == 3
-    # rank-2 projector of the degenerate pair
-    assert abs(np.trace(dec.projectors[0]).real - 2.0) < 1e-10
+    # one column per level; the degenerate pair's columns span its eigenspace
+    assert np.allclose(dec.energies, [1.0, 1.0, 2.0, 3.0])
+    pair = dec.states[:, :2] @ dec.states[:, :2].conj().T
+    assert abs(np.trace(pair).real - 2.0) < 1e-10
+    assert np.max(np.abs(pair - u[:, :2] @ u[:, :2].conj().T)) < 1e-10
 
 
 def test_phase_convention_deterministic():
