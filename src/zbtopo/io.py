@@ -30,18 +30,17 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_lines(path, lines):
+def _write_rows(path, header, rows) -> None:
+    """Write the header line, then each row of numbers as it arrives."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per sample: t,x,y,z."""
-    lines = ["t,x,y,z"]
-    for t, (x, y, z) in zip(traj.times, traj.pcm):
-        lines.append(",".join(fmt(v) for v in (t, x, y, z)))
-    _write_lines(path, lines)
+    _write_rows(path, ["t", "x", "y", "z"], ((t, *p) for t, p in zip(traj.times, traj.pcm)))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -53,10 +52,8 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_spectrum_csv(spectrum: ZBSpectrum, path) -> None:
     """One row per frequency bin: omega,px,py,pz (relative power)."""
-    lines = ["omega,px,py,pz"]
-    for omega, row in zip(spectrum.omegas, spectrum.power):
-        lines.append(",".join(fmt(v) for v in (omega, *row)))
-    _write_lines(path, lines)
+    _write_rows(path, ["omega", "px", "py", "pz"],
+                ((omega, *row) for omega, row in zip(spectrum.omegas, spectrum.power)))
 
 
 def read_spectrum_csv(path):
@@ -71,17 +68,11 @@ def write_bands_csv(path, arc, momenta, energies) -> None:
     dim = momenta.shape[1]
     nbands = energies.shape[1]
     header = ["s"] + [f"k{i + 1}" for i in range(dim)] + [f"E{i + 1}" for i in range(nbands)]
-    lines = [",".join(header)]
-    for s, k, e in zip(arc, momenta, energies):
-        lines.append(",".join(fmt(v) for v in (s, *k, *e)))
-    _write_lines(path, lines)
+    _write_rows(path, header, ((s, *k, *e) for s, k, e in zip(arc, momenta, energies)))
 
 
 def write_sweep_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    _write_lines(path, lines)
+    _write_rows(path, header, rows)
 
 
 def read_csv_table(path):

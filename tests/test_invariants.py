@@ -365,6 +365,19 @@ def test_z2_stable_along_rashba_ramp():
     )
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": 0}, "grid must be a positive integer, got 0"),
+    ({"grid": 2.5}, "grid must be a positive integer, got 2.5"),
+    ({"steps": 0}, "steps must be a positive integer, got 0"),
+    ({"steps": -1}, "steps must be a positive integer, got -1"),
+])
+def test_rashba_ramp_bad_arguments_rejected(kwargs, message):
+    # these used to leak numpy's reduction and linspace errors, run on a
+    # non-uniform mesh, or return an empty ramp
+    with pytest.raises(ValueError, match=message):
+        rashba_gap_ramp(1.0, 0.06, 0.1, 0.05, **kwargs)
+
+
 # ---------------------------------------------------------------- dynamics link
 
 @pytest.mark.parametrize("m_param", [-3.0, -1.0, 1.0, 3.0])

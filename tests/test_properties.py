@@ -1,14 +1,17 @@
 """Property tests for Hamiltonian assembly, the momentum-batched spectral path,
 the chunked packet synthesis, the stacked high-symmetry-point linearization,
-the shared-solve plaquette Chern numbers and the rotation sense.
+the shared-solve plaquette Chern numbers, the rotation sense, the stacked
+honeycomb invariants and the bounded Rashba ramp.
 
 Each property is checked against a plain reference written here: the real
 coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
 explicit eigenvectors and from explicit degenerate-group projectors, a dense
 sin/cos sum, a one-shot factored product, a per-momentum packet loop,
-per-generator trace projections and per-band plaquette calls.
+per-generator trace projections, per-band plaquette calls, per-point honeycomb
+solves and the full-mesh Rashba ramp.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -29,9 +32,11 @@ from zbtopo import (
     linearize_at_hsp,
     maxwell_lattice,
     pcm_trajectory_exact,
+    rashba_gap_ramp,
     rotation_index,
     spin_j_continuum,
     wavepacket_trajectory,
+    z2_fu_kane_parity,
     zb_time_grid,
 )
 from zbtopo import dynamics, invariants
@@ -600,3 +605,142 @@ def test_rotation_index_is_unchanged_by_whole_period_shifts(case, shifts):
     assert np.allclose(later.pcm, traj.pcm, rtol=0.0, atol=1e-9 * traj.metadata["zb_scale"])
     for plane in ((0, 1), (1, 0)):
         assert rotation_index(later, plane) == rotation_index(traj, plane)
+
+
+# ---------------------------------------------------------------- honeycomb
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (GaplessError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_valley_masses(model):
+    """Spin-up masses from one solve per valley, K before K'."""
+    proj = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])).astype(complex)
+    masses = []
+    for kpt in (np.array([2 * np.pi / 3, 4 * np.pi / 3]), np.array([4 * np.pi / 3, 2 * np.pi / 3])):
+        ham = evaluate(model, kpt)
+        w = np.linalg.eigvalsh(ham)
+        if w[2] - w[1] < invariants.MASS_FLOOR:
+            raise GaplessError(f"honeycomb gap closed at valley k = {tuple(kpt)}: "
+                               f"gap {w[2] - w[1]:.3e}")
+        mass = float(np.einsum("ij,ji->", proj, ham).real) / 2.0
+        if abs(mass) < invariants.MASS_FLOOR:
+            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt)}")
+        masses.append(mass)
+    return masses
+
+
+def reference_fu_kane(model):
+    """Parity product from one solve per invariant momentum, in the library's order."""
+    parity_op = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
+    product = 1
+    for trim in ([0.0, 0.0], [np.pi, 0.0], [0.0, np.pi], [np.pi, np.pi]):
+        trim = np.array(trim)
+        w, v = np.linalg.eigh(evaluate(model, trim))
+        if w[2] - w[1] < invariants.MASS_FLOOR:
+            raise GaplessError(f"gap closed at the invariant momentum {tuple(trim)}")
+        block = v[:, :2].conj().T @ parity_op @ v[:, :2]
+        xi = block.trace().real / 2.0
+        if abs(abs(xi) - 1.0) > 1e-6 or np.max(np.abs(block - xi * np.eye(2))) > 1e-6:
+            raise ValueError(f"occupied doublet at {tuple(trim)} is not a parity eigenspace")
+        product *= int(np.sign(xi))
+    return (1 - product) // 2
+
+
+BOUNDARY = 3 * np.sqrt(3)
+
+
+@given(t=st.sampled_from([0.0, 1.0]) | st.floats(-1.5, 1.5), lambda_so=st.floats(0.0, 0.3),
+       side=st.sampled_from([1.0, -1.0, None]), lambda_v=st.floats(-1.0, 1.0),
+       lambda_r=st.sampled_from([0.0]) | st.floats(0.0, 0.5))
+@example(t=1.0, lambda_so=0.06, side=1.0, lambda_v=0.0, lambda_r=0.0)
+@example(t=1.0, lambda_so=0.06, side=-1.0, lambda_v=0.0, lambda_r=0.0)
+@example(t=1.0, lambda_so=0.06, side=1.0, lambda_v=0.0, lambda_r=0.05)
+@example(t=1.0, lambda_so=0.06, side=-1.0, lambda_v=0.0, lambda_r=0.05)
+def test_stacked_valley_masses_match_per_valley_solves(t, lambda_so, side, lambda_v, lambda_r):
+    # side puts lambda_v on the phase boundary lambda_v = +-3 sqrt(3) lambda_so:
+    # without Rashba coupling both valleys close their gap (time reversal maps
+    # K to K'), with it the mass of K' (side +1) or K (side -1) vanishes
+    if side is not None:
+        lambda_v = side * BOUNDARY * lambda_so
+    model = kane_mele(t, lambda_so, lambda_r, lambda_v)
+    assert outcome(invariants._km_valley_masses, model) == outcome(reference_valley_masses, model)
+
+
+@pytest.mark.parametrize("lambda_r, message", [
+    (0.0, "honeycomb gap closed at valley k = "),
+    (0.05, "vanishing valley mass at k = "),
+])
+def test_valley_masses_refuse_the_phase_boundary(lambda_r, message):
+    model = kane_mele(1.0, 0.06, lambda_r, BOUNDARY * 0.06)
+    expected = outcome(reference_valley_masses, model)
+    assert expected[0] is GaplessError and expected[1].startswith(message)
+    assert outcome(invariants._km_valley_masses, model) == expected
+
+
+@given(t=st.sampled_from([0.0]) | st.floats(-1.5, 1.5), lambda_so=st.floats(0.0, 0.3))
+@example(t=0.0, lambda_so=0.06)
+def test_stacked_parity_products_match_per_momentum_solves(t, lambda_so):
+    # t = 0 closes the gap at every invariant momentum; the first one is named
+    model = kane_mele(t, lambda_so, 0.0, 0.0)
+    assert outcome(z2_fu_kane_parity, model) == outcome(reference_fu_kane, model)
+
+
+def reference_ramp(t, lambda_so, lambda_v, lambda_r_max, steps, grid):
+    """Every step diagonalizes the whole mesh, with per-valley Z2 solves."""
+    axes = 2 * np.pi * np.arange(grid) / grid
+    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    out = []
+    for lam_r in np.linspace(0.0, lambda_r_max, steps):
+        model = kane_mele(t, lambda_so, float(lam_r), lambda_v)
+        w = np.linalg.eigvalsh(evaluate(model, mesh))
+        m_k, m_kp = reference_valley_masses(model)
+        out.append((float(lam_r), float((w[..., 2] - w[..., 1]).min()), 1 if m_k * m_kp < 0 else 0))
+    return out
+
+
+@st.composite
+def verify_ramps(draw):
+    """The ramps of `zb verify`'s Kane-Mele check."""
+    lambda_so, lambda_v = draw(st.floats(0.03, 0.10)), draw(st.floats(0.0, 0.45))
+    assume(abs(lambda_v - BOUNDARY * lambda_so) > 0.03)
+    return 1.0, lambda_so, lambda_v, 0.05, 6, 33
+
+
+@st.composite
+def broad_ramps(draw):
+    """Any grid, including those that miss the valleys; strong ramps move the minimum."""
+    return (draw(st.floats(0.5, 1.5)), draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 1.0)),
+            draw(st.floats(0.0, 1.0)), draw(st.integers(1, 8)), draw(st.integers(2, 40)))
+
+
+@given(args=verify_ramps() | broad_ramps())
+# the minimum moves off the lambda_r = 0 argmin on the first two ramps; the
+# third needs every bound taken from the lambda_r = 0 step, not the previous one
+@example(args=(1.0, 0.06, 0.1, 0.05, 6, 33))
+@example(args=(0.891228190495662, 0.1550220547864091, 0.4306280204141778,
+               0.5867985714381407, 2, 30))
+@example(args=(0.5449673550017765, 0.11611483994518985, 0.7263565217141167,
+               0.8682551861790878, 5, 2))
+def test_bounded_ramp_matches_full_mesh_ramp(args):
+    assert outcome(rashba_gap_ramp, *args) == outcome(reference_ramp, *args)
+
+
+def test_bounded_ramp_solves_a_fraction_of_the_mesh(monkeypatch):
+    solved = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(matrices):
+        solved.append(matrices.shape[:-2])
+        return real_eigvalsh(matrices)
+
+    monkeypatch.setattr(invariants.np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(invariants, "z2_kane_mele", lambda model: 1)  # no valley solves
+    rashba_gap_ramp(1.0, 0.06, 0.1, 0.05, steps=6, grid=33)
+    assert solved[0] == (33, 33) and len(solved) == 6
+    # Weyl's bound leaves a few percent of the mesh to solve after the first step
+    assert sum(math.prod(shape) for shape in solved[1:]) < 0.2 * 33**2
