@@ -356,30 +356,29 @@ def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
     """Track the bulk gap and the Z2 index along a Rashba ramp 0 -> lambda_r_max.
 
     Returns a list of (lambda_r, min bulk gap, z2).  The grid includes the
-    valley momenta exactly when it is a multiple of 3.  Only the first step
-    diagonalizes the whole mesh; by Weyl's inequality a later step's gap at
-    k lies within 2 ||H(k) - H_0(k)||_F of the first step's, so a step solves
-    only the points whose lowest possible gap reaches the smallest highest
-    possible gap, which hold the same minimum, bit for bit.
+    valley momenta exactly when it is a multiple of 3.  At lambda_r = 0 the
+    spin sectors decouple with levels +-|d_s(k)|, and H(lambda_r) - H(0) =
+    lambda_r R(k); by Weyl's inequality the gap at k lies within
+    2 |lambda_r| ||R(k)||_F of 2 min_s |d_s(k)|, so each step solves only the
+    points whose lowest possible gap reaches the smallest highest possible
+    gap, which hold the same minimum, bit for bit.
     """
     check_grid(grid)
     check_grid(steps, name="steps")
     axes = 2 * np.pi * np.arange(grid) / grid
     mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    levels = np.linalg.norm([kane_mele_spin_sector(t, lambda_so, lambda_v, s).coeff(mesh)
+                             for s in (1, -1)], axis=-1)
+    gap0, scale = 2 * levels.min(axis=0), 1.0 + levels.max()
+    rashba = np.linalg.norm(evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh), axis=(-2, -1))
     out = []
     for lam_r in np.linspace(0.0, lambda_r_max, steps):
         model = kane_mele(t, lambda_so, float(lam_r), lambda_v)
-        ham = evaluate(model, mesh)
-        if not out:
-            ham0 = ham
-            w = np.linalg.eigvalsh(ham)
-            gap0, scale = w[..., 2] - w[..., 1], 1.0 + np.abs(w).max()
-        else:
-            # 1e-9 of the matrix scale covers the eigensolver's rounding
-            delta = np.linalg.norm(ham - ham0, axis=(-2, -1))
-            spread = 2 * delta + 1e-9 * (scale + delta)
-            # skip only the points proven above the minimum (a NaN is not)
-            w = np.linalg.eigvalsh(ham[~(gap0 - spread > (gap0 + spread).min())])
+        delta = abs(lam_r) * rashba
+        # 1e-9 of the matrix scale covers the eigensolver's rounding
+        spread = 2 * delta + 1e-9 * (scale + delta)
+        # skip only the points proven above the minimum (a NaN is not)
+        w = np.linalg.eigvalsh(evaluate(model, mesh[~(gap0 - spread > (gap0 + spread).min())]))
         out.append((float(lam_r), float((w[..., 2] - w[..., 1]).min()), z2_kane_mele(model)))
     return out
 

@@ -31,11 +31,11 @@ def fmt(x) -> str:
 
 
 def _write_rows(path, header, rows) -> None:
-    """Write the header line, then each row of numbers as it arrives."""
+    """Write the header line, then each row through one template that spells values as fmt."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,14 +1,14 @@
 """Property tests for Hamiltonian assembly, the momentum-batched spectral path,
 the chunked packet synthesis, the stacked high-symmetry-point linearization,
 the shared-solve plaquette Chern numbers, the rotation sense, the stacked
-honeycomb invariants and the bounded Rashba ramp.
+honeycomb invariants, the bounded Rashba ramp and the CSV row template.
 
 Each property is checked against a plain reference written here: the real
 coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
 explicit eigenvectors and from explicit degenerate-group projectors, a dense
 sin/cos sum, a one-shot factored product, a per-momentum packet loop,
 per-generator trace projections, per-band plaquette calls, per-point honeycomb
-solves and the full-mesh Rashba ramp.
+solves, the full-mesh Rashba ramp and ``io.fmt`` per value.
 """
 
 import math
@@ -39,7 +39,7 @@ from zbtopo import (
     z2_fu_kane_parity,
     zb_time_grid,
 )
-from zbtopo import dynamics, invariants
+from zbtopo import dynamics, invariants, io as zio
 from zbtopo.dynamics import _CHUNK, _oscillation, _pair_data
 
 seeds = st.integers(0, 2**32 - 1)
@@ -726,21 +726,90 @@ def broad_ramps(draw):
                0.5867985714381407, 2, 30))
 @example(args=(0.5449673550017765, 0.11611483994518985, 0.7263565217141167,
                0.8682551861790878, 5, 2))
+# cases the strategies never draw: no hopping, negative hopping, no intrinsic
+# coupling, a negative ramp, a one-point mesh and the phase boundary
+@example(args=(0.0, 0.06, 0.1, 0.05, 6, 33))
+@example(args=(-1.0, 0.06, 0.1, 0.05, 6, 33))
+@example(args=(1.0, 0.0, 0.1, 0.05, 6, 33))
+@example(args=(1.0, 0.06, 0.1, -0.05, 6, 33))
+@example(args=(1.0, 0.06, 0.1, 0.05, 6, 1))
+@example(args=(1.0, 0.06, BOUNDARY * 0.06, 0.05, 6, 33))
 def test_bounded_ramp_matches_full_mesh_ramp(args):
     assert outcome(rashba_gap_ramp, *args) == outcome(reference_ramp, *args)
 
 
+def test_bounded_ramp_refuses_the_phase_boundary():
+    args = (1.0, 0.06, BOUNDARY * 0.06, 0.05, 6, 33)
+    expected = outcome(reference_ramp, *args)
+    assert expected[0] is GaplessError and expected[1].startswith("honeycomb gap closed at valley")
+    assert outcome(rashba_gap_ramp, *args) == expected
+
+
+@given(t=st.floats(-1.5, 1.5), lambda_so=st.floats(0.0, 0.3), lambda_v=st.floats(-1.0, 1.0),
+       lambda_r=st.floats(-1.0, 1.0), grid=st.integers(1, 40))
+@example(t=0.0, lambda_so=0.0, lambda_v=0.0, lambda_r=0.0, grid=3)
+@example(t=1.0, lambda_so=0.06, lambda_v=BOUNDARY * 0.06, lambda_r=0.05, grid=33)
+def test_ramp_bound_premises(t, lambda_so, lambda_v, lambda_r, grid):
+    # the ramp's reference gap: at lambda_r = 0 the levels are +-|d_s| of the
+    # two spin sectors, so the middle gap is 2 min_s |d_s|
+    axes = 2 * np.pi * np.arange(grid) / grid
+    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    levels = np.stack([np.linalg.norm(kane_mele_spin_sector(t, lambda_so, lambda_v, s).coeff(mesh),
+                                      axis=-1) for s in (1, -1)])
+    scale = 1.0 + levels.max()
+    w = np.linalg.eigvalsh(evaluate(kane_mele(t, lambda_so, 0.0, lambda_v), mesh))
+    assert np.abs(w[..., 2] - w[..., 1] - 2 * levels.min(axis=0)).max() <= 1e-9 * scale
+    # its shift: the Rashba term is lambda_r R(k), with R free of the other couplings
+    shift = (evaluate(kane_mele(t, lambda_so, lambda_r, lambda_v), mesh)
+             - evaluate(kane_mele(t, lambda_so, 0.0, lambda_v), mesh))
+    rashba = evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh)
+    assert np.abs(shift - lambda_r * rashba).max() <= 1e-12 * scale
+
+
 def test_bounded_ramp_solves_a_fraction_of_the_mesh(monkeypatch):
-    solved = []
-    real_eigvalsh = np.linalg.eigvalsh
+    solved, assembled = [], []
+    real_eigvalsh, real_evaluate = np.linalg.eigvalsh, invariants.evaluate
 
     def counting_eigvalsh(matrices):
         solved.append(matrices.shape[:-2])
         return real_eigvalsh(matrices)
 
+    def counting_evaluate(model, k):
+        assembled.append((model.params, k.shape[:-1]))
+        return real_evaluate(model, k)
+
     monkeypatch.setattr(invariants.np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(invariants, "evaluate", counting_evaluate)
     monkeypatch.setattr(invariants, "z2_kane_mele", lambda model: 1)  # no valley solves
     rashba_gap_ramp(1.0, 0.06, 0.1, 0.05, steps=6, grid=33)
-    assert solved[0] == (33, 33) and len(solved) == 6
-    # Weyl's bound leaves a few percent of the mesh to solve after the first step
-    assert sum(math.prod(shape) for shape in solved[1:]) < 0.2 * 33**2
+    # the whole mesh is assembled once, for the Rashba term that bounds every step
+    rashba = {"t": 0.0, "lambda_so": 0.0, "lambda_r": 1.0, "lambda_v": 0.0}
+    assert assembled[0] == (rashba, (33, 33))
+    steps = [shape for _, shape in assembled[1:]]
+    assert len(solved) == len(steps) == 6 and solved == steps
+    # no step assembles or solves the whole mesh, lambda_r = 0 included
+    assert all(len(shape) == 1 and shape[0] < 33**2 for shape in solved)
+    assert sum(math.prod(shape) for shape in solved) < 0.2 * 33**2
+
+
+csv_values = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+              | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+              | st.integers(-10**300, 10**300)
+              | st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                 5e-324, -5e-324, 2.2250738585072009e-308, 0, -1, 2**53 + 1]))
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 8))
+    return width, draw(st.lists(st.tuples(*[csv_values] * width), max_size=20))
+
+
+@given(table=csv_tables())
+def test_csv_rows_spell_every_value_as_fmt(tmp_path_factory, table):
+    width, rows = table
+    header = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    zio.write_sweep_csv(path, header, rows)
+    expected = ",".join(header) + "\n" + "".join(",".join(map(zio.fmt, row)) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
