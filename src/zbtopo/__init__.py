@@ -28,6 +28,7 @@ from .dynamics import (
     SelectionRuleReport,
     zb_time_grid,
     pcm_trajectory_exact,
+    pcm_trajectories_exact,
     closed_form_spin1,
     closed_form_chiral,
     wavepacket_trajectory,

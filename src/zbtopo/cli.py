@@ -269,7 +269,10 @@ def cmd_zb(config, out_dir):
             grid_spec = None
             if "half_width" in pk or "grid_points" in pk:
                 grid_spec = (pk.get("half_width", 5.0 / pk["width"]), pk.get("grid_points"))
-            points = packet_grid(model, pk["width"], grid_spec)[1]
+            try:
+                points = packet_grid(model, pk["width"], grid_spec)[1]
+            except ValueError as exc:
+                raise ConfigError(f"dynamics.packet.grid_points: {exc}") from exc
             if points ** model.momentum_dim > _MAX_PACKET_MOMENTA:
                 field = "grid_points" if "grid_points" in pk else "half_width"
                 raise ConfigError(f"dynamics.packet.{field} gives {points}^{model.momentum_dim} "

@@ -37,6 +37,7 @@ __all__ = [
     "SelectionRuleReport",
     "zb_time_grid",
     "pcm_trajectory_exact",
+    "pcm_trajectories_exact",
     "closed_form_spin1",
     "closed_form_chiral",
     "wavepacket_trajectory",
@@ -68,14 +69,6 @@ class Trajectory:
     times: np.ndarray
     pcm: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def span(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 @dataclass(frozen=True)
@@ -178,28 +171,26 @@ def _validate_sampling(times, omegas_present):
     return times
 
 
-def _resolve_spinor(model: BlochModel, spinor):
-    """Mass-basis coefficients -> computational-basis state; band indices pass through."""
-    if isinstance(spinor, (int, np.integer)):
-        return int(spinor)
-    return model.mass_eigenbasis() @ _unit_spinor(spinor, model.band_count, model.name)
-
-
 def _pair_data(hams, grad_mats, psi):
     """Eigenvector-pair oscillation amplitudes and drift at K momenta.
 
     ``hams`` (K, n, n) go through one stacked :func:`hermitian_eig`; ``psi`` is a
-    state (n,) or (K, n), or a band index (one-hot).  With y_g = v_g (v_g^dag psi),
-    returns (omegas (K, P), amps (K, P, 3), drift (K, 3)) over eigenvector pairs
-    g < h: pair p oscillates as (2 / omega_p) Im(amps_p e^{i omega_p t}), omega_p =
-    E_g - E_h at chain-mean energies, amps_p = <y_g| dH |y_h>, zero inside a chain.
-    The drift sums each chain's whole block: <psi| P_G dH P_G |psi> over chains G.
+    state (n,) or (K, n), or a band index (one-hot), or at K = 1 a stack of states
+    (S, n) or band indices (S,) whose S rows share the eigensolve and replace K.
+    With y_g = v_g (v_g^dag psi), returns (omegas (K, P), amps (K, P, 3), drift (K, 3))
+    over eigenvector pairs g < h: pair p oscillates as (2 / omega_p) Im(amps_p
+    e^{i omega_p t}), omega_p = E_g - E_h at chain-mean energies, amps_p =
+    <y_g| dH |y_h>, zero inside a chain.  The drift sums each chain's whole block:
+    <psi| P_G dH P_G |psi> over chains G.
     """
     w, v = hermitian_eig(hams)
-    n = hams.shape[-1]
-    y = v * (np.eye(n)[psi] if isinstance(psi, int) else
-             np.einsum("kig,ki->kg", v.conj(), np.broadcast_to(psi, hams.shape[:-1]))[:, None])
-    dh = np.zeros(hams.shape[:1] + (3,) + hams.shape[1:], dtype=complex)
+    n, psi = hams.shape[-1], np.asarray(psi)
+    index = psi.dtype.kind in "iu"  # band indices
+    rows = np.broadcast_shapes(hams.shape[:1], psi.shape[:psi.ndim - 1 + index])
+    w, v, grad_mats = (np.broadcast_to(x, rows + x.shape[1:]) for x in (w, v, grad_mats))
+    y = v * (np.eye(n)[psi] if index else
+             np.einsum("kig,ki->kg", v.conj(), np.broadcast_to(psi, rows + (n,))))[..., None, :]
+    dh = np.zeros(rows + (3, n, n), dtype=complex)
     dh[:, : grad_mats.shape[1]] = grad_mats
     mat = np.einsum("kig,kdij,kjh->kghd", y.conj(), dh, y)
     chain = np.cumsum(np.diff(w, prepend=w[:, :1]) > DEGENERACY_TOL, axis=-1)
@@ -217,50 +208,61 @@ def _present_mask(amps):
 
 
 def _oscillation(times, omegas, amps):
-    """sum_p (2 / omega_p) Im(amps_p e^{i omega_p t}) as a (T, 3) array.
+    """sum_p (2 / omega_p) Im(amps_p e^{i omega_p t}) as a (..., T, 3) array for amps (..., P, 3).
 
     On the uniform grid, with B = ceil(sqrt(T)), e^{i w t_{bB+j}} = e^{i w t_{bB}}
     e^{i w j dt}: a (B, P) base block times one phase row per block, one complex
     matmul per ``_CHUNK`` pairs, added in order (P <= _CHUNK is a single product).
     About 2 sqrt(T) P transcendentals, and O(sqrt(T) _CHUNK) memory for any P.
+    Leading (spinor) indices share the phase factors, each in its own matmul.
     """
     n_t = len(times)
     block = int(np.ceil(np.sqrt(n_t)))
     n_blocks = -(-n_t // block)
     dt = (times[-1] - times[0]) / (n_t - 1)
-    out = np.zeros((block, n_blocks * 3), dtype=complex)
+    lead = amps.shape[:-2]
+    out = np.zeros(lead + (block, n_blocks * 3), dtype=complex)
     for lo in range(0, omegas.size, _CHUNK):
-        w, a = omegas[lo:lo + _CHUNK], amps[lo:lo + _CHUNK]
+        w, a = omegas[lo:lo + _CHUNK], amps[..., lo:lo + _CHUNK, :]
         base = np.exp(1j * np.outer(np.arange(block) * dt, w))
         rows = np.exp(1j * np.outer(w, times[::block]))
-        weighted = rows[:, :, None] * ((2.0 / w)[:, None] * a)[:, None, :]
-        part = base @ weighted.reshape(len(w), n_blocks * 3)
+        weighted = rows[:, :, None] * ((2.0 / w)[:, None] * a)[..., None, :]
+        part = base @ weighted.reshape(lead + (len(w), n_blocks * 3))
         out = out + part if lo else part
-    return out.imag.reshape(block, n_blocks, 3).transpose(1, 0, 2).reshape(-1, 3)[:n_t]
+    pcm = out.imag.reshape(lead + (block, n_blocks, 3)).swapaxes(-3, -2).reshape(lead + (-1, 3))
+    return pcm[..., :n_t, :]
+
+
+def pcm_trajectories_exact(model: BlochModel, k, spinors, times=None,
+                           include_drift: bool = False, *,
+                           samples_per_period: int = 64, periods: int = 8) -> tuple:
+    """Oscillatory center-of-mass trajectories from the eigenvector-pair double sum,
+    one per spinor of a stack (S, n) of mass-eigenbasis coefficients at momentum ``k``
+    (or of S band indices: energy eigenstates, which do not oscillate).
+
+    With ``include_drift`` the band-diagonal velocity term ``t * <dH/dp>_diag``
+    is added.  ``times=None`` builds the default grid from the oscillation
+    frequencies actually present.  One eigensolve serves the stack, and spinors
+    with the same pairs present share the time grid and phase factors.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if len(spinors) == 0:
+        return ()
+    sums = _momentum_sum(model, k[None], np.ones(1), spinors, times, include_drift,
+                         samples_per_period, periods)
+    momentum = tuple(float(x) for x in k)
+    return tuple(Trajectory(times=t, pcm=pcm, metadata={
+        "model": model.name, "momentum": momentum, "spinor": _spinor_tag(spinor),
+        "include_drift": include_drift, "zb_scale": scale})
+        for spinor, (t, pcm, scale) in zip(spinors, sums))
 
 
 def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
                          include_drift: bool = False, *,
                          samples_per_period: int = 64, periods: int = 8) -> Trajectory:
-    """Oscillatory center-of-mass trajectory from the eigenvector-pair double sum.
-
-    ``spinor`` holds coefficients in the model's mass eigenbasis (or a band
-    index for an energy eigenstate, which yields an identically zero
-    oscillation).  With ``include_drift`` the band-diagonal velocity term
-    ``t * <dH/dp>_diag`` is added.  ``times=None`` builds the default grid
-    from the oscillation frequencies actually present.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    times, pcm, scale = _momentum_sum(
-        model, k[None], np.ones(1), spinor, times, include_drift, samples_per_period, periods)
-    meta = {
-        "model": model.name,
-        "momentum": tuple(float(x) for x in k),
-        "spinor": _spinor_tag(spinor),
-        "include_drift": include_drift,
-        "zb_scale": scale,
-    }
-    return Trajectory(times=times, pcm=pcm, metadata=meta)
+    """:func:`pcm_trajectories_exact` for one spinor, or one band index."""
+    return pcm_trajectories_exact(model, k, [spinor], times, include_drift,
+                                  samples_per_period=samples_per_period, periods=periods)[0]
 
 
 def _amp_scale(omegas, amps, mask) -> np.ndarray:
@@ -269,23 +271,34 @@ def _amp_scale(omegas, amps, mask) -> np.ndarray:
     return np.max(np.where(mask[..., None], ratio, 0.0), axis=(-2, -1), initial=0.0)
 
 
-def _momentum_sum(model, ks, weights, spinor, times, include_drift, spp, periods):
-    """Weighted pair-sum trajectory over momenta ``ks``: (times, pcm, zb_scale)."""
-    psi = _resolve_spinor(model, spinor)
+def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, periods):
+    """Weighted pair-sum trajectories over momenta ``ks``, one (times, pcm, zb_scale)
+    per spinor; several spinors need a single momentum, so pair rows split as (S, K)."""
+    psi = np.stack([s if isinstance(s, (int, np.integer)) else model.mass_eigenbasis()
+                    @ _unit_spinor(s, model.band_count, model.name) for s in spinors])
     parts = [_pair_data(evaluate(model, c), gradient(model, c), psi)
              for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
-    omegas, amps, drifts = (np.concatenate(x) for x in zip(*parts))
+    omegas, amps, drifts = (np.concatenate(x).reshape((len(psi), -1) + x[0].shape[1:])
+                            for x in zip(*parts))
     mask = _present_mask(amps)
-    scale = float(weights @ _amp_scale(omegas, amps, mask))
-    omegas, amps = omegas[mask], (weights[:, None, None] * amps)[mask]
-    if times is None:
-        fast, slow = (np.abs(omegas).max(), np.abs(omegas).min()) if omegas.size else (1.0, None)
-        times = zb_time_grid(fast, slow, spp, periods)
-    times = _validate_sampling(times, omegas)
-    pcm = _oscillation(times, omegas, amps)
-    if include_drift:
-        pcm = pcm + np.outer(times, weights @ drifts)
-    return times, pcm, scale
+    scales = _amp_scale(omegas, amps, mask)
+    # only each spinor's weighted present pairs are kept: the full table is released
+    amps = {s: (weights[:, None, None] * a)[m] for s, (a, m) in enumerate(zip(amps, mask))}
+    groups, out = {}, {}
+    for s in range(len(psi)):
+        groups.setdefault(mask[s].tobytes(), []).append(s)
+    for members in groups.values():
+        present = omegas[members[0]][mask[members[0]]]
+        if times is None:
+            fast, slow = (abs(present).max(), abs(present).min()) if present.size else (1.0, None)
+        grid = _validate_sampling(zb_time_grid(fast, slow, spp, periods) if times is None
+                                  else times, present)
+        stack = np.stack([amps.pop(s) for s in members])
+        for s, pcm in zip(members, _oscillation(grid, present, stack)):
+            if include_drift:
+                pcm = pcm + np.outer(grid, weights @ drifts[s])
+            out[s] = (grid, pcm, float(weights @ scales[s]))
+    return [out[s] for s in range(len(psi))]
 
 
 def _spinor_tag(spinor):
@@ -450,8 +463,8 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     weights = np.exp(-d * d * np.sum((mesh - center) ** 2, axis=1))
     weights /= weights.sum()
 
-    times, pcm, scale = _momentum_sum(model, mesh, weights, packet.spinor, times,
-                                      include_drift, samples_per_period, periods)
+    (times, pcm, scale), = _momentum_sum(model, mesh, weights, [packet.spinor], times,
+                                         include_drift, samples_per_period, periods)
     meta = {
         "model": model.name,
         "packet": {"width": d, "center": tuple(float(x) for x in center)},
@@ -555,10 +568,11 @@ def rotation_index(traj: Trajectory, plane=(0, 1), scale: float | None = None) -
 
 
 def _peak_shift(power3):
-    """Bin offset of a peak from a parabola through sqrt of three powers around it."""
+    """Bin offsets of peaks from parabolas through sqrt of the three powers
+    around each (along axis 0); 0 where the parabola is flat."""
     left, mid, right = np.sqrt(power3)
     denom = left - 2 * mid + right
-    return 0.5 * (left - right) / denom if denom != 0 else 0.0
+    return np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
 
 
 def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
@@ -582,28 +596,23 @@ def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
         return ZBSpectrum(omegas=omegas, power=0.0 * power, peaks=(), resolution=resolution)
     power = power / top
 
-    peaks = []
-    for comp in range(power.shape[1]):
-        p = power[:, comp]
-        for b in range(1, len(p) - 1):
-            if p[b] >= 1e-10 and p[b] > p[b - 1] and p[b] >= p[b + 1]:
-                peaks.append(((b + _peak_shift(p[b - 1 : b + 2])) * resolution, float(p[b])))
+    # local maxima, component-major and bin-ascending: max() below keeps the first of equals
+    mid = power[1:-1]
+    comp, b = np.nonzero(((mid >= 1e-10) & (mid > power[:-2]) & (mid >= power[2:])).T)
+    b = b + 1
+    shift = _peak_shift(power[b + np.array([[-1], [0], [1]]), comp])
+    peaks = list(zip(((b + shift) * resolution).tolist(), power[b, comp].tolist()))
     if peaks:
         dom = max(peaks, key=lambda pk: pk[1])
         if dom[0] / resolution < MIN_SPAN_PERIODS:
             raise ValueError(
                 "sampling too short: fewer than four cycles of the dominant oscillation"
             )
-    peaks = _merge_peaks(peaks, resolution)
-    return ZBSpectrum(omegas=omegas, power=power, peaks=tuple(peaks), resolution=resolution)
-
-
-def _merge_peaks(peaks, resolution):
     merged = []
     for freq, pw in sorted(peaks, key=lambda pk: -pk[1]):
         if all(abs(freq - f0) > resolution for f0, _ in merged):
-            merged.append((float(freq), pw))
-    return merged
+            merged.append((freq, pw))
+    return ZBSpectrum(omegas=omegas, power=power, peaks=tuple(merged), resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -622,9 +631,9 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
                          spurious_tol: float = 1e-10) -> SelectionRuleReport:
     """Verify that random spinors of a spin-j system oscillate only at |m|.
 
-    For each trial the exact trajectory at p = 0 is transformed and every
-    Fourier bin away from the |m| line is compared against the main peak;
-    the worst relative power over all trials is reported.
+    The trials' exact trajectories at p = 0 come from one spinor stack; each
+    is transformed and every Fourier bin away from the |m| line is compared
+    against the main peak; the worst relative power over all trials is reported.
     """
     if j > 3.5:
         raise ValueError("selection-rule check supports j <= 7/2")
@@ -638,10 +647,8 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
     worst_freq_err = 0.0
     ok = True
     dim = model.band_count
-    for _ in range(trials):
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        spinor = raw / np.linalg.norm(raw)
-        traj = pcm_trajectory_exact(model, origin, spinor, times)
+    raws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(trials)]
+    for traj in pcm_trajectories_exact(model, origin, [r / np.linalg.norm(r) for r in raws], times):
         spec = zb_spectrum(traj)
         if not spec.peaks:
             continue
@@ -651,9 +658,8 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
         if abs(freq - omega) > spec.resolution:
             ok = False
         away = np.ones(spec.power.shape[0], dtype=bool)
-        away[: 1] = False
-        lo = max(0, main_bin - 2)
-        away[lo : main_bin + 3] = False
+        away[0] = False
+        away[max(0, main_bin - 2) : main_bin + 3] = False
         spurious = float(spec.power[away].max()) if away.any() else 0.0
         worst_power = max(worst_power, spurious)
     return SelectionRuleReport(

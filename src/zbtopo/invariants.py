@@ -9,6 +9,7 @@ parity / inversion-parity products for the honeycomb model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -351,6 +352,16 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
     return (1 - product) // 2
 
 
+@functools.cache
+def _ramp_mesh(grid):
+    """Zone mesh and ||R(k)||_F on it, R = dH/dlambda_r: built once per grid, read-only."""
+    axes = 2 * np.pi * np.arange(grid) / grid
+    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    rashba = np.linalg.norm(evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh), axis=(-2, -1))
+    mesh.flags.writeable = rashba.flags.writeable = False
+    return mesh, rashba
+
+
 def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
                     lambda_r_max: float, steps: int = 6, grid: int = 33):
     """Track the bulk gap and the Z2 index along a Rashba ramp 0 -> lambda_r_max.
@@ -361,16 +372,19 @@ def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
     lambda_r R(k); by Weyl's inequality the gap at k lies within
     2 |lambda_r| ||R(k)||_F of 2 min_s |d_s(k)|, so each step solves only the
     points whose lowest possible gap reaches the smallest highest possible
-    gap, which hold the same minimum, bit for bit.
+    gap, which hold the same minimum, bit for bit.  A non-finite t,
+    lambda_so, lambda_v or lambda_r_max is a ValueError naming it.
     """
     check_grid(grid)
     check_grid(steps, name="steps")
-    axes = 2 * np.pi * np.arange(grid) / grid
-    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    for name, value in zip(("t", "lambda_so", "lambda_v", "lambda_r_max"),
+                           (t, lambda_so, lambda_v, lambda_r_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    mesh, rashba = _ramp_mesh(grid)
     levels = np.linalg.norm([kane_mele_spin_sector(t, lambda_so, lambda_v, s).coeff(mesh)
                              for s in (1, -1)], axis=-1)
     gap0, scale = 2 * levels.min(axis=0), 1.0 + levels.max()
-    rashba = np.linalg.norm(evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh), axis=(-2, -1))
     out = []
     for lam_r in np.linspace(0.0, lambda_r_max, steps):
         model = kane_mele(t, lambda_so, float(lam_r), lambda_v)

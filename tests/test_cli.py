@@ -596,7 +596,9 @@ def test_zb_bad_momentum_is_config_error(tmp_path, capsys, dynamics, message):
      ({"half_width": -1}, "dynamics.packet.half_width must be a positive number, got -1"),
      ({"half_width": 0.0}, "dynamics.packet.half_width must be a positive number, got 0.0"),
      ({"half_width": "0.25"},
-      "dynamics.packet.half_width must be a positive number, got '0.25'")],
+      "dynamics.packet.half_width must be a positive number, got '0.25'"),
+     ({"width": 5.0, "grid_points": 9}, "dynamics.packet.grid_points: momentum grid too "
+      "coarse: 3 points per axis inside two standard deviations (need >= 8)")],
 )
 def test_zb_bad_packet_field_is_config_error(tmp_path, capsys, packet, message):
     dynamics = {"packet": {"width": 20.0, **packet},

@@ -378,6 +378,19 @@ def test_rashba_ramp_bad_arguments_rejected(kwargs, message):
         rashba_gap_ramp(1.0, 0.06, 0.1, 0.05, **kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position, name", enumerate(["t", "lambda_so", "lambda_v",
+                                                      "lambda_r_max"]))
+def test_rashba_ramp_non_finite_argument_rejected(monkeypatch, position, name, value):
+    # these used to reach the eigensolver and leak "Eigenvalues did not converge";
+    # they are refused before anything is assembled
+    monkeypatch.setattr(invariants, "evaluate", None)
+    args = [1.0, 0.06, 0.1, 0.05]
+    args[position] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        rashba_gap_ramp(*args)
+
+
 # ---------------------------------------------------------------- dynamics link
 
 @pytest.mark.parametrize("m_param", [-3.0, -1.0, 1.0, 3.0])

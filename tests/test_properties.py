@@ -11,6 +11,7 @@ per-generator trace projections, per-band plaquette calls, per-point honeycomb
 solves, the full-mesh Rashba ramp and ``io.fmt`` per value.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -21,6 +22,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from zbtopo import (
     GaplessError,
+    Trajectory,
     WavePacket,
     chern_plaquette,
     chiral_ti_3d,
@@ -31,18 +33,22 @@ from zbtopo import (
     kane_mele_spin_sector,
     linearize_at_hsp,
     maxwell_lattice,
+    pcm_trajectories_exact,
     pcm_trajectory_exact,
     rashba_gap_ramp,
     rotation_index,
+    selection_rule_check,
     spin_j_continuum,
     wavepacket_trajectory,
     z2_fu_kane_parity,
+    zb_spectrum,
     zb_time_grid,
 )
 from zbtopo import dynamics, invariants, io as zio
 from zbtopo.dynamics import _CHUNK, _oscillation, _pair_data
 
 seeds = st.integers(0, 2**32 - 1)
+ORIGIN2 = np.zeros(2)
 
 
 def random_unitary(rng, dim):
@@ -813,3 +819,212 @@ def test_csv_rows_spell_every_value_as_fmt(tmp_path_factory, table):
     zio.write_sweep_csv(path, header, rows)
     expected = ",".join(header) + "\n" + "".join(",".join(map(zio.fmt, row)) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------- spinor stacks
+
+STACK_MODELS = {
+    "maxwell": lambda rng: maxwell_lattice(1.0, rng.uniform(-3.5, 3.5)),
+    "spin_j": lambda rng: spin_j_continuum(rng.choice([0.5, 1.0, 1.5, 2.0, 2.5, 3.5]), 1.0,
+                                           rng.uniform(0.5, 1.5), rng.choice([-1, 1]) * 1.3),
+    "spin1_cartesian": lambda rng: spin_j_continuum(1.0, 1.0, 0.8, rng.uniform(-2.0, 2.0),
+                                                    basis="cartesian"),
+    "chiral_ti": lambda rng: chiral_ti_3d(rng.uniform(-4.0, 4.0)),
+    # lambda_r = lambda_v = 0 keeps every level doubly degenerate: Kramers chains
+    "kane_mele": lambda rng: kane_mele(1.0, rng.uniform(0.03, 0.1), 0.0, 0.0),
+}
+
+
+@st.composite
+def spinor_stacks(draw):
+    """A model, a momentum, S in 1..120 spinors (zero components make the pairs
+    present differ inside one stack; some stacks are band indices), a time grid
+    or None, and the drift flag."""
+    rng = np.random.default_rng(draw(seeds))
+    model = STACK_MODELS[draw(st.sampled_from(sorted(STACK_MODELS)))](rng)
+    n, dim = model.band_count, model.momentum_dim
+    k = np.zeros(dim) if draw(st.booleans()) else rng.uniform(-np.pi, np.pi, dim)
+    count = draw(st.integers(1, 120))
+    if draw(st.integers(0, 5)) == 0:
+        spinors = [int(b) for b in rng.integers(0, n, count)]
+    else:
+        raw = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        raw *= rng.random((count, n)) >= draw(st.sampled_from([0.0, 0.3, 0.6]))
+        raw[~raw.any(axis=1), rng.integers(n)] = 1.0
+        spinors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    times = None
+    if draw(st.booleans()):
+        levels = np.linalg.eigvalsh(evaluate(model, k))
+        gaps = np.abs(levels[:, None] - levels[None, :])
+        gaps = gaps[gaps > 1e-6]
+        fast, slow = (gaps.max(), gaps.min()) if gaps.size else (1.0, 1.0)
+        times = rng.uniform(-5.0, 5.0) + zb_time_grid(fast, slow, 16, 4)
+    return model, k, spinors, times, draw(st.booleans())
+
+
+@given(case=spinor_stacks())
+def test_spinor_stack_matches_single_calls(case):
+    model, k, spinors, times, drift = case
+    try:
+        singles = [pcm_trajectory_exact(model, k, s, times, drift) for s in spinors]
+    except ValueError as exc:  # the stack refuses with the first single call's error
+        with pytest.raises(type(exc)) as raised:
+            pcm_trajectories_exact(model, k, spinors, times, drift)
+        assert str(raised.value) == str(exc)
+        return
+    stack = pcm_trajectories_exact(model, k, spinors, times, drift)
+    assert len(stack) == len(singles)
+    for got, want in zip(stack, singles):
+        assert same_bits(got.times, want.times) and same_bits(got.pcm, want.pcm)
+        assert got.metadata == want.metadata
+
+
+def test_spinor_stack_shares_phase_factors_per_present_pairs(monkeypatch):
+    # at Gamma the spin-1 mass basis diagonalizes H and the velocity links only
+    # adjacent levels: one-component spinors have no pair present, (a, b, 0) and
+    # (0, b, c) one pair each, a full spinor both, so four groups in stack order
+    model = maxwell_lattice(1.0, 1.0)
+    spinors = [np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8j, 0.0]),
+               np.array([0.6, 0.48j, 0.64]), np.array([0.0, 0.8, 0.6j]),
+               np.array([0.8, 0.6, 0.0]), np.array([0.0, 1.0, 0.0])]
+    calls = []
+
+    def counting_oscillation(times, omegas, amps):
+        calls.append(amps.shape)
+        return _oscillation(times, omegas, amps)
+
+    monkeypatch.setattr(dynamics, "_oscillation", counting_oscillation)
+    for times in (None, zb_time_grid(4.0, 2.0)):
+        calls.clear()
+        stack = pcm_trajectories_exact(model, ORIGIN2, spinors, times)
+        assert calls == [(2, 0, 3), (2, 1, 3), (1, 2, 3), (1, 1, 3)]
+        for spinor, got in zip(spinors, stack):
+            want = pcm_trajectory_exact(model, ORIGIN2, spinor, times)
+            assert same_bits(got.pcm, want.pcm) and same_bits(got.times, want.times)
+    assert pcm_trajectories_exact(model, ORIGIN2, []) == ()
+
+
+def reference_selection_rule(j, m, trials, seed):
+    """The selection-rule check with one exact trajectory per trial, as a report tuple."""
+    model = spin_j_continuum(j, 1.0, 1.0, m)
+    omega, times = abs(m), zb_time_grid(abs(m))
+    rng = np.random.default_rng(seed)
+    worst_power = worst_freq_err = 0.0
+    ok = True
+    for _ in range(trials):
+        raw = rng.standard_normal(model.band_count) + 1j * rng.standard_normal(model.band_count)
+        spec = zb_spectrum(pcm_trajectory_exact(model, ORIGIN2, raw / np.linalg.norm(raw), times))
+        if not spec.peaks:
+            continue
+        main_bin = int(round(omega / spec.resolution))
+        freq, _ = max(spec.peaks, key=lambda pk: pk[1])
+        worst_freq_err = max(worst_freq_err, abs(freq - omega))
+        ok &= abs(freq - omega) <= spec.resolution
+        away = np.ones(spec.power.shape[0], dtype=bool)
+        away[:1] = False
+        away[max(0, main_bin - 2):main_bin + 3] = False
+        worst_power = max(worst_power, float(spec.power[away].max()) if away.any() else 0.0)
+    return (float(j), m, trials, worst_power, worst_freq_err, bool(ok and worst_power < 1e-10))
+
+
+@pytest.mark.parametrize("m", [-1.0, 1.0])
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+def test_selection_rule_stack_matches_per_trial_reference(j, m):
+    report = selection_rule_check(j, m, trials=60, seed=int(20 * j + m))
+    assert dataclasses.astuple(report) == reference_selection_rule(j, m, 60, int(20 * j + m))
+
+
+# ---------------------------------------------------------------- spectrum peaks
+
+def scalar_peak_shift(power3):
+    left, mid, right = np.sqrt(power3)
+    denom = left - 2 * mid + right
+    return 0.5 * (left - right) / denom if denom != 0 else 0.0
+
+
+def reference_spectrum(traj):
+    """``zb_spectrum`` with the peaks found bin by bin in a Python loop."""
+    times = traj.times
+    n, dt = len(times), times[1] - times[0]
+    spec = np.fft.rfft(dynamics._detrended(traj), axis=0)
+    omegas = 2 * np.pi * np.fft.rfftfreq(n, d=dt)
+    power = np.abs(spec) ** 2
+    top = power.max()
+    resolution = 2 * np.pi / (n * dt)
+    if top <= (1e-12 * n * np.max(np.abs(traj.pcm))) ** 2:
+        return omegas, 0.0 * power, (), resolution
+    power = power / top
+    peaks = []
+    for comp in range(power.shape[1]):
+        p = power[:, comp]
+        for b in range(1, len(p) - 1):
+            if p[b] >= 1e-10 and p[b] > p[b - 1] and p[b] >= p[b + 1]:
+                peaks.append(((b + scalar_peak_shift(p[b - 1:b + 2])) * resolution, float(p[b])))
+    if peaks and max(peaks, key=lambda pk: pk[1])[0] / resolution < 4:
+        raise ValueError("sampling too short: fewer than four cycles of the dominant oscillation")
+    merged = []
+    for freq, pw in sorted(peaks, key=lambda pk: -pk[1]):
+        if all(abs(freq - f0) > resolution for f0, _ in merged):
+            merged.append((float(freq), pw))
+    return omegas, power, tuple(merged), resolution
+
+
+def spectrum_outcome(fn, traj, transform):
+    """``fn(traj)`` with the Fourier transform replaced by ``transform``, as comparable data."""
+    with mock.patch.object(np.fft, "rfft", lambda x, axis=-1: transform):
+        try:
+            result = fn(traj)
+        except ValueError as exc:
+            return str(exc)
+    omegas, power, peaks, resolution = (
+        (result.omegas, result.power, result.peaks, result.resolution)
+        if isinstance(result, dynamics.ZBSpectrum) else result)
+    return omegas.tobytes(), power.tobytes(), power.shape, peaks, resolution
+
+
+# |1|^2 / |1e5|^2 is exactly 1e-10, the peak floor; small integers make ties and plateaus
+transform_values = st.sampled_from([0.0, 1.0, 2.0, 3.0, 3.0, 1e5, 2e4j, 1.0 + 1.0j])
+
+
+@st.composite
+def designed_transforms(draw):
+    bins = draw(st.integers(2, 14))
+    comps = draw(st.integers(1, 3))
+    cells = draw(st.lists(transform_values, min_size=bins * comps, max_size=bins * comps))
+    return np.array(cells, dtype=complex).reshape(bins, comps)
+
+
+@given(transform=designed_transforms(), dt=st.sampled_from([0.05, 0.3, 1.0]))
+@example(transform=np.array([[0.0], [1e5], [0.0]], dtype=complex), dt=0.3)  # three bins
+@example(transform=np.array([[0, 0], [1, 3], [3, 3], [3, 1], [1e5, 0], [0, 1e5], [1, 0],
+                             [1, 1], [0, 0]], dtype=complex), dt=0.05)  # plateaus, ties
+@example(transform=np.array([[0], [0], [1], [0], [0], [1], [1e5], [0], [1], [0]],
+                            dtype=complex), dt=0.05)  # peaks exactly at the 1e-10 floor
+def test_vectorized_peaks_match_the_per_bin_loop(transform, dt):
+    n = 2 * (len(transform) - 1)
+    traj = Trajectory(dt * np.arange(n), np.ones((n, transform.shape[1])))
+    assert spectrum_outcome(zb_spectrum, traj, transform) == spectrum_outcome(
+        reference_spectrum, traj, transform)
+
+
+@pytest.mark.parametrize("model, k", [(maxwell_lattice(1.0, 2.7), [0.3, -0.2]),
+                                      (spin_j_continuum(2.5, 0.9, -1.1, 0.7), [0.3, -0.2])])
+def test_pure_drift_spectrum_matches_the_per_bin_loop(model, k):
+    for band in range(model.band_count):
+        traj = pcm_trajectory_exact(model, np.array(k), band, include_drift=True)
+        spec = zb_spectrum(traj)
+        omegas, power, peaks, resolution = reference_spectrum(traj)
+        assert peaks == spec.peaks == () and same_bits(power, spec.power)
+        assert same_bits(omegas, spec.omegas) and resolution == spec.resolution
+
+
+@given(seed=seeds, j=st.sampled_from([0.5, 1.0, 1.5, 2.5, 3.5]), comps=st.integers(1, 3))
+def test_trajectory_peaks_match_the_per_bin_loop(seed, j, comps):
+    rng = np.random.default_rng(seed)
+    model = spin_j_continuum(j, 1.0, rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0))
+    k = rng.uniform(-1.0, 1.0, 2)
+    traj = pcm_trajectory_exact(model, k, random_unitary(rng, model.band_count)[0])
+    traj = Trajectory(traj.times, traj.pcm[:, :comps], traj.metadata)
+    spec = zb_spectrum(traj)
+    omegas, power, peaks, resolution = reference_spectrum(traj)
+    assert peaks == spec.peaks and same_bits(power, spec.power)
