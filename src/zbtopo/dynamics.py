@@ -274,8 +274,15 @@ def _amp_scale(omegas, amps, mask) -> np.ndarray:
 def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, periods):
     """Weighted pair-sum trajectories over momenta ``ks``, one (times, pcm, zb_scale)
     per spinor; several spinors need a single momentum, so pair rows split as (S, K)."""
-    psi = np.stack([s if isinstance(s, (int, np.integer)) else model.mass_eigenbasis()
-                    @ _unit_spinor(s, model.band_count, model.name) for s in spinors])
+    index = [isinstance(s, (int, np.integer)) for s in spinors]
+    if index.count(index[0]) != len(index):
+        i = index.index(not index[0])
+        kinds = ("a spinor", "a band index")
+        raise ValueError(f"spinor stack mixes band indices and spinors: entry 0 is "
+                         f"{kinds[index[0]]} but entry {i} is {kinds[index[i]]}")
+    psi = np.stack([s if band else model.mass_eigenbasis()
+                    @ _unit_spinor(s, model.band_count, model.name)
+                    for s, band in zip(spinors, index)])
     parts = [_pair_data(evaluate(model, c), gradient(model, c), psi)
              for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
     omegas, amps, drifts = (np.concatenate(x).reshape((len(psi), -1) + x[0].shape[1:])
@@ -634,6 +641,7 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
     The trials' exact trajectories at p = 0 come from one spinor stack; each
     is transformed and every Fourier bin away from the |m| line is compared
     against the main peak; the worst relative power over all trials is reported.
+    A trajectory with a non-finite entry fails the check and reports NaN.
     """
     if j > 3.5:
         raise ValueError("selection-rule check supports j <= 7/2")
@@ -649,6 +657,9 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
     dim = model.band_count
     raws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(trials)]
     for traj in pcm_trajectories_exact(model, origin, [r / np.linalg.norm(r) for r in raws], times):
+        if not np.isfinite(traj.pcm).all():
+            worst_power = worst_freq_err = np.nan
+            break
         spec = zb_spectrum(traj)
         if not spec.peaks:
             continue

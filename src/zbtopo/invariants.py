@@ -4,7 +4,10 @@ Two independent routes exist for every invariant: the sign-count over
 high-symmetry points (local, exact) and a zone integral (global, gauge
 free).  The lattice field-strength (plaquette) sum plays the global role
 in 2D, a unit-vector degree integral in 3D, and the decoupled-sector Chern
-parity / inversion-parity products for the honeycomb model.
+parity / inversion-parity products for the honeycomb model.  The sector
+Chern number behind that parity is the degree of d/|d| for the two-band
+sector H = d(k) . sigma, summed as signed solid angles over the zone mesh
+(`degree_2band`), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "linearize_at_hsp",
     "chern_from_hsp",
     "chern_plaquette",
+    "degree_2band",
     "winding_from_hsp",
     "winding_numerical",
     "z2_kane_mele",
@@ -134,10 +138,15 @@ def chern_from_hsp(model: BlochModel, j, lins=None):
     return float(value)
 
 
-def _zone_eigh(model: BlochModel, n_grid: int):
-    """Eigenvalues and eigenvectors of H on the n x n zone mesh k_d = 2 pi i / n."""
+def _zone_mesh(n_grid: int):
+    """The n x n zone mesh k_d = 2 pi i / n, shape (n, n, 2)."""
     axes = 2 * np.pi * np.arange(n_grid) / n_grid
-    return np.linalg.eigh(evaluate(model, np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)))
+    return np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+
+
+def _zone_eigh(model: BlochModel, n_grid: int):
+    """Eigenvalues and eigenvectors of H on the n x n zone mesh."""
+    return np.linalg.eigh(evaluate(model, _zone_mesh(n_grid)))
 
 
 def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
@@ -161,18 +170,22 @@ def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
     return PLAQUETTE_ORIENTATION * float(np.angle(plaq).sum()) / (2 * np.pi)
 
 
-def _refine_band(model: BlochModel, band: int, grid: int, solves: dict) -> int:
+def _refine(zone, integral, grid: int, meshes: dict) -> int:
+    """Integer value of ``integral`` over zone meshes of ``grid``, doubling (up to
+    PLAQUETTE_MAX_GRID) until two successive sizes agree on the rounded integer,
+    each within 1e-6 of it.  ``zone(n)`` returns a tuple of (n, n, ...) arrays,
+    kept in ``meshes`` by size for later calls."""
     previous = None
     n = grid
     while n <= PLAQUETTE_MAX_GRID:
-        if n not in solves:
-            # A band with no agreeing value yet cannot stop at n: solve 2n and
-            # take n as its [::2, ::2] subsample, bit-equal to a direct solve
+        if n not in meshes:
+            # A value with no agreeing predecessor cannot stop at n: build 2n and
+            # take n as its [::2, ::2] subsample, bit-equal to a direct build
             # since 2 * (2 pi i) / (2 n) == 2 pi i / n.
             step = 2 if previous is None and 2 * n <= PLAQUETTE_MAX_GRID else 1
-            w, v = solves[step * n] = _zone_eigh(model, step * n)
-            solves[n] = w[::step, ::step], v[::step, ::step]
-        raw = _fhs_sum(model, band, *solves[n])
+            meshes[step * n] = zone(step * n)
+            meshes[n] = tuple(x[::step, ::step] for x in meshes[step * n])
+        raw = integral(*meshes[n])
         rounded = int(round(raw))
         good = abs(raw - rounded) < 1e-6
         if good and previous == rounded:
@@ -202,8 +215,53 @@ def chern_plaquette(model: BlochModel, band, grid: int = 64):
             raise ValueError(f"band {b} outside 0..{model.band_count - 1}")
     check_grid(grid, PLAQUETTE_MAX_GRID)
     solves = {}
-    values = tuple(_refine_band(model, b, grid, solves) for b in bands)
+    values = tuple(_refine(functools.partial(_zone_eigh, model),
+                           functools.partial(_fhs_sum, model, b), grid, solves) for b in bands)
     return values if isinstance(band, tuple) else values[0]
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _solid_angle_sum(d) -> float:
+    """Degree of d/|d| over one zone mesh d (n, n, 3): the signed solid angles
+    of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
+    190, 412 (1981)).  Refused where the gap 2|d| falls below the floor."""
+    norms = np.linalg.norm(d, axis=-1)
+    if not 2 * norms.min() >= PLAQUETTE_GAP_FLOOR:
+        i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        axes = 2 * np.pi * np.arange(len(d)) / len(d)
+        raise GaplessError(f"two-band gap closes near k = ({axes[i]:.6f}, {axes[j]:.6f}): "
+                           f"gap {2 * norms.min():.3e}")
+    a = d / norms[..., None]
+    b, e = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
+    c = np.roll(b, -1, axis=1)
+    total = 0.0
+    # counterclockwise triangles (k, k + x, k + x + y) and (k, k + x + y, k + y)
+    for p, q, r in ((a, b, c), (a, c, e)):
+        volume = np.einsum("...i,...i->...", p, np.cross(q, r))
+        cosine = 1.0 + np.einsum("...i,...i->...", p + r, q) + np.einsum("...i,...i->...", r, p)
+        total += 2.0 * float(np.arctan2(volume, cosine).sum())
+    return total / (4 * np.pi)
+
+
+def degree_2band(model: BlochModel, grid: int = 32) -> int:
+    """Lower-band Chern number of a two-band sector H = d(k) . (sx, sy, sz).
+
+    It is the degree of d/|d| : T^2 -> S^2, in the orientation of
+    `chern_plaquette` (which quotes the lower band as +degree).  The
+    coefficients are evaluated once on the 2 grid mesh, and ``grid`` is read
+    off it as [::2, ::2]; the grid then doubles by the two-grid rule of
+    `chern_plaquette`, and a grid point where 2|d| falls below
+    PLAQUETTE_GAP_FLOOR is a GaplessError.  Only a periodic 2D model with
+    the three Pauli generators (`kane_mele_spin_sector`) is accepted.
+    """
+    if not (model.momentum_dim == 2 and model.periodic
+            and np.array_equal(model.generators.matrices, _PAULI)):
+        raise ValueError(f"the two-band degree needs a periodic 2D model with generators "
+                         f"(sx, sy, sz), got '{model.name}'")
+    check_grid(grid, PLAQUETTE_MAX_GRID)
+    return _refine(lambda n: (model.coeff(_zone_mesh(n)),), _solid_angle_sum, grid, {})
 
 
 def check_grid(grid, upper=None, name="grid"):
@@ -318,7 +376,7 @@ def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
     sector = kane_mele_spin_sector(
         params["t"], params["lambda_so"], params["lambda_v"], +1
     )
-    return abs(chern_plaquette(sector, 0, grid)) % 2
+    return abs(degree_2band(sector, grid)) % 2
 
 
 def z2_fu_kane_parity(model: BlochModel) -> int:
@@ -355,8 +413,7 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
 @functools.cache
 def _ramp_mesh(grid):
     """Zone mesh and ||R(k)||_F on it, R = dH/dlambda_r: built once per grid, read-only."""
-    axes = 2 * np.pi * np.arange(grid) / grid
-    mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    mesh = _zone_mesh(grid)
     rashba = np.linalg.norm(evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh), axis=(-2, -1))
     mesh.flags.writeable = rashba.flags.writeable = False
     return mesh, rashba
@@ -436,12 +493,19 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
 
     The model's declared ``invariant`` picks the route; every model with a
     mass generator also reports its high-symmetry-point linearizations.
+    Each index with a second route is cross-checked against it: the winding
+    always, the Z2 index against the sector Chern parity at lambda_r = 0.
     """
     lins = ()
     chern_local = chern_global = winding = winding_residual = z2 = None
 
     if model.invariant == "z2":
         z2 = z2_kane_mele(model)
+        if model.params["lambda_r"] == 0.0:
+            parity = z2_spin_chern_parity(model)
+            if parity != z2:
+                raise ValueError(f"Z2 cross-check failed: valley mass rule {z2}, "
+                                 f"sector Chern parity {parity}")
     elif model.mass_generator is not None:
         lins = linearize_at_hsp(model, model.hsps)
     if model.invariant == "chern":

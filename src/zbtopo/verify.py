@@ -66,6 +66,11 @@ def _result(name, passed, lines):
     return CheckResult(name=name, passed=bool(passed), lines=tuple(lines))
 
 
+def _reading(value) -> str:
+    """A deviation for a report line, flagged when it is not finite."""
+    return f"{value:.3e}" + ("" if np.isfinite(value) else " (non-finite reading)")
+
+
 def _random_spinor(rng, dim):
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return raw / np.linalg.norm(raw)
@@ -98,13 +103,14 @@ def check_closed_form_oracle(rng) -> CheckResult:
     # spinors drawn trial by trial, then solved in one stack per model and branch
     spin1 = [_random_spinor(rng, 3) for _ in range(100)]
     pairs = [_random_spinor(rng, 2) for _ in range(100)]
-    worst_spin1 = worst_chiral = 0.0
+    # np.max over the kept deviations propagates a NaN that max() would drop
+    devs_spin1, devs_chiral = [], []
     for parity, mass in enumerate((-2.0, 2.0)):  # even trials at -2, odd at +2
         model, times = maxwell_lattice(1.0, 1.0 if mass < 0 else 3.0), zb_time_grid(abs(mass))
         stack = spin1[parity::2]
         for s, exact in zip(stack, pcm_trajectories_exact(model, np.zeros(2), stack, times)):
             closed, _ = closed_form_spin1(2.0, 2.0, mass, s, times)
-            worst_spin1 = max(worst_spin1, float(np.max(np.abs(closed.pcm - exact.pcm))))
+            devs_spin1.append(np.max(np.abs(closed.pcm - exact.pcm)))
 
     for parity, mass in enumerate((-1.0, 1.0)):
         model = chiral_ti_3d(3.0 + mass)
@@ -114,7 +120,8 @@ def check_closed_form_oracle(rng) -> CheckResult:
             times = zb_time_grid(omega, omega)
             for s, exact in zip(stack, pcm_trajectories_exact(model, np.zeros(3), stack, times)):
                 closed, _ = closed_form_chiral(1.0, 1.0, 1.0, mass, s, times)
-                worst_chiral = max(worst_chiral, float(np.max(np.abs(closed.pcm - exact.pcm))))
+                devs_chiral.append(np.max(np.abs(closed.pcm - exact.pcm)))
+    worst_spin1, worst_chiral = float(np.max(devs_spin1)), float(np.max(devs_chiral))
 
     # Measured phase convention of the in-plane pattern, reported not hidden:
     # with theta = 0 the x component is sine-like, i.e. offset -pi/2 from a
@@ -123,8 +130,8 @@ def check_closed_form_oracle(rng) -> CheckResult:
     offset = form.phase[0]
     ok = worst_spin1 < tol and worst_chiral < tol
     lines = [
-        f"spin-1 closed form vs exact, 100 spinors: max |dr| = {worst_spin1:.3e}",
-        f"chiral closed forms vs exact, 100 spinors: max |dr| = {worst_chiral:.3e}",
+        f"spin-1 closed form vs exact, 100 spinors: max |dr| = {_reading(worst_spin1)}",
+        f"chiral closed forms vs exact, 100 spinors: max |dr| = {_reading(worst_chiral)}",
         f"measured x phase offset vs pure-cosine convention: {offset:+.6f} rad (-pi/2: sine-like)",
         "pair amplitude convention: twice the ladder |<a|Jx|a+1>| matrix element",
     ]
@@ -163,7 +170,7 @@ def check_selection_rule(rng) -> CheckResult:
         report = selection_rule_check(j, 1.0, trials=100, seed=seed)
         ok &= report.passed
         lines.append(
-            f"J={j}: max spurious relative power = {report.max_spurious_power:.3e} "
+            f"J={j}: max spurious relative power = {_reading(report.max_spurious_power)} "
             f"(tolerance 1e-10)"
         )
     return _result("selection_rule", ok, lines)

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from zbtopo import dynamics
 from zbtopo.verify import (
     check_closed_form_oracle,
     check_direction_reversal,
@@ -86,3 +87,14 @@ def test_criterion_8_verify_determinism(tmp_path):
     print(f"ACCEPTANCE 8 [{'PASS' if identical else 'FAIL'}] byte-identical verify reports")
     assert identical
     assert b"summary: 8/8 checks passed" in reports[0][0]
+
+
+def test_non_finite_trajectories_fail_the_oracle_and_selection_rule(monkeypatch):
+    # a NaN never wins a max() and a NaN spectrum has no peak to compare:
+    # both checks must fail on the reading itself and say so
+    real = dynamics._oscillation
+    monkeypatch.setattr(dynamics, "_oscillation", lambda *args: np.full_like(real(*args), np.nan))
+    for check in (check_closed_form_oracle, check_selection_rule):
+        result = check(np.random.default_rng(SEED))
+        assert not result.passed
+        assert any("(non-finite reading)" in line for line in result.lines)

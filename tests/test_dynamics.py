@@ -12,6 +12,7 @@ from zbtopo import (
     evaluate,
     gradient,
     maxwell_lattice,
+    pcm_trajectories_exact,
     pcm_trajectory_exact,
     rotation_index,
     selection_rule_check,
@@ -99,6 +100,16 @@ def test_exact_rejects_unnormalized_spinor():
     model = maxwell_lattice(1.0, 1.0)
     with pytest.raises(ValueError, match="not normalized"):
         pcm_trajectory_exact(model, ORIGIN2, np.array([1.0, 1.0, 0.0]), zb_time_grid(2.0))
+
+
+@pytest.mark.parametrize("spinors, message", [
+    ([0, np.array([1.0, 0.0, 0.0])], "entry 0 is a band index but entry 1 is a spinor"),
+    ([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 2],
+     "entry 0 is a spinor but entry 2 is a band index"),
+])
+def test_exact_rejects_mixed_spinor_stack(spinors, message):
+    with pytest.raises(ValueError, match=f"spinor stack mixes band indices and spinors: {message}"):
+        pcm_trajectories_exact(maxwell_lattice(1.0, 1.0), ORIGIN2, spinors)
 
 
 def test_exact_rejects_undersampled_times():

@@ -12,6 +12,7 @@ from zbtopo import (
     chern_plaquette,
     chiral_ti_3d,
     compute_invariants,
+    degree_2band,
     kane_mele,
     kane_mele_spin_sector,
     linearize_at_hsp,
@@ -282,6 +283,22 @@ def test_kane_mele_sector_cherns_opposite():
     assert abs(cu) == 1 and cd == -cu
 
 
+def test_degree_refuses_an_on_grid_closing():
+    # t = 0 leaves d = (0, 0, Haldane row), which vanishes at Gamma
+    with pytest.raises(GaplessError, match=r"near k = \(0\.000000, 0\.000000\): gap 0\.000e\+00"):
+        degree_2band(kane_mele_spin_sector(0.0, 0.1, 0.0, +1))
+
+
+@pytest.mark.parametrize("model", [
+    maxwell_lattice(1.0, 1.0),
+    kane_mele(1.0, 0.06, 0.0, 0.1),
+    spin_j_continuum(0.5, 1.0, 1.0, 1.0),
+], ids=["three_band", "four_band", "continuum"])
+def test_degree_refuses_other_than_a_two_band_sector(model):
+    with pytest.raises(ValueError, match="two-band degree needs a periodic 2D model"):
+        degree_2band(model)
+
+
 # ---------------------------------------------------------------- 3D winding
 
 WINDING_TABLE = {4.0: 0, 2.0: -1, 0.0: 2, -2.0: -1, -4.0: 0}
@@ -332,6 +349,16 @@ def test_z2_equals_sector_chern_parity():
         checked += 1
         model = kane_mele(1.0, lam_so, 0.0, lam_v)
         assert z2_kane_mele(model) == z2_spin_chern_parity(model, 32)
+
+
+def test_compute_invariants_cross_checks_z2(monkeypatch):
+    topological = kane_mele(1.0, 0.06, 0.0, 0.1)
+    assert compute_invariants(topological).z2 == 1
+    monkeypatch.setattr(invariants, "z2_spin_chern_parity", lambda model, grid=32: 0)
+    with pytest.raises(ValueError, match="valley mass rule 1, sector Chern parity 0"):
+        compute_invariants(topological)
+    # with Rashba coupling only the mass rule applies
+    assert compute_invariants(kane_mele(1.0, 0.06, 0.05, 0.1)).z2 == 1
 
 
 def test_z2_equals_parity_products_on_inversion_slice():

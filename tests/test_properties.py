@@ -25,6 +25,7 @@ from zbtopo import (
     Trajectory,
     WavePacket,
     chern_plaquette,
+    degree_2band,
     chiral_ti_3d,
     evaluate,
     gradient,
@@ -586,6 +587,15 @@ def test_plaquette_band_tuple_matches_per_band_calls(model, grid, descending):
     assert joint_sums == sums
     # and each grid is diagonalized at most once per call
     assert len(set(joint_solved)) == len(joint_solved)
+
+
+@given(t=st.floats(0.5, 1.5), lambda_so=st.floats(0.02, 0.15), lambda_v=st.floats(-0.8, 0.8),
+       spin=st.sampled_from([1, -1]))
+def test_sector_degree_equals_plaquette_chern(t, lambda_so, lambda_v, spin):
+    # the sector gap 2|d| closes only at the valleys, where |lambda_v| = 3 sqrt(3) lambda_so
+    assume(abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) > 0.03)
+    sector = kane_mele_spin_sector(t, lambda_so, lambda_v, spin)
+    assert degree_2band(sector) == chern_plaquette(sector, 0)
 
 
 @st.composite
