@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessError, NotHighSymmetryError
-from .models import (
-    BlochModel,
-    evaluate,
-    gradient,
-    kane_mele,
-    kane_mele_spin_sector,
-)
+from .models import BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
 
 __all__ = [
     "HSPLinearization",
@@ -77,44 +71,38 @@ def linearize_at_hsp(model: BlochModel, K):
 
     ``K`` is one point (D,) or a stack (H, D); a stack returns a tuple of
     H linearizations, and the first failing point in stack order raises.
-    Coefficients are Hilbert-Schmidt projections of H(K) and each
-    dH/dk_d(K) onto the model's generator set; H(K) must be proportional
-    to the declared mass generator and the gap must be open.
+    The data are the model's own coefficients at K: the mass is
+    ``coeff(K)[mass_generator]`` and v_d is
+    ``coeff_grad(K)[velocity_generators[d], d]``.  Every other coefficient
+    of H(K) must vanish (within PROJECTION_TOL), |m| reach MASS_FLOOR (a
+    non-finite H(K) does not) and no velocity vanish.
     """
     if model.mass_generator is None:
         raise NotHighSymmetryError(
             f"model '{model.name}' does not declare a mass generator"
         )
     K = np.atleast_1d(np.asarray(K, dtype=float))
-    points = np.atleast_2d(K)
-    gens = model.generators.matrices
-    mats = np.concatenate([evaluate(model, points)[:, None], gradient(model, points)], axis=1)
-    # tr(G @ M) as matrix product plus diagonal sum, which rounds as np.trace
-    # does; a single einsum does not for irrational entries (spin-j ladders).
-    norms = (gens @ gens).diagonal(0, -2, -1).sum(axis=-1).real
-    coeffs = (gens @ mats[..., None, :, :]).diagonal(0, -2, -1).sum(axis=-1).real / norms
-    residuals = np.abs(mats - np.einsum("...g,gij->...ij", coeffs, gens)).max(axis=(-2, -1))
-    off_mass = np.delete(np.abs(coeffs[:, 0]), model.mass_generator, axis=-1).max(-1, initial=0.0)
-    vels = coeffs[:, 1:, list(model.velocity_generators)].diagonal(0, 1, 2)
+    points = _check_momenta(model, np.atleast_2d(K))
+    coeffs = model.coeff(points)
+    # a NaN off-mass coefficient would pass the off-mass test: a non-finite
+    # H(K) has no mass, so it reads NaN and the mass floor refuses the point
+    coeffs = np.where(np.isfinite(coeffs).all(axis=-1, keepdims=True), coeffs, np.nan)
+    off_mass = np.abs(np.delete(coeffs, model.mass_generator, axis=-1)).max(-1, initial=0.0)
+    vels = model.coeff_grad(points)[:, list(model.velocity_generators),
+                                    np.arange(model.momentum_dim)]
     lins = []
-    for k, res, off, mass, vel in zip(points, residuals.tolist(), off_mass.tolist(),
-                                      coeffs[:, 0, model.mass_generator].tolist(), vels.tolist()):
-        if res[0] > PROJECTION_TOL:
-            raise NotHighSymmetryError(
-                f"H at K={tuple(k)} is not in the generator span (residual {res[0]:.3e})")
+    for k, off, mass, vel in zip(points, off_mass.tolist(),
+                                 coeffs[:, model.mass_generator].tolist(), vels.tolist()):
+        hsp = tuple(k.tolist())
         if off > PROJECTION_TOL:
-            raise NotHighSymmetryError(f"H at K={tuple(k)} is not proportional to the mass "
+            raise NotHighSymmetryError(f"H at K={hsp} is not proportional to the mass "
                                        f"generator (max off-mass coefficient {off:.3e})")
         if not abs(mass) >= MASS_FLOOR:
-            raise GaplessError(f"gapless high-symmetry point K={tuple(k)}: |m| = {abs(mass):.3e}")
-        for d, r in enumerate(res[1:]):
-            if r > PROJECTION_TOL:
-                raise NotHighSymmetryError(f"dH/dk_{d} at K={tuple(k)} is not in the generator "
-                                           f"span (residual {r:.3e})")
+            raise GaplessError(f"gapless high-symmetry point K={hsp}: |m| = {abs(mass):.3e}")
         if not all(abs(v) >= 1e-12 for v in vel):
-            raise NotHighSymmetryError(f"vanishing velocity at K={tuple(k)}: {vel}")
+            raise NotHighSymmetryError(f"vanishing velocity at K={hsp}: {vel}")
         nu = (1 if math.prod(vel) > 0 else -1) * (1 if mass > 0 else -1)
-        lins.append(HSPLinearization(hsp=tuple(k.tolist()), velocities=tuple(vel), mass=mass, nu=nu))
+        lins.append(HSPLinearization(hsp=hsp, velocities=tuple(vel), mass=mass, nu=nu))
     return tuple(lins) if K.ndim == 2 else lins[0]
 
 
@@ -138,10 +126,19 @@ def chern_from_hsp(model: BlochModel, j, lins=None):
     return float(value)
 
 
-def _zone_mesh(n_grid: int):
-    """The n x n zone mesh k_d = 2 pi i / n, shape (n, n, 2)."""
+def _zone_mesh(n_grid: int, dim: int = 2):
+    """The n^dim zone mesh k_d = 2 pi i / n, shape (n, ..., n, dim)."""
     axes = 2 * np.pi * np.arange(n_grid) / n_grid
-    return np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
+    return np.stack(np.meshgrid(*[axes] * dim, indexing="ij"), axis=-1)
+
+
+def _refuse_gap(gap, what: str):
+    """GaplessError ``<what> near k = (..): gap g`` at the first point of a zone-mesh
+    array ``gap`` (n, ..., n) where it falls below PLAQUETTE_GAP_FLOOR or is NaN."""
+    if not gap.min() >= PLAQUETTE_GAP_FLOOR:
+        at = np.unravel_index(int(np.argmin(gap)), gap.shape)
+        k = ", ".join(f"{2 * np.pi * i / len(gap):.6f}" for i in at)
+        raise GaplessError(f"{what} near k = ({k}): gap {gap.min():.3e}")
 
 
 def _zone_eigh(model: BlochModel, n_grid: int):
@@ -151,18 +148,12 @@ def _zone_eigh(model: BlochModel, n_grid: int):
 
 def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
     """Lattice field-strength sum of one band over a zone solve, in units of 2*pi."""
-    axes = 2 * np.pi * np.arange(len(w)) / len(w)
     gap = np.full(w.shape[:2], np.inf)
     if band > 0:
         gap = np.minimum(gap, w[..., band] - w[..., band - 1])
     if band < model.band_count - 1:
         gap = np.minimum(gap, w[..., band + 1] - w[..., band])
-    if gap.min() < PLAQUETTE_GAP_FLOOR:
-        i, jj = np.unravel_index(int(np.argmin(gap)), gap.shape)
-        raise GaplessError(
-            f"band {band} touches a neighbour near k = "
-            f"({axes[i]:.6f}, {axes[jj]:.6f}): gap {gap.min():.3e}"
-        )
+    _refuse_gap(gap, f"band {band} touches a neighbour")
     u = v[..., :, band]
     link_x = np.einsum("xyn,xyn->xy", u.conj(), np.roll(u, -1, axis=0))
     link_y = np.einsum("xyn,xyn->xy", u.conj(), np.roll(u, -1, axis=1))
@@ -228,11 +219,7 @@ def _solid_angle_sum(d) -> float:
     of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
     190, 412 (1981)).  Refused where the gap 2|d| falls below the floor."""
     norms = np.linalg.norm(d, axis=-1)
-    if not 2 * norms.min() >= PLAQUETTE_GAP_FLOOR:
-        i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        axes = 2 * np.pi * np.arange(len(d)) / len(d)
-        raise GaplessError(f"two-band gap closes near k = ({axes[i]:.6f}, {axes[j]:.6f}): "
-                           f"gap {2 * norms.min():.3e}")
+    _refuse_gap(2 * norms, "two-band gap closes")
     a = d / norms[..., None]
     b, e = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
     c = np.roll(b, -1, axis=1)
@@ -307,15 +294,9 @@ def winding_numerical(model: BlochModel, grid: int = 40):
     if len(model.generators) != 4:
         raise ValueError("the winding integral expects a four-generator chiral model")
     check_grid(grid)
-    axes = 2 * np.pi * np.arange(grid) / grid
-    mesh = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1)
-    d_vec = model.coeff(mesh)
+    d_vec = model.coeff(_zone_mesh(grid, 3))
     norms = np.linalg.norm(d_vec, axis=-1)
-    if norms.min() < PLAQUETTE_GAP_FLOOR:
-        loc = np.unravel_index(int(np.argmin(norms)), norms.shape)
-        raise GaplessError(
-            f"spectrum gap closes near k = {tuple(float(axes[i]) for i in loc)}"
-        )
+    _refuse_gap(norms, "spectrum gap closes")
     n_hat = d_vec / norms[..., None]
     derivs = [_fft_derivative(n_hat, axis) for axis in range(3)]
     jac = np.stack([n_hat] + derivs, axis=-2)
@@ -353,11 +334,11 @@ def _km_valley_masses(model: BlochModel):
     for kpt, gap, mass in zip(_KM_VALLEYS, (w[:, 2] - w[:, 1]).tolist(), masses):
         if gap < MASS_FLOOR:
             raise GaplessError(
-                f"honeycomb gap closed at valley k = {tuple(kpt)}: "
+                f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
                 f"gap {gap:.3e}"
             )
         if abs(mass) < MASS_FLOOR:
-            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt)}")
+            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt.tolist())}")
     return masses
 
 
@@ -398,13 +379,13 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
     product = 1
     for trim, w, v in zip(trims, *np.linalg.eigh(evaluate(model, trims))):
         if w[2] - w[1] < MASS_FLOOR:
-            raise GaplessError(f"gap closed at the invariant momentum {tuple(trim)}")
+            raise GaplessError(f"gap closed at the invariant momentum {tuple(trim.tolist())}")
         occ = v[:, :2]
         block = occ.conj().T @ parity_op @ occ
         xi = block.trace().real / 2.0
         if abs(abs(xi) - 1.0) > 1e-6 or np.max(np.abs(block - xi * np.eye(2))) > 1e-6:
             raise ValueError(
-                f"occupied doublet at {tuple(trim)} is not a parity eigenspace"
+                f"occupied doublet at {tuple(trim.tolist())} is not a parity eigenspace"
             )
         product *= int(np.sign(xi))
     return (1 - product) // 2

@@ -28,6 +28,7 @@ from zbtopo import (
     z2_spin_chern_parity,
 )
 from zbtopo import invariants
+from zbtopo.models import evaluate
 
 PI = np.pi
 
@@ -102,8 +103,17 @@ def test_stacked_linearization_names_first_gapless_point(model, first_gapless):
     with pytest.raises(GaplessError) as stacked:
         linearize_at_hsp(model, model.hsps)
     assert str(stacked.value) == str(single.value)
-    named = f"gapless high-symmetry point K={tuple(np.asarray(first_gapless))}: |m| = "
+    named = f"gapless high-symmetry point K={first_gapless}: |m| = "
     assert str(single.value).startswith(named)
+
+
+def test_linearize_refuses_a_non_finite_hamiltonian():
+    # 2 t_h overflows, so H at the first corner holds inf and NaN: that point is
+    # refused, and its momentum is spelled in plain floats
+    model = maxwell_lattice(1e308, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(GaplessError) as info:
+        linearize_at_hsp(model, model.hsps)
+    assert str(info.value) == "gapless high-symmetry point K=(0.0, 0.0): |m| = nan"
 
 
 def test_linearize_needs_mass_generator():
@@ -113,8 +123,29 @@ def test_linearize_needs_mass_generator():
 
 def test_linearize_spin_j_origin():
     lin = linearize_at_hsp(spin_j_continuum(1.5, 0.7, -1.2, 0.4), [0.0, 0.0])
-    assert np.allclose(lin.velocities, (0.7, -1.2), atol=1e-12)
+    assert lin.velocities == (0.7, -1.2)
     assert lin.nu == int(np.sign(0.7 * -1.2 * 0.4))
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5, 2.5])
+def test_linearize_spin_j_ladder_returns_declared_values(j):
+    # the data are the declared coefficients, not a trace projection that
+    # rounds on the irrational ladder entries (m = 0.4000000000000001 at j = 3/2)
+    lin = linearize_at_hsp(spin_j_continuum(j, 0.7, -1.2, 0.4), [0.0, 0.0])
+    assert (lin.velocities, lin.mass) == ((0.7, -1.2), 0.4)
+
+
+@pytest.mark.parametrize("model, K", [
+    (maxwell_lattice(1.0, 1.0), [0.0, 0.0, 0.0]),
+    (maxwell_lattice(1.0, 1.0), [[0.0, 0.0, 0.0], [PI, PI, PI]]),
+    (chiral_ti_3d(2.0), [PI, 0.0]),
+    (spin_j_continuum(0.5, 1.0, 1.0, 1.0), [0.0]),
+])
+def test_linearize_rejects_wrong_momentum_dimension(model, K):
+    # the coefficients alone would read a 3-vector's first two entries
+    expected = f"got {np.shape(K)[-1]}, model '{model.name}' expects {model.momentum_dim}"
+    with pytest.raises(ValueError, match=f"momentum dimension mismatch: {expected}"):
+        linearize_at_hsp(model, K)
 
 
 # ---------------------------------------------------------------- Chern numbers
@@ -317,8 +348,47 @@ def test_winding_cross_check(m_param):
 def test_winding_gapless_rejected():
     with pytest.raises(GaplessError):
         winding_from_hsp(chiral_ti_3d(3.0))
-    with pytest.raises(GaplessError):
+    with pytest.raises(GaplessError) as info:
         winding_numerical(chiral_ti_3d(3.0), 20)
+    assert str(info.value) == ("spectrum gap closes near k = (0.000000, 0.000000, 0.000000): "
+                               "gap 0.000e+00")
+
+
+def _nan_fhs_sum():
+    model = maxwell_lattice(1.0, 1.0)
+    w, v = np.linalg.eigh(evaluate(model, invariants._zone_mesh(8)))
+    w[1, 2, 0] = np.nan
+    return invariants._fhs_sum(model, 1, w, v)
+
+
+def _nan_solid_angle_sum():
+    d = kane_mele_spin_sector(1.0, 0.06, 0.1, +1).coeff(invariants._zone_mesh(8))
+    d[1, 2] = np.nan
+    return invariants._solid_angle_sum(d)
+
+
+def _nan_winding():
+    model = chiral_ti_3d(2.0)
+
+    def coeff(k):
+        out = model.coeff(k)
+        out[1, 2, 3] = np.nan
+        return out
+
+    return winding_numerical(replace(model, coeff=coeff), 8)
+
+
+@pytest.mark.parametrize("integral, message", [
+    (_nan_fhs_sum, "band 1 touches a neighbour near k = (0.785398, 1.570796): gap nan"),
+    (_nan_solid_angle_sum, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
+    (_nan_winding, "spectrum gap closes near k = (0.785398, 1.570796, 2.356194): gap nan"),
+])
+def test_zone_integrals_refuse_a_nan_integrand(integral, message):
+    # a NaN gap is refused where it sits, not summed into a NaN (or, in the
+    # winding integral, rounded with Python's own "cannot convert float NaN")
+    with pytest.raises(GaplessError) as info:
+        integral()
+    assert str(info.value) == message
 
 
 def test_winding_grid_zero_rejected():

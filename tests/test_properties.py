@@ -506,6 +506,14 @@ def hsp_models(draw):
 
 
 def reference_linearization(model, K):
+    """Mass and velocities as declared: coeff(K)[mass] and coeff_grad(K)[velocity_d, d]."""
+    K = np.asarray(K, dtype=float)
+    grad = model.coeff_grad(K)
+    velocities = tuple(float(grad[g, d]) for d, g in enumerate(model.velocity_generators))
+    return float(model.coeff(K)[model.mass_generator]), velocities
+
+
+def projected_linearization(model, K):
     """Mass and velocities from one np.trace(G @ M) projection per generator."""
     gens = model.generators.matrices
 
@@ -528,6 +536,11 @@ def test_stacked_linearization_matches_per_point(model):
     assert repeated == (stacked[-1],) * 3 + (stacked[0],)
     for lin, K in zip(stacked, model.hsps):
         assert (lin.mass, lin.velocities) == reference_linearization(model, K)
+        # the trace projection of H(K) and dH/dk onto the generators, an
+        # independent route that rounds on irrational generator entries
+        mass, velocities = projected_linearization(model, K)
+        np.testing.assert_array_max_ulp(np.array((lin.mass, *lin.velocities)),
+                                        np.array((mass, *velocities)), maxulp=4)
         assert lin.nu == int(np.sign(lin.mass) * np.sign(np.prod(lin.velocities)))
 
 
@@ -641,11 +654,11 @@ def reference_valley_masses(model):
         ham = evaluate(model, kpt)
         w = np.linalg.eigvalsh(ham)
         if w[2] - w[1] < invariants.MASS_FLOOR:
-            raise GaplessError(f"honeycomb gap closed at valley k = {tuple(kpt)}: "
+            raise GaplessError(f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
                                f"gap {w[2] - w[1]:.3e}")
         mass = float(np.einsum("ij,ji->", proj, ham).real) / 2.0
         if abs(mass) < invariants.MASS_FLOOR:
-            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt)}")
+            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt.tolist())}")
         masses.append(mass)
     return masses
 
@@ -658,11 +671,12 @@ def reference_fu_kane(model):
         trim = np.array(trim)
         w, v = np.linalg.eigh(evaluate(model, trim))
         if w[2] - w[1] < invariants.MASS_FLOOR:
-            raise GaplessError(f"gap closed at the invariant momentum {tuple(trim)}")
+            raise GaplessError(f"gap closed at the invariant momentum {tuple(trim.tolist())}")
         block = v[:, :2].conj().T @ parity_op @ v[:, :2]
         xi = block.trace().real / 2.0
         if abs(abs(xi) - 1.0) > 1e-6 or np.max(np.abs(block - xi * np.eye(2))) > 1e-6:
-            raise ValueError(f"occupied doublet at {tuple(trim)} is not a parity eigenspace")
+            raise ValueError(f"occupied doublet at {tuple(trim.tolist())} "
+                             f"is not a parity eigenspace")
         product *= int(np.sign(xi))
     return (1 - product) // 2
 
