@@ -137,13 +137,21 @@ def _refuse_gap(gap, what: str):
     array ``gap`` (n, ..., n) where it falls below PLAQUETTE_GAP_FLOOR or is NaN."""
     if not gap.min() >= PLAQUETTE_GAP_FLOOR:
         at = np.unravel_index(int(np.argmin(gap)), gap.shape)
-        k = ", ".join(f"{2 * np.pi * i / len(gap):.6f}" for i in at)
-        raise GaplessError(f"{what} near k = ({k}): gap {gap.min():.3e}")
+        raise GaplessError(f"{what} near k = ({_mesh_k(at, len(gap))}): gap {gap.min():.3e}")
+
+
+def _mesh_k(at, n_grid: int) -> str:
+    """The zone-mesh momentum at index tuple ``at``, as ``k_1, k_2, ..`` to 6 places."""
+    return ", ".join(f"{2 * np.pi * i / n_grid:.6f}" for i in at)
 
 
 def _zone_eigh(model: BlochModel, n_grid: int):
-    """Eigenvalues and eigenvectors of H on the n x n zone mesh."""
-    return np.linalg.eigh(evaluate(model, _zone_mesh(n_grid)))
+    """Eigenvalues and eigenvectors of H on the n x n zone mesh; a mesh point where
+    H is not finite is refused as a NaN gap."""
+    ham = evaluate(model, _zone_mesh(n_grid))
+    _refuse_gap(np.where(np.isfinite(ham).all(axis=(-2, -1)), np.inf, np.nan),
+                "Hamiltonian is not finite")
+    return np.linalg.eigh(ham)
 
 
 def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
@@ -270,24 +278,16 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
     return total // 2
 
 
-def _fft_derivative(values, axis):
-    n = values.shape[axis]
-    harmonics = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        harmonics[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    mult = (1j * harmonics).reshape(shape)
-    return np.real(np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis))
-
-
 def winding_numerical(model: BlochModel, grid: int = 40):
     """3D winding number as the degree of the unit coefficient vector.
 
     The four generator coefficients d(k) are normalized to a unit vector n
     on S^3 and the degree integral (1/2 pi^2) int det[n, dn/dk1, dn/dk2,
     dn/dk3] d^3k is evaluated with spectral derivatives.  Returns the
-    rounded integer and the residual distance from it.
+    rounded integer and the residual distance from it.  Memory is one
+    (grid^3, 4, 4) Jacobian [n, dn/dk1, dn/dk2, dn/dk3] plus per-plane FFT
+    temporaries.  A grid point where |d| is below PLAQUETTE_GAP_FLOOR or NaN
+    is a GaplessError, one where |d| overflows a ValueError.
     """
     if model.momentum_dim != 3:
         raise ValueError("the winding integral needs a 3D model")
@@ -295,11 +295,26 @@ def winding_numerical(model: BlochModel, grid: int = 40):
         raise ValueError("the winding integral expects a four-generator chiral model")
     check_grid(grid)
     d_vec = model.coeff(_zone_mesh(grid, 3))
-    norms = np.linalg.norm(d_vec, axis=-1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d_vec, axis=-1)
     _refuse_gap(norms, "spectrum gap closes")
-    n_hat = d_vec / norms[..., None]
-    derivs = [_fft_derivative(n_hat, axis) for axis in range(3)]
-    jac = np.stack([n_hat] + derivs, axis=-2)
+    if not np.isfinite(norms).all():
+        at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
+        raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, grid)})")
+    jac = np.empty(norms.shape + (4, 4))
+    np.divide(d_vec, norms[..., None], out=jac[..., 0, :])
+    del d_vec  # n = d/|d| is row 0 of the Jacobian; free d before the derivatives
+    harmonics = np.fft.fftfreq(grid, d=1.0 / grid)
+    if grid % 2 == 0:
+        harmonics[grid // 2] = 0.0
+    mult = (1j * harmonics)[:, None, None]
+    # dn/dk_axis one plane at a time across the axis, so each FFT line stays whole
+    for axis in range(3):
+        n_hat, deriv = (np.moveaxis(jac[..., row, :], axis, 0) for row in (0, 1 + axis))
+        for i in range(grid):
+            spec = np.fft.fft(n_hat[:, i], axis=0)
+            spec *= mult
+            deriv[:, i] = np.fft.ifft(spec, axis=0, out=spec).real
     total = np.linalg.det(jac).sum() * (2 * np.pi / grid) ** 3
     raw = DEGREE_ORIENTATION * total / (2 * np.pi**2)
     value = int(round(raw))

@@ -329,6 +329,16 @@ def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_invariants_with_an_overflowing_norm_is_runtime_error(tmp_path, capsys):
+    # |d| overflows to inf, which would empty the degree integral to winding 0
+    cfg = write_config(tmp_path, {"model": {"name": "chiral_ti", "params": {"M": 1e308}}})
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: coefficient norm |d| overflows near k = "
+                   "(0.000000, 0.000000, 0.000000)\n")
+
+
 # ---------------------------------------------------------------- phase diagram
 
 SWEEP = {"sweep": {"parameter": "M", "start": -3.0, "stop": 3.0, "step": 0.25}}

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from zbtopo import (
     GaplessError,
@@ -367,19 +370,28 @@ def _nan_solid_angle_sum():
     return invariants._solid_angle_sum(d)
 
 
-def _nan_winding():
-    model = chiral_ti_3d(2.0)
-
+def _planted(model, at, value):
+    """``model`` with its coefficients set to ``value`` at zone-mesh index ``at``."""
     def coeff(k):
         out = model.coeff(k)
-        out[1, 2, 3] = np.nan
+        out[at] = value
         return out
 
-    return winding_numerical(replace(model, coeff=coeff), 8)
+    return replace(model, coeff=coeff)
+
+
+def _nan_winding():
+    return winding_numerical(_planted(chiral_ti_3d(2.0), (1, 2, 3), np.nan), 8)
+
+
+def _nan_plaquette():
+    # grid 8 is read off the 16 mesh, which is the one evaluated
+    return chern_plaquette(_planted(maxwell_lattice(1.0, 1.0), (3, 5), np.nan), 0, 8)
 
 
 @pytest.mark.parametrize("integral, message", [
     (_nan_fhs_sum, "band 1 touches a neighbour near k = (0.785398, 1.570796): gap nan"),
+    (_nan_plaquette, "Hamiltonian is not finite near k = (1.178097, 1.963495): gap nan"),
     (_nan_solid_angle_sum, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
     (_nan_winding, "spectrum gap closes near k = (0.785398, 1.570796, 2.356194): gap nan"),
 ])
@@ -389,6 +401,72 @@ def test_zone_integrals_refuse_a_nan_integrand(integral, message):
     with pytest.raises(GaplessError) as info:
         integral()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("model, message", [
+    (chiral_ti_3d(1e308), "(0.000000, 0.000000, 0.000000)"),
+    (_planted(chiral_ti_3d(2.0), (1, 2, 3), 1e200), "(0.785398, 1.570796, 2.356194)"),
+])
+def test_winding_refuses_an_overflowing_norm(model, message):
+    # |d| above ~1.3e154 squares to inf: d/|d| would be all zeros and the
+    # integral an empty 0, with numpy's overflow warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            winding_numerical(model, 8)
+    assert not isinstance(info.value, GaplessError)
+    assert str(info.value) == f"coefficient norm |d| overflows near k = {message}"
+
+
+def _fft_derivative(values, axis):
+    n = values.shape[axis]
+    harmonics = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        harmonics[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n
+    mult = (1j * harmonics).reshape(shape)
+    return np.real(np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis))
+
+
+def stacked_winding(model, grid):
+    """The whole-array degree integral: three full-size spectral derivatives
+    stacked with n into a second Jacobian, then one determinant sum."""
+    d_vec = model.coeff(invariants._zone_mesh(grid, 3))
+    n_hat = d_vec / np.linalg.norm(d_vec, axis=-1)[..., None]
+    jac = np.stack([n_hat] + [_fft_derivative(n_hat, axis) for axis in range(3)], axis=-2)
+    total = np.linalg.det(jac).sum() * (2 * np.pi / grid) ** 3
+    raw = invariants.DEGREE_ORIENTATION * total / (2 * np.pi**2)
+    value = int(round(raw))
+    return value, float(abs(raw - value))
+
+
+@pytest.mark.parametrize("grid", [1, 2, 9, 40, 60])
+@pytest.mark.parametrize("m_param", [0.5, 2.0, 3.5])
+def test_winding_matches_stacked_reference_bit_for_bit(m_param, grid):
+    model = chiral_ti_3d(m_param)
+    assert winding_numerical(model, grid) == stacked_winding(model, grid)
+
+
+_GAPPED_MASS = st.floats(-4.5, 4.5).filter(
+    lambda m: min(abs(m - c) for c in (-3.0, -1.0, 1.0, 3.0)) > 0.05)
+
+
+@given(m_param=_GAPPED_MASS, grid=st.integers(1, 24))
+def test_winding_matches_stacked_reference_property(m_param, grid):
+    model = chiral_ti_3d(m_param)
+    assert winding_numerical(model, grid) == stacked_winding(model, grid)
+
+
+def test_winding_memory_is_one_jacobian():
+    # one (60^3, 4, 4) float Jacobian is 27.6 MB; the stacked form peaked at 86 MB
+    tracemalloc.start()
+    try:
+        winding_numerical(chiral_ti_3d(2.0), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_winding_grid_zero_rejected():
