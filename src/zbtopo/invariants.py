@@ -140,14 +140,23 @@ def _refuse_gap(gap, what: str):
         raise GaplessError(f"{what} near k = ({_mesh_k(at, len(gap))}): gap {gap.min():.3e}")
 
 
+def _refuse_overflow(norms):
+    """ValueError ``coefficient norm |d| overflows near k = (..)`` at the first point
+    of a zone-mesh array of norms |d| (n, ..., n) that is inf; NaN is `_refuse_gap`'s."""
+    if not np.isfinite(norms).all():
+        at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
+        raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
+
+
 def _mesh_k(at, n_grid: int) -> str:
     """The zone-mesh momentum at index tuple ``at``, as ``k_1, k_2, ..`` to 6 places."""
     return ", ".join(f"{2 * np.pi * i / n_grid:.6f}" for i in at)
 
 
 def _zone_eigh(model: BlochModel, n_grid: int):
-    """Eigenvalues and eigenvectors of H on the n x n zone mesh; a mesh point where
-    H is not finite is refused as a NaN gap."""
+    """Eigenvalues and eigenvectors of H on the n x n zone mesh.  A mesh point where
+    H holds NaN or inf is refused before the solve, as ``gap nan``: no gap is
+    computed there."""
     ham = evaluate(model, _zone_mesh(n_grid))
     _refuse_gap(np.where(np.isfinite(ham).all(axis=(-2, -1)), np.inf, np.nan),
                 "Hamiltonian is not finite")
@@ -225,9 +234,12 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 def _solid_angle_sum(d) -> float:
     """Degree of d/|d| over one zone mesh d (n, n, 3): the signed solid angles
     of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
-    190, 412 (1981)).  Refused where the gap 2|d| falls below the floor."""
-    norms = np.linalg.norm(d, axis=-1)
+    190, 412 (1981)).  Refused where the gap 2|d| falls below the floor or |d|
+    overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=-1)
     _refuse_gap(2 * norms, "two-band gap closes")
+    _refuse_overflow(norms)
     a = d / norms[..., None]
     b, e = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
     c = np.roll(b, -1, axis=1)
@@ -298,9 +310,7 @@ def winding_numerical(model: BlochModel, grid: int = 40):
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(d_vec, axis=-1)
     _refuse_gap(norms, "spectrum gap closes")
-    if not np.isfinite(norms).all():
-        at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
-        raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, grid)})")
+    _refuse_overflow(norms)
     jac = np.empty(norms.shape + (4, 4))
     np.divide(d_vec, norms[..., None], out=jac[..., 0, :])
     del d_vec  # n = d/|d| is row 0 of the Jacobian; free d before the derivatives
@@ -314,7 +324,7 @@ def winding_numerical(model: BlochModel, grid: int = 40):
         for i in range(grid):
             spec = np.fft.fft(n_hat[:, i], axis=0)
             spec *= mult
-            deriv[:, i] = np.fft.ifft(spec, axis=0, out=spec).real
+            deriv[:, i] = np.fft.ifft(spec, axis=0).real
     total = np.linalg.det(jac).sum() * (2 * np.pi / grid) ** 3
     raw = DEGREE_ORIENTATION * total / (2 * np.pi**2)
     value = int(round(raw))

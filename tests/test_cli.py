@@ -330,13 +330,18 @@ def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_invariants_with_an_overflowing_norm_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize("model, k", [
+    ({"name": "chiral_ti", "params": {"M": 1e308}}, "0.000000, 0.000000, 0.000000"),
+    ({"name": "kane_mele",
+      "params": {"t": 1e200, "lambda_so": 0.06, "lambda_r": 0.0, "lambda_v": 0.1}},
+     "0.000000, 0.000000"),
+])
+def test_invariants_with_an_overflowing_norm_is_runtime_error(tmp_path, capsys, model, k):
     # |d| overflows to inf, which would empty the degree integral to winding 0
-    cfg = write_config(tmp_path, {"model": {"name": "chiral_ti", "params": {"M": 1e308}}})
+    # (or, for kane_mele, fail the Z2 cross-check on a sector parity of 0)
+    cfg = write_config(tmp_path, {"model": model})
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err == ("error: coefficient norm |d| overflows near k = "
-                   "(0.000000, 0.000000, 0.000000)\n")
+    assert capsys.readouterr().err == f"error: coefficient norm |d| overflows near k = ({k})\n"
 
 
 # ---------------------------------------------------------------- phase diagram

@@ -384,14 +384,17 @@ def _nan_winding():
     return winding_numerical(_planted(chiral_ti_3d(2.0), (1, 2, 3), np.nan), 8)
 
 
-def _nan_plaquette():
+def _nan_plaquette(value=np.nan):
     # grid 8 is read off the 16 mesh, which is the one evaluated
-    return chern_plaquette(_planted(maxwell_lattice(1.0, 1.0), (3, 5), np.nan), 0, 8)
+    return chern_plaquette(_planted(maxwell_lattice(1.0, 1.0), (3, 5), value), 0, 8)
 
 
 @pytest.mark.parametrize("integral, message", [
     (_nan_fhs_sum, "band 1 touches a neighbour near k = (0.785398, 1.570796): gap nan"),
     (_nan_plaquette, "Hamiltonian is not finite near k = (1.178097, 1.963495): gap nan"),
+    # an inf in H is refused the same way, before eigh: no gap is computed there
+    (lambda: _nan_plaquette(np.inf),
+     "Hamiltonian is not finite near k = (1.178097, 1.963495): gap nan"),
     (_nan_solid_angle_sum, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
     (_nan_winding, "spectrum gap closes near k = (0.785398, 1.570796, 2.356194): gap nan"),
 ])
@@ -403,17 +406,27 @@ def test_zone_integrals_refuse_a_nan_integrand(integral, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("model, message", [
-    (chiral_ti_3d(1e308), "(0.000000, 0.000000, 0.000000)"),
-    (_planted(chiral_ti_3d(2.0), (1, 2, 3), 1e200), "(0.785398, 1.570796, 2.356194)"),
+def _overflow_solid_angle_sum():
+    d = kane_mele_spin_sector(1.0, 0.06, 0.1, +1).coeff(invariants._zone_mesh(8))
+    d[1, 2] = 1e200
+    return invariants._solid_angle_sum(d)
+
+
+@pytest.mark.parametrize("integral, message", [
+    (lambda: winding_numerical(chiral_ti_3d(1e308), 8), "(0.000000, 0.000000, 0.000000)"),
+    (lambda: winding_numerical(_planted(chiral_ti_3d(2.0), (1, 2, 3), 1e200), 8),
+     "(0.785398, 1.570796, 2.356194)"),
+    (lambda: degree_2band(kane_mele_spin_sector(1e200, 0.06, 0.1, +1), 8),
+     "(0.000000, 0.000000)"),
+    (_overflow_solid_angle_sum, "(0.785398, 1.570796)"),
 ])
-def test_winding_refuses_an_overflowing_norm(model, message):
+def test_zone_integrals_refuse_an_overflowing_norm(integral, message):
     # |d| above ~1.3e154 squares to inf: d/|d| would be all zeros and the
     # integral an empty 0, with numpy's overflow warning on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
-            winding_numerical(model, 8)
+            integral()
     assert not isinstance(info.value, GaplessError)
     assert str(info.value) == f"coefficient norm |d| overflows near k = {message}"
 
