@@ -1,14 +1,14 @@
 """Command-line front end.
 
     zb bands|zb|invariants|phase-diagram|verify --config FILE
-       [--out DIR] [--jobs N] [--allow-critical]
+       [--out DIR] [--allow-critical]
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
 ``FACTORIES`` is the one list of model names: a model's parameters are its
 factory's arguments, and its band path, sweep invariant and sweep
-parameters are read off the ``BlochModel`` the factory returns.
-Phase diagrams run in-process; ``--jobs`` is accepted and ignored.
+parameters are read off the ``BlochModel`` the factory returns.  Time-grid,
+drift and topology options a config leaves out take the library's defaults.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
 0 success, 1 runtime error, 2 config error, 3 verification failure.
 """
@@ -248,8 +248,8 @@ def cmd_zb(config, out_dir):
     dyn = config["dynamics"]
     if ("momentum" in dyn) == ("packet" in dyn):
         raise ConfigError("dynamics needs exactly one of 'momentum' or 'packet'")
-    spp = dyn.get("samples_per_period", 64)
-    periods = dyn.get("periods", 8)
+    options = {key: dyn[key] for key in ("samples_per_period", "periods", "include_drift")
+               if key in dyn}
     spinor = _parse_spinor(dyn.get("spinor"), model.band_count) if "spinor" in dyn else None
     if spinor is None:
         raise ConfigError("dynamics.spinor is required")
@@ -257,18 +257,13 @@ def cmd_zb(config, out_dir):
     try:
         if "momentum" in dyn:
             k = _vector(dyn["momentum"], "dynamics.momentum", model.momentum_dim)
-            traj = pcm_trajectory_exact(
-                model, k, spinor, include_drift=dyn.get("include_drift", False),
-                samples_per_period=spp, periods=periods,
-            )
+            traj = pcm_trajectory_exact(model, k, spinor, **options)
         else:
             pk = dyn["packet"]
             center = _vector(pk.get("center", [0.0] * model.momentum_dim), "dynamics.packet.center",
                              model.momentum_dim)
             packet = WavePacket(width=pk["width"], center=center, spinor=spinor)
-            grid_spec = None
-            if "half_width" in pk or "grid_points" in pk:
-                grid_spec = (pk.get("half_width", 5.0 / pk["width"]), pk.get("grid_points"))
+            grid_spec = (pk.get("half_width"), pk.get("grid_points"))
             try:
                 points = packet_grid(model, pk["width"], grid_spec)[1]
             except ValueError as exc:
@@ -277,10 +272,7 @@ def cmd_zb(config, out_dir):
                 field = "grid_points" if "grid_points" in pk else "half_width"
                 raise ConfigError(f"dynamics.packet.{field} gives {points}^{model.momentum_dim} "
                                   f"momenta, more than {_MAX_PACKET_MOMENTA}")
-            traj = wavepacket_trajectory(
-                model, packet, grid_spec, include_drift=dyn.get("include_drift", True),
-                samples_per_period=spp, periods=periods,
-            )
+            traj = wavepacket_trajectory(model, packet, grid_spec, **options)
     except GridSizeError as exc:
         raise ConfigError(f"dynamics.samples_per_period x dynamics.periods: {exc}") from exc
 
@@ -295,12 +287,7 @@ def cmd_zb(config, out_dir):
 
 def cmd_invariants(config, out_dir):
     model = build_model(config["model"])
-    topo = config.get("topology", {})
-    report = compute_invariants(
-        model,
-        plaquette_grid=topo.get("plaquette_grid", 64),
-        winding_grid=topo.get("winding_grid", 40),
-    )
+    report = compute_invariants(model, **config.get("topology", {}))
     text = zio.report_json(report.to_dict())
     path = os.path.join(out_dir, "invariants.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -392,8 +379,6 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=".")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility and ignored; sweeps run in-process")
         cmd.add_argument("--allow-critical", action="store_true")
     args = parser.parse_args(argv)
 

@@ -53,6 +53,7 @@ SPINOR_NORM_TOL = 1e-10
 DEGENERACY_TOL = 1e-8  # neighbouring energies at most this far apart share a degenerate chain
 _MAX_TIME_SAMPLES = 4 * 10**6  # default time grid; `zb zb` peaks near 350 bytes per sample
 _CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
+_SPURIOUS_TOL = 1e-10  # selection rule: largest relative power allowed away from the |m| line
 
 
 @dataclass
@@ -323,14 +324,21 @@ def _polar(w):
     return r, (float(np.angle(w)) if r > 0 else 0.0)
 
 
-def _closed_traj(times, comps, omegas_present, metadata):
-    """Components given as (complex amplitude, omega): value = Re(C e^{i w t})."""
-    times = _validate_sampling(times, omegas_present)
+def _closed_form(name, params, spinor, comps, omega, mag, scale, times):
+    """Trajectory with components Re(C_c e^{i omega t}) for the complex amplitudes
+    ``comps``, plus their (amplitude, phase, omega) summary.  ``times=None`` builds
+    the default grid; omega counts as present (for the sampling check) when ``mag`` > 0."""
+    times = _validate_sampling(zb_time_grid(omega) if times is None else times,
+                               [omega] if mag > 0 else [])
     pcm = np.zeros((len(times), 3))
-    for c, (amp, omega) in enumerate(comps):
+    for c, amp in enumerate(comps):
         if amp != 0:
             pcm[:, c] = np.real(amp * np.exp(1j * omega * times))
-    return Trajectory(times=times, pcm=pcm, metadata=metadata)
+    meta = {"model": name, "params": params, "spinor": _spinor_tag(spinor),
+            "include_drift": False, "zb_scale": scale}
+    form = ZBClosedForm(amplitude=np.array([abs(c) for c in comps]),
+                        phase=np.array([_polar(c)[1] for c in comps]), omega=omega)
+    return Trajectory(times=times, pcm=pcm, metadata=meta), form
 
 
 def closed_form_spin1(v_x: float, v_y: float, m: float, spinor, times=None):
@@ -357,23 +365,8 @@ def closed_form_spin1(v_x: float, v_y: float, m: float, spinor, times=None):
 
     cx = (v_x / omega) * mag * np.exp(1j * (sgn * theta - np.pi / 2))
     cy = -sgn * (v_y / omega) * mag * np.exp(1j * sgn * theta)
-    if times is None:
-        times = zb_time_grid(omega)
-    present = [omega] if mag > 0 else []
-    meta = {
-        "model": "spin1_closed_form",
-        "params": {"v_x": v_x, "v_y": v_y, "m": m},
-        "spinor": _spinor_tag(spinor),
-        "include_drift": False,
-        "zb_scale": mag * max(abs(v_x), abs(v_y)) / omega,
-    }
-    traj = _closed_traj(times, [(cx, omega), (cy, omega), (0.0, omega)], present, meta)
-    form = ZBClosedForm(
-        amplitude=np.array([abs(cx), abs(cy), 0.0]),
-        phase=np.array([_polar(cx)[1], _polar(cy)[1], 0.0]),
-        omega=omega,
-    )
-    return traj, form
+    return _closed_form("spin1_closed_form", {"v_x": v_x, "v_y": v_y, "m": m}, spinor,
+                        (cx, cy, 0.0), omega, mag, mag * max(abs(v_x), abs(v_y)) / omega, times)
 
 
 def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, times=None):
@@ -404,32 +397,14 @@ def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, tim
         omega = abs(m)
         cx = -np.sqrt(2.0) * (v_x / m) * r2 * np.exp(1j * sgn * th2)
         cy = -np.sqrt(2.0) * (v_y / abs(m)) * r2 * np.exp(1j * (sgn * th2 - np.pi / 2))
-        comps = [(cx, omega), (cy, omega), (0.0, omega)]
-        scale = np.sqrt(2.0) * r2 * max(abs(v_x), abs(v_y)) / abs(m)
-        mag = r2
+        comps, mag, scale = (cx, cy, 0.0), r2, np.sqrt(2.0) * r2 * max(abs(v_x), abs(v_y)) / abs(m)
     else:
         r3, th3 = _polar(a * np.conj(c))
         omega = 2 * abs(m)
         cz = -(v_z / m) * r3 * np.exp(1j * sgn * th3)
-        comps = [(0.0, omega), (0.0, omega), (cz, omega)]
-        scale = r3 * abs(v_z) / abs(m)
-        mag = r3
-    if times is None:
-        times = zb_time_grid(omega)
-    meta = {
-        "model": "chiral_closed_form",
-        "params": {"v_x": v_x, "v_y": v_y, "v_z": v_z, "m": m},
-        "spinor": _spinor_tag(spinor),
-        "include_drift": False,
-        "zb_scale": scale,
-    }
-    traj = _closed_traj(times, comps, [omega] if mag > 0 else [], meta)
-    form = ZBClosedForm(
-        amplitude=np.array([abs(cc) for cc, _ in comps]),
-        phase=np.array([_polar(cc)[1] if cc != 0 else 0.0 for cc, _ in comps]),
-        omega=omega,
-    )
-    return traj, form
+        comps, mag, scale = (0.0, 0.0, cz), r3, r3 * abs(v_z) / abs(m)
+    return _closed_form("chiral_closed_form", {"v_x": v_x, "v_y": v_y, "v_z": v_z, "m": m},
+                        spinor, comps, omega, mag, scale, times)
 
 
 def _unit_spinor(spinor, dim, model_name=None):
@@ -455,10 +430,10 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
 
     Per-momentum expectations are weighted by the normalized Gaussian
     |g(k)|^2 ~ exp(-d^2 |k - k0|^2) on a uniform grid.  ``grid_spec`` is an
-    optional (half_width, points_per_axis) pair; the default covers
-    |k - k0| <= 5/d with enough points for eight samples inside two
-    standard deviations per axis.  The mesh is diagonalized in stacked
-    eigensolves of ``_CHUNK`` momenta.  As d grows the result converges to
+    optional (half_width, points_per_axis) pair, either of which may be None:
+    the default covers |k - k0| <= 5/d with enough points for eight samples
+    inside two standard deviations per axis.  The mesh is diagonalized in
+    stacked eigensolves of ``_CHUNK`` momenta.  As d grows the result converges to
     :func:`pcm_trajectory_exact` at k0.
     """
     center = _check_center(model, packet.center)
@@ -494,11 +469,11 @@ def _check_center(model, center):
 
 
 def packet_grid(model, d, grid_spec):
-    """(half_width, points per axis) of the momentum grid of a packet of width ``d``."""
-    if grid_spec is None:
-        half_width, n_pts = 5.0 / d, None
-    else:
-        half_width, n_pts = grid_spec
+    """(half_width, points per axis) of the momentum grid of a packet of width ``d``;
+    ``grid_spec`` as in :func:`wavepacket_trajectory`."""
+    half_width, n_pts = grid_spec or (None, None)
+    if half_width is None:
+        half_width = 5.0 / d
     if model.momentum_cutoff is not None:
         half_width = min(half_width, model.momentum_cutoff)
     sigma = 1.0 / (np.sqrt(2.0) * d)
@@ -634,8 +609,7 @@ class SelectionRuleReport:
     passed: bool
 
 
-def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
-                         spurious_tol: float = 1e-10) -> SelectionRuleReport:
+def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> SelectionRuleReport:
     """Verify that random spinors of a spin-j system oscillate only at |m|.
 
     The trials' exact trajectories at p = 0 come from one spinor stack; each
@@ -679,5 +653,5 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234,
         trials=trials,
         max_spurious_power=worst_power,
         max_frequency_error=worst_freq_err,
-        passed=ok and worst_power < spurious_tol,
+        passed=ok and worst_power < _SPURIOUS_TOL,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessError, NotHighSymmetryError
-from .models import BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
+from .models import _PAULI, BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
 
 __all__ = [
     "HSPLinearization",
@@ -228,9 +228,6 @@ def chern_plaquette(model: BlochModel, band, grid: int = 64):
     return values if isinstance(band, tuple) else values[0]
 
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
 def _solid_angle_sum(d) -> float:
     """Degree of d/|d| over one zone mesh d (n, n, 3): the signed solid angles
     of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
@@ -335,28 +332,31 @@ def winding_numerical(model: BlochModel, grid: int = 40):
 # honeycomb model invariants
 # ----------------------------------------------------------------------
 
-# the valleys K and K', and the spin-up sublattice mass projector sz x P_up
-_KM_VALLEYS = np.array([[2 * np.pi / 3, 4 * np.pi / 3], [4 * np.pi / 3, 2 * np.pi / 3]])
-_KM_UP_MASS = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])).astype(complex)
-
-
 def _km_params(model: BlochModel) -> dict:
     if model.invariant != "z2":
         raise ValueError(f"expected the honeycomb model, got '{model.name}'")
     return model.params
 
 
-def _km_valley_masses(model: BlochModel):
-    """Per-valley spin-up masses from the sublattice-spin mass projection.
+def _km_up_sector(model: BlochModel) -> BlochModel:
+    """The honeycomb model's Rashba-free spin-up sector (`kane_mele_spin_sector`)."""
+    params = _km_params(model)
+    return kane_mele_spin_sector(params["t"], params["lambda_so"], params["lambda_v"], +1)
 
-    The projector tr[(sz x P_up) H]/2 ignores the Rashba block entirely,
-    which is exactly the Rashba-free reduction used to classify the phase;
-    its validity is guarded by gap tracking, not assumed.
+
+def _km_valley_masses(model: BlochModel):
+    """Per-valley spin-up masses: the sz coefficient of the spin-up sector at its
+    valleys K and K'.
+
+    The sector drops the Rashba block entirely, which is exactly the
+    Rashba-free reduction used to classify the phase; its validity is guarded
+    by the full model's valley gaps, not assumed.
     """
-    hams = evaluate(model, _KM_VALLEYS)
-    w = np.linalg.eigvalsh(hams)
-    masses = (np.einsum("ij,kji->k", _KM_UP_MASS, hams).real / 2.0).tolist()
-    for kpt, gap, mass in zip(_KM_VALLEYS, (w[:, 2] - w[:, 1]).tolist(), masses):
+    sector = _km_up_sector(model)
+    valleys = np.array(sector.hsps)
+    w = np.linalg.eigvalsh(evaluate(model, valleys))
+    masses = sector.coeff(valleys)[:, 2].tolist()
+    for kpt, gap, mass in zip(valleys, (w[:, 2] - w[:, 1]).tolist(), masses):
         if gap < MASS_FLOOR:
             raise GaplessError(
                 f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
@@ -376,12 +376,9 @@ def z2_kane_mele(model: BlochModel) -> int:
 
 def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
     """Z2 as the parity of one decoupled sector's Chern number (lambda_r = 0)."""
-    params = _km_params(model)
-    if params["lambda_r"] != 0.0:
+    sector = _km_up_sector(model)
+    if model.params["lambda_r"] != 0.0:
         raise ValueError("the decoupled-sector parity oracle needs lambda_r = 0")
-    sector = kane_mele_spin_sector(
-        params["t"], params["lambda_so"], params["lambda_v"], +1
-    )
     return abs(degree_2band(sector, grid)) % 2
 
 

@@ -259,9 +259,10 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
 # ----------------------------------------------------------------------
 
 _S0 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# (sx, sy, sz): the spin sector's generators, shared read-only
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
+_SX, _SY, _SZ = _PAULI
 
 # Unit vectors of the three nearest-neighbour bonds (A -> B), bond j taken
 # with the lattice offset R_j in {0, a1, a2}; a1 = (1, 0), a2 = (1/2, s3/2).
@@ -310,32 +311,34 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
 
     def coeff(k, _t=t, _so=lambda_so, _r=lambda_r, _v=lambda_v):
         k1, k2 = k[..., 0], k[..., 1]
+        s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
         out = np.empty(k.shape[:-1] + (10,))
-        out[..., 0] = _t * (1 + np.cos(k1) + np.cos(k2))
-        out[..., 1] = _t * (np.sin(k1) + np.sin(k2))
-        out[..., 2] = 2 * _so * (np.sin(k1) - np.sin(k2) - np.sin(k1 - k2))  # Haldane g(k)
+        out[..., 0] = _t * (1 + c1 + c2)
+        out[..., 1] = _t * (s1 + s2)
+        out[..., 2] = 2 * _so * (s1 - s2 - np.sin(k1 - k2))  # Haldane g(k)
         out[..., 3] = _v
         out[..., 4] = 0.0        # sin of zero bond phase
         out[..., 5] = -_r
-        out[..., 6] = _r * np.sin(k1)
-        out[..., 7] = -_r * np.cos(k1)
-        out[..., 8] = _r * np.sin(k2)
-        out[..., 9] = -_r * np.cos(k2)
+        out[..., 6] = _r * s1
+        out[..., 7] = -_r * c1
+        out[..., 8] = _r * s2
+        out[..., 9] = -_r * c2
         return out
 
     def coeff_grad(k, _t=t, _so=lambda_so, _r=lambda_r):
         k1, k2 = k[..., 0], k[..., 1]
+        s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
         out = np.zeros(k.shape[:-1] + (10, 2))
-        out[..., 0, 0] = -_t * np.sin(k1)
-        out[..., 0, 1] = -_t * np.sin(k2)
-        out[..., 1, 0] = _t * np.cos(k1)
-        out[..., 1, 1] = _t * np.cos(k2)
-        out[..., 2, 0] = 2 * _so * (np.cos(k1) - np.cos(k1 - k2))
-        out[..., 2, 1] = 2 * _so * (-np.cos(k2) + np.cos(k1 - k2))
-        out[..., 6, 0] = _r * np.cos(k1)
-        out[..., 7, 0] = _r * np.sin(k1)
-        out[..., 8, 1] = _r * np.cos(k2)
-        out[..., 9, 1] = _r * np.sin(k2)
+        out[..., 0, 0] = -_t * s1
+        out[..., 0, 1] = -_t * s2
+        out[..., 1, 0] = _t * c1
+        out[..., 1, 1] = _t * c2
+        out[..., 2, 0] = 2 * _so * (c1 - np.cos(k1 - k2))
+        out[..., 2, 1] = 2 * _so * (-c2 + np.cos(k1 - k2))
+        out[..., 6, 0] = _r * c1
+        out[..., 7, 0] = _r * s1
+        out[..., 8, 1] = _r * c2
+        out[..., 9, 1] = _r * s2
         return out
 
     pi = np.pi
@@ -377,7 +380,7 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
     full = kane_mele(t, spin * lambda_so, 0.0, lambda_v)
-    gens = GeneratorSet(labels=("sx", "sy", "sz"), matrices=np.stack([_SX, _SY, _SZ]))
+    gens = GeneratorSet(labels=("sx", "sy", "sz"), matrices=_PAULI)
 
     def coeff(k, _c=full.coeff):
         c = _c(k)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _SPURIOUS_TOL,
     WavePacket,
     closed_form_chiral,
     closed_form_spin1,
@@ -71,6 +72,13 @@ def _reading(value) -> str:
     return f"{value:.3e}" + ("" if np.isfinite(value) else " (non-finite reading)")
 
 
+def _within_budget(lines, t0, seconds) -> bool:
+    """Whether the check begun at ``t0`` took under ``seconds``; appends the report line."""
+    within = time.perf_counter() - t0 < seconds
+    lines.append(f"runtime within {seconds} s budget: {'yes' if within else 'no'}")
+    return within
+
+
 def _random_spinor(rng, dim):
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return raw / np.linalg.norm(raw)
@@ -91,9 +99,7 @@ def check_phase_table(rng) -> CheckResult:
             f"M={m_param:+.0f}: nu={nus} chern_hsp={local} "
             f"chern_plaquette={global_} expected={expected['chern']}"
         )
-    within = time.perf_counter() - t0 < 30.0
-    ok &= within
-    lines.append(f"runtime within 30 s budget: {'yes' if within else 'no'}")
+    ok &= _within_budget(lines, t0, 30)
     return _result("phase_table", ok, lines)
 
 
@@ -156,9 +162,7 @@ def check_direction_reversal(rng) -> CheckResult:
             f"M={m_param}: packet={sense_packet:+d} exact={sense_exact:+d} "
             f"expected={expected:+d}"
         )
-    within = time.perf_counter() - t0 < 10.0
-    ok &= within
-    lines.append(f"runtime within 10 s budget: {'yes' if within else 'no'}")
+    ok &= _within_budget(lines, t0, 10)
     return _result("direction_reversal", ok, lines)
 
 
@@ -171,7 +175,7 @@ def check_selection_rule(rng) -> CheckResult:
         ok &= report.passed
         lines.append(
             f"J={j}: max spurious relative power = {_reading(report.max_spurious_power)} "
-            f"(tolerance 1e-10)"
+            f"(tolerance {_SPURIOUS_TOL:g})"
         )
     return _result("selection_rule", ok, lines)
 
@@ -190,9 +194,7 @@ def check_winding(rng) -> CheckResult:
             f"M={m_param:+.0f}: corners={local} integral={numeric} "
             f"residual={residual:.2e} expected={expected}"
         )
-    within = time.perf_counter() - t0 < 120.0
-    ok &= within
-    lines.append(f"runtime within 120 s budget: {'yes' if within else 'no'}")
+    ok &= _within_budget(lines, t0, 120)
     return _result("winding_3d", ok, lines)
 
 

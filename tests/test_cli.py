@@ -266,6 +266,37 @@ def test_zb_byte_identical_reruns(tmp_path, capsys):
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
 
 
+ZB_MOMENTUM = {"momentum": [0.3, 0.1], "spinor": [[SQH, 0.0], [SQH, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command, implicit, explicit", [
+    ("invariants", maxwell_config(1.0),
+     maxwell_config(1.0, {"topology": {"plaquette_grid": 64, "winding_grid": 40}})),
+    ("invariants", {"model": {"name": "chiral_ti", "params": {"M": 2.0}}},
+     {"model": {"name": "chiral_ti", "params": {"M": 2.0}},
+      "topology": {"plaquette_grid": 64, "winding_grid": 40}}),
+    ("zb", maxwell_config(1.0, {"dynamics": {**PACKET_DYNAMICS["dynamics"],
+                                             "packet": {"width": 20.0, "grid_points": 41}}}),
+     maxwell_config(1.0, {"dynamics": {**PACKET_DYNAMICS["dynamics"], "packet": {
+         "width": 20.0, "grid_points": 41, "half_width": 5 / 20.0}}})),
+    ("zb", maxwell_config(1.0, {"dynamics": ZB_MOMENTUM}),
+     maxwell_config(1.0, {"dynamics": {**ZB_MOMENTUM, "samples_per_period": 64, "periods": 8,
+                                       "include_drift": False}})),
+])
+def test_omitted_options_take_the_library_defaults(tmp_path, capsys, command, implicit,
+                                                    explicit):
+    # exit code, stdout and stderr, and the bytes of every file each run writes
+    outputs = []
+    for name, payload in (("implicit", implicit), ("explicit", explicit)):
+        out = tmp_path / name
+        code = main([command, "--config", write_config(tmp_path, payload, f"{name}.json"),
+                     "--out", str(out)])
+        outputs.append((code, capsys.readouterr(),
+                        {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert outputs[0][0] == 0 and outputs[0][2]
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- invariants
 
 def test_invariants_json_schema(tmp_path, capsys):
@@ -351,7 +382,7 @@ SWEEP = {"sweep": {"parameter": "M", "start": -3.0, "stop": 3.0, "step": 0.25}}
 
 def test_phase_diagram_reproduces_intervals(tmp_path, capsys):
     cfg = write_config(tmp_path, maxwell_config(0.0, SWEEP))
-    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 0
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     header, data = read_csv_table(tmp_path / "phase_diagram.csv")
     assert header == ["M", "chern", "nu_0_0", "nu_0_pi", "nu_pi_0", "nu_pi_pi"]
@@ -372,13 +403,21 @@ def test_phase_diagram_reproduces_intervals(tmp_path, capsys):
         assert len(set(rows[:, 1])) == 1
 
 
-def test_phase_diagram_jobs_deterministic(tmp_path, capsys):
+def test_phase_diagram_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, maxwell_config(0.0, SWEEP))
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["phase-diagram", "--config", cfg, "--out", str(out1), "--jobs", "1"]) == 0
-    assert main(["phase-diagram", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
+    assert main(["phase-diagram", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["phase-diagram", "--config", cfg, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "phase_diagram.csv").read_bytes() == (out2 / "phase_diagram.csv").read_bytes()
+
+
+def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, maxwell_config(0.0, SWEEP))
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
 def test_phase_diagram_empty_range_rejected(tmp_path):
@@ -387,7 +426,7 @@ def test_phase_diagram_empty_range_rejected(tmp_path):
         maxwell_config(0.0, {"sweep": {"parameter": "M", "start": 1.0, "stop": 0.0,
                                        "step": 0.25}}),
     )
-    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 2
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 def test_phase_diagram_allow_critical_hits_gapless(tmp_path, capsys):
@@ -397,10 +436,10 @@ def test_phase_diagram_allow_critical_hits_gapless(tmp_path, capsys):
                                        "step": 0.5}}),
     )
     # without the flag: nothing but critical points -> config error
-    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 2
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
     # with the flag the gap closure surfaces as a runtime error
     assert main([
-        "phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1",
+        "phase-diagram", "--config", cfg, "--out", str(tmp_path),
         "--allow-critical",
     ]) == 1
 
@@ -411,7 +450,7 @@ def test_chiral_phase_diagram_winding_column(tmp_path, capsys):
         {"model": {"name": "chiral_ti", "params": {"M": 0.0}},
          "sweep": {"parameter": "M", "start": -4.0, "stop": 4.0, "step": 1.0}},
     )
-    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 0
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     header, data = read_csv_table(tmp_path / "phase_diagram.csv")
     assert header[:2] == ["M", "winding"]

@@ -207,6 +207,18 @@ def test_chiral_gapless_rejected():
         closed_form_chiral(1.0, 1.0, 1.0, 0.0, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("closed_form, spinor", [
+    (lambda s, t: closed_form_spin1(0.0, 0.0, 2.0, s, t), [1.0, 1.0, 0.0]),
+    (lambda s, t: closed_form_chiral(0.0, 0.0, 0.0, 2.0, s, t), [1.0, 1.0, 0.0]),
+    (lambda s, t: closed_form_chiral(0.0, 0.0, 0.0, 2.0, s, t), [1.0, 0.0, 1.0]),
+])
+def test_closed_forms_refuse_undersampling_at_zero_velocity(closed_form, spinor):
+    # every component vanishes at v = 0, but the level pair still oscillates
+    # at the gap frequency, so a step of 1 undersamples it
+    with pytest.raises(ValueError, match="undersamples"):
+        closed_form(np.array(spinor) / SQ2, np.arange(10.0))
+
+
 @pytest.mark.parametrize("mass,model_m", [(-2.0, 1.0), (2.0, 3.0)])
 def test_oracle_equivalence_spin1(mass, model_m):
     model = maxwell_lattice(1.0, model_m)
