@@ -4,7 +4,8 @@ The cubic-lattice model h(k) = sin kx l4 + sin ky l5 + sin kz l6 +
 (M - sum cos) l7 keeps a flat zero band and a chiral symmetry
 S = diag(1, 1, -1).  Its winding number follows either from the eight
 corner points, w = (1/2) sum sgn(v_x v_y v_z) sgn(m), or from the degree
-of the unit coefficient vector over the zone.  Oscillation trajectories
+of the unit coefficient vector over the zone, counted as the signed
+preimages of one generic direction.  Oscillation trajectories
 at a corner distinguish the branches: in-plane spinors rotate at |m|,
 axial ones oscillate along z at 2|m|.
 """
@@ -22,12 +23,12 @@ from zbtopo import (
 )
 
 print("winding number across the phase diagram:")
-print(f"{'M':>4} | {'corner formula':>14} | {'degree integral':>15} | residual")
+print(f"{'M':>4} | {'corner formula':>14} | {'preimage count':>15} | residual")
 for M in (-4.0, -2.0, 0.0, 2.0, 4.0):
     model = chiral_ti_3d(M)
     local = winding_from_hsp(model)
-    integral, residual = winding_numerical(model, 40)
-    print(f"{M:>4.0f} | {local:>14d} | {integral:>15d} | {residual:.1e}")
+    count, residual = winding_numerical(model, 40)
+    print(f"{M:>4.0f} | {local:>14d} | {count:>15d} | {residual:.1e}")
 
 model = chiral_ti_3d(2.0)
 s_op = chiral_symmetry(model)

@@ -37,8 +37,8 @@ from .dynamics import (
     zb_spectrum,
 )
 from .errors import GridSizeError
-from .invariants import (PLAQUETTE_MAX_GRID, check_grid, chern_from_hsp, compute_invariants,
-                         linearize_at_hsp, winding_from_hsp, z2_kane_mele)
+from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, check_grid, chern_from_hsp,
+                         compute_invariants, linearize_at_hsp, winding_from_hsp, z2_kane_mele)
 from .models import evaluate
 from .verify import run_verify
 
@@ -78,6 +78,7 @@ SECTION_KEYS = {
     "sweep": {"parameter", "start", "stop", "step"},
 }
 
+_TOPOLOGY_MAX_GRID = {"plaquette_grid": PLAQUETTE_MAX_GRID, "winding_grid": WINDING_MAX_GRID}
 MAX_SWEEP_VALUES = 10**6
 # Size caps for `zb zb`, checked before anything is allocated: time samples
 # scale with samples_per_period x periods (64 x 8 by default) and a packet
@@ -171,16 +172,15 @@ def load_config(path: str, command: str) -> dict:
     _integer(config.get("seed", 0), "seed", 0)
     try:
         for key, value in config.get("topology", {}).items():
-            upper = PLAQUETTE_MAX_GRID if key == "plaquette_grid" else None
-            check_grid(value, upper, f"topology.{key}")
+            check_grid(value, _TOPOLOGY_MAX_GRID[key], f"topology.{key}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
 
 
 def build_model(section: dict):
-    """The model a config ``model`` section names; parameters annotated ``str``
-    are passed as given, every other one must be a finite number."""
+    """The model a config ``model`` section names; parameters annotated ``str`` are passed
+    as given, every other one must be a finite number that keeps |d| finite at the hsps."""
     name = section.get("name")
     if name not in FACTORIES:
         raise ConfigError(f"unknown model {name!r}; choose from {sorted(FACTORIES)}")
@@ -196,9 +196,15 @@ def build_model(section: dict):
         if parameter.default is parameter.empty and key not in params:
             raise ConfigError(f"model '{name}' is missing parameter {key!r}")
     try:
-        return getattr(models, FACTORIES[name])(**params)
+        model = getattr(models, FACTORIES[name])(**params)
     except ValueError as exc:
         raise ConfigError(f"model '{name}': {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.linalg.norm(model.coeff(np.array(model.hsps)), axis=-1))
+    if not finite.all():
+        k = ", ".join(f"{x:.6f}" for x in model.hsps[int(np.argmin(finite))])
+        raise ConfigError(f"model.params {params} give a non-finite |d| at k = ({k})")
+    return model
 
 
 def _parse_spinor(raw, dim):

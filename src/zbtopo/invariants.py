@@ -3,7 +3,7 @@
 Two independent routes exist for every invariant: the sign-count over
 high-symmetry points (local, exact) and a zone integral (global, gauge
 free).  The lattice field-strength (plaquette) sum plays the global role
-in 2D, a unit-vector degree integral in 3D, and the decoupled-sector Chern
+in 2D, a signed preimage count of d/|d| in 3D, and the decoupled-sector Chern
 parity / inversion-parity products for the honeycomb model.  The sector
 Chern number behind that parity is the degree of d/|d| for the two-band
 sector H = d(k) . sigma, summed as signed solid angles over the zone mesh
@@ -13,6 +13,7 @@ sector H = d(k) . sigma, summed as signed solid angles over the zone mesh
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +42,13 @@ MASS_FLOOR = 1e-9
 PROJECTION_TOL = 1e-8
 PLAQUETTE_GAP_FLOOR = 1e-6
 PLAQUETTE_MAX_GRID = 512
+WINDING_MAX_GRID = 64  # one batched Kuhn solve at 64^3 holds a (64^3, 4, 4) stack, 34 MB
+# The direction on S^3 whose signed preimages the 3D winding count sums: generic, and
+# not +-e4, whose preimages are the zone corners that the corner formula already reads.
+WINDING_TARGET = np.array([2.0, -4.0, 5.0, 6.0]) / 9.0  # unit: 4 + 16 + 25 + 36 = 81
 
-# Orientation of the plaquette field-strength sum and of the 3D degree
-# integral.  Both signs are pinned once so that the global integrals and
+# Orientation of the plaquette field-strength sum and of the 3D preimage
+# count.  Both signs are pinned once so that the global integrals and
 # the high-symmetry-point sign formulas quote invariants in the same
 # convention; the agreement at every other parameter value is then a real
 # cross-check.
@@ -140,12 +145,16 @@ def _refuse_gap(gap, what: str):
         raise GaplessError(f"{what} near k = ({_mesh_k(at, len(gap))}): gap {gap.min():.3e}")
 
 
-def _refuse_overflow(norms):
-    """ValueError ``coefficient norm |d| overflows near k = (..)`` at the first point
-    of a zone-mesh array of norms |d| (n, ..., n) that is inf; NaN is `_refuse_gap`'s."""
+def _zone_norms(d, gap_per_norm, what: str):
+    """|d| on a zone mesh d (n, ..., n, k); `_refuse_gap` refuses the gap gap_per_norm |d| as
+    ``what``, and a ValueError ``coefficient norm |d| overflows near k = (..)`` an inf |d|."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=-1)
+    _refuse_gap(gap_per_norm * norms, what)
     if not np.isfinite(norms).all():
         at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
         raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
+    return norms
 
 
 def _mesh_k(at, n_grid: int) -> str:
@@ -178,21 +187,20 @@ def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
     return PLAQUETTE_ORIENTATION * float(np.angle(plaq).sum()) / (2 * np.pi)
 
 
-def _refine(zone, integral, grid: int, meshes: dict) -> int:
-    """Integer value of ``integral`` over zone meshes of ``grid``, doubling (up to
-    PLAQUETTE_MAX_GRID) until two successive sizes agree on the rounded integer,
-    each within 1e-6 of it.  ``zone(n)`` returns a tuple of (n, n, ...) arrays,
-    kept in ``meshes`` by size for later calls."""
+def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID, dim=2) -> int:
+    """Integer value of ``integral`` over zone meshes from ``grid``, doubling (up to ``ceiling``)
+    until two successive sizes agree on the rounded integer, each within 1e-6 of it.  ``zone(n)``
+    returns a tuple of arrays whose first ``dim`` axes span the n^dim mesh, kept in ``meshes``."""
     previous = None
     n = grid
-    while n <= PLAQUETTE_MAX_GRID:
+    while n <= ceiling:
         if n not in meshes:
             # A value with no agreeing predecessor cannot stop at n: build 2n and
-            # take n as its [::2, ::2] subsample, bit-equal to a direct build
+            # take n as its [::2, ..., ::2] subsample, bit-equal to a direct build
             # since 2 * (2 pi i) / (2 n) == 2 pi i / n.
-            step = 2 if previous is None and 2 * n <= PLAQUETTE_MAX_GRID else 1
+            step = 2 if previous is None and 2 * n <= ceiling else 1
             meshes[step * n] = zone(step * n)
-            meshes[n] = tuple(x[::step, ::step] for x in meshes[step * n])
+            meshes[n] = tuple(x[(slice(None, None, step),) * dim] for x in meshes[step * n])
         raw = integral(*meshes[n])
         rounded = int(round(raw))
         good = abs(raw - rounded) < 1e-6
@@ -200,8 +208,8 @@ def _refine(zone, integral, grid: int, meshes: dict) -> int:
             return rounded
         previous = rounded if good else None
         n *= 2
-    raise ValueError(f"plaquette sum did not stabilize on an integer up to grid "
-                     f"{PLAQUETTE_MAX_GRID} (last {raw!r})")
+    raise ValueError(f"zone sum did not stabilize on an integer up to grid {ceiling} "
+                     f"(last {raw!r})")
 
 
 def chern_plaquette(model: BlochModel, band, grid: int = 64):
@@ -233,11 +241,7 @@ def _solid_angle_sum(d) -> float:
     of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
     190, 412 (1981)).  Refused where the gap 2|d| falls below the floor or |d|
     overflows."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(d, axis=-1)
-    _refuse_gap(2 * norms, "two-band gap closes")
-    _refuse_overflow(norms)
-    a = d / norms[..., None]
+    a = d / _zone_norms(d, 2, "two-band gap closes")[..., None]
     b, e = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
     c = np.roll(b, -1, axis=1)
     total = 0.0
@@ -287,45 +291,37 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
     return total // 2
 
 
-def winding_numerical(model: BlochModel, grid: int = 40):
-    """3D winding number as the degree of the unit coefficient vector.
+def _preimage_count(d) -> float:
+    """Signed preimage count of WINDING_TARGET under d/|d| on one zone mesh d (n, n, n, 4).
+    Each mesh cube splits into six Kuhn tetrahedra, one per axis permutation, with d linear
+    on each; one whose image cone holds the target ([d_a d_b d_c d_e] x = target, x > 0)
+    adds the permutation's sign times sgn det [d_a d_b d_c d_e]."""
+    _zone_norms(d, 1, "spectrum gap closes")
+    index = np.arange(len(d) ** 3).reshape(d.shape[:3])
+    total = 0.0
+    for perm in itertools.permutations(range(3)):
+        # vertices k, k + e_a, k + e_a + e_b, k + (1, 1, 1) for perm = (a, b, c)
+        vertices = np.stack([np.roll(index, -1, axis=perm[:i]) for i in range(4)], axis=-1)
+        cone = d.reshape(-1, 4)[vertices.reshape(-1, 4)].swapaxes(-1, -2)
+        det = np.linalg.det(cone)
+        cone[det == 0] = np.eye(4)  # a flat cone holds no generic direction; sgn 0 drops it
+        inside = (np.linalg.solve(cone, WINDING_TARGET[:, None])[..., 0] > 0).all(axis=-1)
+        total += np.linalg.det(np.eye(3)[list(perm)]) * np.sign(det[inside]).sum()
+    return DEGREE_ORIENTATION * float(total)
 
-    The four generator coefficients d(k) are normalized to a unit vector n
-    on S^3 and the degree integral (1/2 pi^2) int det[n, dn/dk1, dn/dk2,
-    dn/dk3] d^3k is evaluated with spectral derivatives.  Returns the
-    rounded integer and the residual distance from it.  Memory is one
-    (grid^3, 4, 4) Jacobian [n, dn/dk1, dn/dk2, dn/dk3] plus per-plane FFT
-    temporaries.  A grid point where |d| is below PLAQUETTE_GAP_FLOOR or NaN
-    is a GaplessError, one where |d| overflows a ValueError.
-    """
-    if model.momentum_dim != 3:
-        raise ValueError("the winding integral needs a 3D model")
-    if len(model.generators) != 4:
-        raise ValueError("the winding integral expects a four-generator chiral model")
-    check_grid(grid)
-    d_vec = model.coeff(_zone_mesh(grid, 3))
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(d_vec, axis=-1)
-    _refuse_gap(norms, "spectrum gap closes")
-    _refuse_overflow(norms)
-    jac = np.empty(norms.shape + (4, 4))
-    np.divide(d_vec, norms[..., None], out=jac[..., 0, :])
-    del d_vec  # n = d/|d| is row 0 of the Jacobian; free d before the derivatives
-    harmonics = np.fft.fftfreq(grid, d=1.0 / grid)
-    if grid % 2 == 0:
-        harmonics[grid // 2] = 0.0
-    mult = (1j * harmonics)[:, None, None]
-    # dn/dk_axis one plane at a time across the axis, so each FFT line stays whole
-    for axis in range(3):
-        n_hat, deriv = (np.moveaxis(jac[..., row, :], axis, 0) for row in (0, 1 + axis))
-        for i in range(grid):
-            spec = np.fft.fft(n_hat[:, i], axis=0)
-            spec *= mult
-            deriv[:, i] = np.fft.ifft(spec, axis=0).real
-    total = np.linalg.det(jac).sum() * (2 * np.pi / grid) ** 3
-    raw = DEGREE_ORIENTATION * total / (2 * np.pi**2)
-    value = int(round(raw))
-    return value, float(abs(raw - value))
+
+def winding_numerical(model: BlochModel, grid: int = 40):
+    """3D winding number, the degree of d/|d| : T^3 -> S^3, as an exact signed preimage
+    count (`_preimage_count`; Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).  The mesh
+    starts at 8 and doubles up to ``grid`` (at most WINDING_MAX_GRID) until two successive
+    meshes agree; returns the count and residual 0.0.  An unsettled count or an inf |d| is
+    a ValueError, a mesh point where |d| is below PLAQUETTE_GAP_FLOOR or NaN a GaplessError."""
+    if model.momentum_dim != 3 or len(model.generators) != 4:
+        raise ValueError("the winding count needs a 3D four-generator chiral model")
+    check_grid(grid, WINDING_MAX_GRID)
+    count = _refine(lambda n: (model.coeff(_zone_mesh(n, 3)),), _preimage_count,
+                    min(8, grid), {}, grid, dim=3)
+    return count, 0.0
 
 
 # ----------------------------------------------------------------------
@@ -521,10 +517,8 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         winding = winding_from_hsp(model, lins)
         w_num, winding_residual = winding_numerical(model, winding_grid)
         if w_num != winding:
-            raise ValueError(
-                f"winding cross-check failed: corner formula {winding}, "
-                f"integral {w_num}"
-            )
+            raise ValueError(f"winding cross-check failed: corner formula {winding}, "
+                             f"preimage count {w_num}")
     return InvariantReport(
         model=model.name,
         params=dict(model.params),

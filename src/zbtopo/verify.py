@@ -181,7 +181,7 @@ def check_selection_rule(rng) -> CheckResult:
 
 
 def check_winding(rng) -> CheckResult:
-    """Corner sign formula against the degree integral at five mass values."""
+    """Corner sign formula against the signed preimage count at five mass values."""
     t0 = time.perf_counter()
     lines, ok = [], True
     for m_param, expected in WINDING_TABLE.items():

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from zbtopo import dynamics
+from zbtopo import dynamics, invariants
 from zbtopo.verify import (
     check_closed_form_oracle,
     check_direction_reversal,
@@ -19,6 +19,7 @@ from zbtopo.verify import (
     check_scaling_laws,
     check_selection_rule,
     check_winding,
+    run_battery,
 )
 
 SEED = 20260809
@@ -54,8 +55,9 @@ def test_criterion_4_selection_rule():
 
 
 def test_criterion_5_winding_cross_check():
-    # corner formula equals the degree integral (N = 40) at five masses, < 2 min
-    _run(check_winding, 5, "3D winding: corner signs vs degree integral")
+    # corner formula equals the signed preimage count (meshes up to N = 40)
+    # at five masses, < 2 min
+    _run(check_winding, 5, "3D winding: corner signs vs preimage count")
 
 
 def test_criterion_6_kane_mele_z2():
@@ -98,3 +100,16 @@ def test_non_finite_trajectories_fail_the_oracle_and_selection_rule(monkeypatch)
         result = check(np.random.default_rng(SEED))
         assert not result.passed
         assert any("(non-finite reading)" in line for line in result.lines)
+
+
+def test_sign_flipped_winding_count_fails_the_battery(monkeypatch):
+    # the count is the only global route to the 3D winding: flipping its sign
+    # must fail check_winding on the masses with a nonzero winding, and with
+    # it the battery, while every other check still passes
+    real = invariants._preimage_count
+    monkeypatch.setattr(invariants, "_preimage_count", lambda d: -real(d))
+    result = check_winding(np.random.default_rng(SEED))
+    assert not result.passed
+    assert "M=+2: corners=-1 integral=1 residual=0.00e+00 expected=-1" in result.lines
+    failed = [res.name for res in run_battery(SEED) if not res.passed]
+    assert failed == ["winding_3d"]

@@ -344,7 +344,7 @@ def test_invariants_bad_plaquette_grid_is_config_error(tmp_path, capsys, grid):
     assert "topology.plaquette_grid must be an integer in 1..512" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [0, -1, 40.0])
+@pytest.mark.parametrize("grid", [0, -1, 40.0, 65, 100000])
 def test_invariants_bad_winding_grid_is_config_error(tmp_path, capsys, grid):
     cfg = write_config(
         tmp_path,
@@ -352,7 +352,7 @@ def test_invariants_bad_winding_grid_is_config_error(tmp_path, capsys, grid):
          "topology": {"winding_grid": grid}},
     )
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "topology.winding_grid must be a positive integer" in capsys.readouterr().err
+    assert "topology.winding_grid must be an integer in 1..64" in capsys.readouterr().err
 
 
 def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):
@@ -361,18 +361,20 @@ def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("model, k", [
-    ({"name": "chiral_ti", "params": {"M": 1e308}}, "0.000000, 0.000000, 0.000000"),
+@pytest.mark.parametrize("model, params, k", [
+    ({"name": "chiral_ti", "params": {"M": 1e308}}, "{'M': 1e+308}",
+     "0.000000, 0.000000, 0.000000"),
     ({"name": "kane_mele",
       "params": {"t": 1e200, "lambda_so": 0.06, "lambda_r": 0.0, "lambda_v": 0.1}},
-     "0.000000, 0.000000"),
-])
-def test_invariants_with_an_overflowing_norm_is_runtime_error(tmp_path, capsys, model, k):
-    # |d| overflows to inf, which would empty the degree integral to winding 0
-    # (or, for kane_mele, fail the Z2 cross-check on a sector parity of 0)
+     "{'t': 1e+200, 'lambda_so': 0.06, 'lambda_r': 0.0, 'lambda_v': 0.1}", "0.000000, 0.000000"),
+], ids=["chiral_ti", "kane_mele"])
+def test_invariants_with_an_overflowing_norm_is_config_error(tmp_path, capsys, model, params, k):
+    # |d| overflows to inf at a high-symmetry point: the parameters are refused
+    # before any zone mesh is built
     cfg = write_config(tmp_path, {"model": model})
-    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: coefficient norm |d| overflows near k = ({k})\n"
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: model.params {params} give a non-finite |d| "
+                                       f"at k = ({k})\n")
 
 
 # ---------------------------------------------------------------- phase diagram

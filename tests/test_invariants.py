@@ -431,60 +431,94 @@ def test_zone_integrals_refuse_an_overflowing_norm(integral, message):
     assert str(info.value) == f"coefficient norm |d| overflows near k = {message}"
 
 
-def _fft_derivative(values, axis):
-    n = values.shape[axis]
-    harmonics = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        harmonics[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    mult = (1j * harmonics).reshape(shape)
-    return np.real(np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis))
-
-
-def stacked_winding(model, grid):
-    """The whole-array degree integral: three full-size spectral derivatives
-    stacked with n into a second Jacobian, then one determinant sum."""
-    d_vec = model.coeff(invariants._zone_mesh(grid, 3))
-    n_hat = d_vec / np.linalg.norm(d_vec, axis=-1)[..., None]
-    jac = np.stack([n_hat] + [_fft_derivative(n_hat, axis) for axis in range(3)], axis=-2)
-    total = np.linalg.det(jac).sum() * (2 * np.pi / grid) ** 3
-    raw = invariants.DEGREE_ORIENTATION * total / (2 * np.pi**2)
-    value = int(round(raw))
-    return value, float(abs(raw - value))
-
-
-@pytest.mark.parametrize("grid", [1, 2, 9, 40, 60])
-@pytest.mark.parametrize("m_param", [0.5, 2.0, 3.5])
-def test_winding_matches_stacked_reference_bit_for_bit(m_param, grid):
-    model = chiral_ti_3d(m_param)
-    assert winding_numerical(model, grid) == stacked_winding(model, grid)
-
-
 _GAPPED_MASS = st.floats(-4.5, 4.5).filter(
-    lambda m: min(abs(m - c) for c in (-3.0, -1.0, 1.0, 3.0)) > 0.05)
+    lambda m: min(abs(m - c) for c in (-3.0, -1.0, 1.0, 3.0)) > 1e-3)
 
 
-@given(m_param=_GAPPED_MASS, grid=st.integers(1, 24))
-def test_winding_matches_stacked_reference_property(m_param, grid):
+@given(m_param=_GAPPED_MASS)
+def test_winding_count_equals_corner_formula_property(m_param):
     model = chiral_ti_3d(m_param)
-    assert winding_numerical(model, grid) == stacked_winding(model, grid)
+    assert winding_numerical(model, 40) == (winding_from_hsp(model), 0.0)
+
+
+@pytest.mark.parametrize("m_param", [4.0, 2.0, 0.0, -2.0, 1.001, -0.999, 2.999, -3.001])
+def test_winding_count_is_the_same_for_a_second_target(monkeypatch, m_param):
+    model = chiral_ti_3d(m_param)
+    first = winding_numerical(model, 40)
+    second = np.array([-0.47, 0.29, 0.71, -0.43])
+    monkeypatch.setattr(invariants, "WINDING_TARGET", second / np.linalg.norm(second))
+    assert winding_numerical(model, 40) == first == (winding_from_hsp(model), 0.0)
+
+
+NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)
+                 for e in (0.001, 0.01, 0.1)]
+
+
+@pytest.mark.parametrize("m_param", NEAR_CRITICAL)
+def test_winding_count_is_exact_near_transitions(monkeypatch, m_param):
+    # meshes 8 and 16 both count the corner formula's integer exactly, and the
+    # stop needs that agreement, not a distance below 0.05 from an integer.
+    # Mesh 8 is read off mesh 16 on all three axes, bit-equal to a direct build.
+    model = chiral_ti_3d(m_param)
+    counts = []
+    real = invariants._preimage_count
+
+    def spy(d):
+        assert np.array_equal(d, model.coeff(invariants._zone_mesh(len(d), 3)))
+        counts.append((d.shape, real(d)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(invariants, "_preimage_count", spy)
+    expected = winding_from_hsp(model)
+    assert winding_numerical(model, 40) == (expected, 0.0)
+    assert counts == [((8, 8, 8, 4), expected), ((16, 16, 16, 4), expected)]
+
+
+@pytest.mark.parametrize("count, last", [
+    # within 0.05 of an integer on every mesh: residual < 0.05 would pass it
+    (lambda d: -1.04, "-1.04"),
+    # an integer on every mesh, but never the same one twice in a row
+    (lambda d: float(len(d).bit_length() % 2), "0.0"),
+], ids=["near_integer", "alternating"])
+def test_winding_stop_refuses_what_a_residual_bound_passes(monkeypatch, count, last):
+    monkeypatch.setattr(invariants, "_preimage_count", count)
+    with pytest.raises(ValueError) as info:
+        winding_numerical(chiral_ti_3d(2.0), 40)
+    assert str(info.value) == ("zone sum did not stabilize on an integer up to grid 40 "
+                               f"(last {last})")
+
+
+def test_winding_count_refines_up_to_the_grid_ceiling(monkeypatch):
+    # a count that changes on every mesh is tried on 8, 16, 32 and 64 but
+    # never above the ceiling; a ceiling under 16 leaves no second mesh
+    grids = []
+    monkeypatch.setattr(invariants, "_preimage_count", lambda d: grids.append(len(d)) or len(d))
+    for ceiling in (64, 15):
+        with pytest.raises(ValueError, match=f"integer up to grid {ceiling} "):
+            winding_numerical(chiral_ti_3d(2.0), ceiling)
+    assert grids == [8, 16, 32, 64, 8]
 
 
 def test_winding_memory_is_one_jacobian():
-    # one (60^3, 4, 4) float Jacobian is 27.6 MB; the stacked form peaked at 86 MB
+    # the count holds one (n^3, 4, 4) stack of tetrahedron cones at a time:
+    # 0.5 MB at n = 16, where grid 60 stops (traced peak 1.5 MB)
     tracemalloc.start()
     try:
         winding_numerical(chiral_ti_3d(2.0), 60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 3e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_winding_grid_zero_rejected():
-    with pytest.raises(ValueError, match="grid must be a positive integer, got 0"):
+    with pytest.raises(ValueError, match="grid must be an integer in 1..64, got 0"):
         winding_numerical(chiral_ti_3d(1.0), 0)
+
+
+def test_winding_grid_above_the_ceiling_rejected():
+    with pytest.raises(ValueError, match="grid must be an integer in 1..64, got 65"):
+        winding_numerical(chiral_ti_3d(1.0), 65)
 
 
 def test_winding_needs_3d():
