@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -439,6 +440,61 @@ _GAPPED_MASS = st.floats(-4.5, 4.5).filter(
 def test_winding_count_equals_corner_formula_property(m_param):
     model = chiral_ti_3d(m_param)
     assert winding_numerical(model, 40) == (winding_from_hsp(model), 0.0)
+
+
+def _kuhn_count(n, d):
+    """Signed preimage count of WINDING_TARGET on a directly built n^3 mesh d: each cube's
+    six tetrahedra gathered by explicit index arithmetic, a cone with det 0 left out, the
+    permutation sign from its inversions."""
+    shifts = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    total = 0
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        steps = np.zeros((4, 3), dtype=int)
+        for i in range(1, 4):
+            steps[i:, perm[i - 1]] += 1
+        corners = (shifts[:, None, :] + steps) % n
+        cone = d[corners[..., 0], corners[..., 1], corners[..., 2]].swapaxes(-1, -2)
+        det = np.linalg.det(cone)
+        solid = det != 0
+        x = np.linalg.solve(cone[solid], invariants.WINDING_TARGET[:, None])[..., 0]
+        total += (-1) ** inversions * int(np.sign(det[solid][(x > 0).all(axis=-1)]).sum())
+    return invariants.DEGREE_ORIENTATION * float(total)
+
+
+def stacked_winding(model, grid):
+    """The two-grid count on meshes 8, 16, ... up to ``grid``, each built directly from
+    model.coeff rather than read off a finer mesh; returns the outcome (value or error)."""
+    previous, n = None, min(8, grid)
+    while n <= grid:
+        raw = _kuhn_count(n, model.coeff(invariants._zone_mesh(n, 3)))
+        if previous == int(raw):
+            return (int(raw), 0.0)
+        previous, n = int(raw), 2 * n
+    return ("ValueError", f"zone sum did not stabilize on an integer up to grid {grid} "
+                          f"(last {raw!r})")
+
+
+def _winding_outcome(model, grid):
+    try:
+        return winding_numerical(model, grid)
+    except ValueError as err:
+        return (type(err).__name__, str(err))
+
+
+@pytest.mark.parametrize("grid", [1, 2, 9, 40, 60])
+@pytest.mark.parametrize("m_param", [0.5, 2.0, 3.5])
+def test_winding_matches_stacked_reference_bit_for_bit(m_param, grid):
+    # grids 1, 2 and 9 leave no two agreeing meshes: both refuse with the same last count
+    model = chiral_ti_3d(m_param)
+    assert _winding_outcome(model, grid) == stacked_winding(model, grid)
+
+
+@given(m_param=st.floats(-4.5, 4.5).filter(
+    lambda m: min(abs(m - c) for c in (-3.0, -1.0, 1.0, 3.0)) > 0.05), grid=st.integers(1, 24))
+def test_winding_matches_stacked_reference_property(m_param, grid):
+    model = chiral_ti_3d(m_param)
+    assert _winding_outcome(model, grid) == stacked_winding(model, grid)
 
 
 @pytest.mark.parametrize("m_param", [4.0, 2.0, 0.0, -2.0, 1.001, -0.999, 2.999, -3.001])
