@@ -37,8 +37,9 @@ from .dynamics import (
     zb_spectrum,
 )
 from .errors import GridSizeError
-from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, check_grid, chern_from_hsp,
-                         compute_invariants, linearize_at_hsp, winding_from_hsp, z2_kane_mele)
+from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, WINDING_MIN_GRID, check_grid,
+                         chern_from_hsp, compute_invariants, linearize_at_hsp, winding_from_hsp,
+                         z2_kane_mele)
 from .models import evaluate
 from .verify import run_verify
 
@@ -78,7 +79,8 @@ SECTION_KEYS = {
     "sweep": {"parameter", "start", "stop", "step"},
 }
 
-_TOPOLOGY_MAX_GRID = {"plaquette_grid": PLAQUETTE_MAX_GRID, "winding_grid": WINDING_MAX_GRID}
+_TOPOLOGY_GRIDS = {"plaquette_grid": (1, PLAQUETTE_MAX_GRID),
+                   "winding_grid": (WINDING_MIN_GRID, WINDING_MAX_GRID)}
 MAX_SWEEP_VALUES = 10**6
 # Size caps for `zb zb`, checked before anything is allocated: time samples
 # scale with samples_per_period x periods (64 x 8 by default) and a packet
@@ -172,7 +174,8 @@ def load_config(path: str, command: str) -> dict:
     _integer(config.get("seed", 0), "seed", 0)
     try:
         for key, value in config.get("topology", {}).items():
-            check_grid(value, _TOPOLOGY_MAX_GRID[key], f"topology.{key}")
+            lower, upper = _TOPOLOGY_GRIDS[key]
+            check_grid(value, upper, f"topology.{key}", lower)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config

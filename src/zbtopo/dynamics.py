@@ -424,7 +424,7 @@ def _unit_spinor(spinor, dim, model_name=None):
 # ----------------------------------------------------------------------
 
 def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
-                          times=None, include_drift: bool = True, *,
+                          include_drift: bool = True, *,
                           samples_per_period: int = 64, periods: int = 8) -> Trajectory:
     """Momentum-averaged trajectory of a Gaussian packet.
 
@@ -445,7 +445,7 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     weights = np.exp(-d * d * np.sum((mesh - center) ** 2, axis=1))
     weights /= weights.sum()
 
-    (times, pcm, scale), = _momentum_sum(model, mesh, weights, [packet.spinor], times,
+    (times, pcm, scale), = _momentum_sum(model, mesh, weights, [packet.spinor], None,
                                          include_drift, samples_per_period, periods)
     meta = {
         "model": model.name,
@@ -508,21 +508,20 @@ def _detrended(traj: Trajectory):
     return traj.pcm - traj.pcm.mean(axis=0)
 
 
-def rotation_index(traj: Trajectory, plane=(0, 1), scale: float | None = None) -> int:
+def rotation_index(traj: Trajectory, plane=(0, 1)) -> int:
     """Sense of rotation in a coordinate plane: +1 counterclockwise, -1 clockwise.
 
     The signed area integral (x dy - y dx)/2 is accumulated over an integer
     number of periods of the dominant oscillation (trapezoidal rule).
     Returns 0 when the peak oscillation amplitude is below 1e-9 of the
-    expected amplitude scale (metadata ``zb_scale`` unless overridden).
+    expected amplitude scale (metadata ``zb_scale``, else 1).
     """
     times = _check_uniform(traj.times)
     clean = _detrended(traj)
     x = clean[:, plane[0]]
     y = clean[:, plane[1]]
     amp = float(np.max(np.hypot(x, y)))
-    if scale is None:
-        scale = traj.metadata.get("zb_scale") or 1.0
+    scale = traj.metadata.get("zb_scale") or 1.0
     if amp < 1e-9 * max(scale, AMPLITUDE_FLOOR):
         return 0
 

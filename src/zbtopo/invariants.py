@@ -42,6 +42,9 @@ MASS_FLOOR = 1e-9
 PROJECTION_TOL = 1e-8
 PLAQUETTE_GAP_FLOOR = 1e-6
 PLAQUETTE_MAX_GRID = 512
+# The count starts on mesh 8 and doubles, so a ceiling of 16 is the least that admits two
+# meshes to agree; every counted mesh is 8 * 2^k, free of the flat cones of n = 2 (mod 4).
+WINDING_MIN_GRID = 16
 WINDING_MAX_GRID = 64  # one batched Kuhn solve at 64^3 holds a (64^3, 4, 4) stack, 34 MB
 # The direction on S^3 whose signed preimages the 3D winding count sums: generic, and
 # not +-e4, whose preimages are the zone corners that the corner formula already reads.
@@ -272,11 +275,11 @@ def degree_2band(model: BlochModel, grid: int = 32) -> int:
     return _refine(lambda n: (model.coeff(_zone_mesh(n)),), _solid_angle_sum, grid, {})
 
 
-def check_grid(grid, upper=None, name="grid"):
-    """Refuse a grid size that is not an integer in 1..upper (ValueError naming ``name``)."""
+def check_grid(grid, upper=None, name="grid", lower=1):
+    """Refuse a grid size that is not an integer in lower..upper (ValueError naming ``name``)."""
     integer = isinstance(grid, (int, np.integer)) and not isinstance(grid, bool)
-    if not integer or grid < 1 or (upper is not None and grid > upper):
-        limit = f"an integer in 1..{upper}" if upper is not None else "a positive integer"
+    if not integer or grid < lower or (upper is not None and grid > upper):
+        limit = f"an integer in {lower}..{upper}" if upper is not None else "a positive integer"
         raise ValueError(f"{name} must be {limit}, got {grid!r}")
 
 
@@ -310,18 +313,18 @@ def _preimage_count(d) -> float:
     return DEGREE_ORIENTATION * float(total)
 
 
-def winding_numerical(model: BlochModel, grid: int = 40):
+def winding_numerical(model: BlochModel, grid: int = 40) -> int:
     """3D winding number, the degree of d/|d| : T^3 -> S^3, as an exact signed preimage
     count (`_preimage_count`; Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).  The mesh
-    starts at 8 and doubles up to ``grid`` (at most WINDING_MAX_GRID) until two successive
-    meshes agree; returns the count and residual 0.0.  An unsettled count or an inf |d| is
-    a ValueError, a mesh point where |d| is below PLAQUETTE_GAP_FLOOR or NaN a GaplessError."""
+    starts at 8 and doubles up to ``grid`` (WINDING_MIN_GRID..WINDING_MAX_GRID) until two
+    successive meshes agree on the integer count, which is returned.  An unsettled count or
+    an inf |d| is a ValueError, a mesh point where |d| is below PLAQUETTE_GAP_FLOOR or NaN a
+    GaplessError."""
     if model.momentum_dim != 3 or len(model.generators) != 4:
         raise ValueError("the winding count needs a 3D four-generator chiral model")
-    check_grid(grid, WINDING_MAX_GRID)
-    count = _refine(lambda n: (model.coeff(_zone_mesh(n, 3)),), _preimage_count,
-                    min(8, grid), {}, grid, dim=3)
-    return count, 0.0
+    check_grid(grid, WINDING_MAX_GRID, lower=WINDING_MIN_GRID)
+    return _refine(lambda n: (model.coeff(_zone_mesh(n, 3)),), _preimage_count, 8, {}, grid,
+                   dim=3)
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +470,6 @@ class InvariantReport:
     chern_hsp: tuple | None
     chern_plaquette: tuple | None
     winding: int | None
-    winding_residual: float | None
     z2: int | None
 
     def to_dict(self) -> dict:
@@ -481,7 +483,8 @@ class InvariantReport:
                 list(self.chern_plaquette) if self.chern_plaquette is not None else None
             ),
             "winding": self.winding,
-            "winding_residual": self.winding_residual,
+            # the count is exact; the key stays for the readers of the JSON
+            "winding_residual": 0.0 if self.winding is not None else None,
             "z2": self.z2,
         }
 
@@ -492,11 +495,13 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
 
     The model's declared ``invariant`` picks the route; every model with a
     mass generator also reports its high-symmetry-point linearizations.
-    Each index with a second route is cross-checked against it: the winding
-    always, the Z2 index against the sector Chern parity at lambda_r = 0.
+    Each index with a second route is cross-checked against it: the Chern
+    numbers against the plaquette sum on periodic models, the winding against
+    the preimage count always, the Z2 index against the sector Chern parity at
+    lambda_r = 0.  A disagreement is a ValueError.
     """
     lins = ()
-    chern_local = chern_global = winding = winding_residual = z2 = None
+    chern_local = chern_global = winding = z2 = None
 
     if model.invariant == "z2":
         z2 = z2_kane_mele(model)
@@ -513,9 +518,12 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         if model.periodic:
             chern_global = chern_plaquette(model, tuple(range(model.band_count)),
                                            plaquette_grid)
+            if chern_global != chern_local:
+                raise ValueError(f"Chern cross-check failed: corner formula {chern_local}, "
+                                 f"plaquette sum {chern_global}")
     elif model.invariant == "winding":
         winding = winding_from_hsp(model, lins)
-        w_num, winding_residual = winding_numerical(model, winding_grid)
+        w_num = winding_numerical(model, winding_grid)
         if w_num != winding:
             raise ValueError(f"winding cross-check failed: corner formula {winding}, "
                              f"preimage count {w_num}")
@@ -526,6 +534,5 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         chern_hsp=chern_local,
         chern_plaquette=chern_global,
         winding=winding,
-        winding_residual=winding_residual,
         z2=z2,
     )

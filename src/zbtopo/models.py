@@ -157,8 +157,21 @@ def gradient(model: BlochModel, k) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# continuum spin-J model
+# spin-J models: H = d(k) . (Jx, Jy, Jz)
 # ----------------------------------------------------------------------
+
+def _spin_model(j, basis: str, **fields) -> BlochModel:
+    """A 2D spin-j model with the generators `spin_matrices(j, basis)`: mass on Jz,
+    velocities on Jx and Jy, the ascending-Jz mass basis (the cartesian spin-1 one, or
+    the reversed computational basis of the ladder) and the square band path.
+    ``fields`` give the rest of the `BlochModel`."""
+    gens = spin_matrices(j, basis)
+    mass_basis = (_SPIN1_MASS_BASIS if basis == "cartesian"
+                  else np.eye(gens.dim, dtype=complex)[:, ::-1])
+    return BlochModel(momentum_dim=2, band_count=gens.dim, generators=gens, mass_generator=2,
+                      velocity_generators=(0, 1), mass_basis=mass_basis,
+                      band_path=_SQUARE_PATH, **fields)
+
 
 def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder") -> BlochModel:
     """H(p) = v_x p_x Jx + v_y p_y Jy + m Jz for a spin-j quasiparticle.
@@ -167,8 +180,6 @@ def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder")
     m * (-j .. j).  ``basis='cartesian'`` (j = 1 only) uses the adjoint
     representation so spinors match the spin-1 lattice model convention.
     """
-    gens = spin_matrices(j, basis)
-    dim = gens.dim
     grad_const = np.array([[v_x, 0.0], [0.0, v_y], [0.0, 0.0]])
 
     def coeff(k, _vx=v_x, _vy=v_y, _m=m):
@@ -181,32 +192,17 @@ def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder")
     def coeff_grad(k, _g=grad_const):
         return np.broadcast_to(_g, k.shape[:-1] + (3, 2)).copy()
 
-    if basis == "cartesian":
-        mass_basis = _SPIN1_MASS_BASIS
-    else:
-        mass_basis = np.eye(dim, dtype=complex)[:, ::-1]  # ascending Jz order
-
-    return BlochModel(
+    return _spin_model(
+        j, basis,
         name="spin_j",
-        momentum_dim=2,
-        band_count=dim,
-        generators=gens,
         coeff=coeff,
         coeff_grad=coeff_grad,
         hsps=(np.zeros(2),),
         params={"j": float(j), "v_x": v_x, "v_y": v_y, "m": m, "basis": basis},
         periodic=False,
-        mass_generator=2,
-        velocity_generators=(0, 1),
-        mass_basis=mass_basis,
         momentum_cutoff=10.0,
-        band_path=_SQUARE_PATH,
     )
 
-
-# ----------------------------------------------------------------------
-# spin-1 square-lattice model
-# ----------------------------------------------------------------------
 
 def maxwell_lattice(t_h: float, M: float) -> BlochModel:
     """Three-band spin-1 lattice model h(k) = J . d(k).
@@ -217,7 +213,6 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
     """
     if t_h == 0.0:
         raise ValueError("t_h must be nonzero")
-    gens = spin_matrices(1, "cartesian")
 
     def coeff(k, _t=t_h, _M=M):
         out = np.empty(k.shape[:-1] + (3,))
@@ -234,20 +229,14 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         out[..., 2, 1] = 2 * _t * np.sin(k[..., 1])
         return out
 
-    return BlochModel(
+    return _spin_model(
+        1, "cartesian",
         name="maxwell",
-        momentum_dim=2,
-        band_count=3,
-        generators=gens,
         coeff=coeff,
         coeff_grad=coeff_grad,
         hsps=_zone_corners(2),
         params={"t_h": t_h, "M": M},
         periodic=True,
-        mass_generator=2,
-        velocity_generators=(0, 1),
-        mass_basis=_SPIN1_MASS_BASIS,
-        band_path=_SQUARE_PATH,
         invariant="chern",
         sweep_parameters=("M",),
         critical_values=(-2.0, 0.0, 2.0),
@@ -453,37 +442,17 @@ def chiral_ti_3d(M: float) -> BlochModel:
 
 
 def chiral_symmetry(model: BlochModel) -> np.ndarray:
-    """Hermitian unitary S with S H(k) S = -H(k), found by solving the
-    anticommutation system {G, S} = 0 over the model's generator set."""
+    """Hermitian unitary S with S H(k) S = -H(k): the null vector of the anticommutation
+    system (G (x) 1 + 1 (x) G^T) vec(S) = 0, stacked over the model's generators."""
     gens = model.generators.matrices
-    n = gens.shape[-1]
-    # Real basis of Hermitian n x n matrices.
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for k in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, k] = e[k, i] = 1.0
-            basis.append(e / SQ2)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, k] = -1j
-            e[k, i] = 1j
-            basis.append(e / SQ2)
-    basis = np.stack(basis)
-    rows = []
-    for g in gens:
-        anti = np.einsum("ij,bjk->bik", g, basis) + np.einsum("bij,jk->bik", basis, g)
-        rows.append(anti.reshape(len(basis), -1))
-    system = np.concatenate([np.concatenate([r.real, r.imag], axis=1) for r in rows], axis=1)
-    gram = system @ system.T
-    svals, vecs = np.linalg.eigh(gram)
-    null = vecs[:, 0]
-    if svals[0] > 1e-12 * max(svals[-1], 1.0):
-        raise ValueError(f"no chiral symmetry operator found (min eigenvalue {svals[0]:.3e})")
-    s = np.einsum("b,bij->ij", null, basis)
+    eye = np.eye(gens.shape[-1])
+    system = np.concatenate([np.kron(g, eye) + np.kron(eye, g.T) for g in gens])
+    _, svals, vh = np.linalg.svd(system)
+    if svals[-1] > 1e-6 * max(svals[0], 1.0):
+        raise ValueError(f"no chiral symmetry operator found (min singular value {svals[-1]:.3e})")
+    s = vh[-1].conj().reshape(eye.shape)
+    # with G Hermitian, S^dagger solves the system too: keep the larger Hermitian part
+    s = max(s + s.conj().T, 1j * (s - s.conj().T), key=np.linalg.norm)
     # Normalize eigenvalues to exactly +-1 and pin the overall sign.
     w, v = np.linalg.eigh(s)
     s = v @ np.diag(np.sign(w)) @ v.conj().T

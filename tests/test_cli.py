@@ -344,7 +344,7 @@ def test_invariants_bad_plaquette_grid_is_config_error(tmp_path, capsys, grid):
     assert "topology.plaquette_grid must be an integer in 1..512" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [0, -1, 40.0, 65, 100000])
+@pytest.mark.parametrize("grid", [0, -1, 8, 15, 40.0, 65, 100000])
 def test_invariants_bad_winding_grid_is_config_error(tmp_path, capsys, grid):
     cfg = write_config(
         tmp_path,
@@ -352,7 +352,7 @@ def test_invariants_bad_winding_grid_is_config_error(tmp_path, capsys, grid):
          "topology": {"winding_grid": grid}},
     )
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "topology.winding_grid must be an integer in 1..64" in capsys.readouterr().err
+    assert "topology.winding_grid must be an integer in 16..64" in capsys.readouterr().err
 
 
 def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):

@@ -344,9 +344,7 @@ def test_winding_cross_check(m_param):
     model = chiral_ti_3d(m_param)
     expected = WINDING_TABLE[m_param]
     assert winding_from_hsp(model) == expected
-    value, residual = winding_numerical(model, 40)
-    assert value == expected
-    assert residual < 0.05
+    assert winding_numerical(model, 40) == expected
 
 
 def test_winding_gapless_rejected():
@@ -382,7 +380,8 @@ def _planted(model, at, value):
 
 
 def _nan_winding():
-    return winding_numerical(_planted(chiral_ti_3d(2.0), (1, 2, 3), np.nan), 8)
+    # mesh 8 is read off the 16 mesh, which is the one evaluated
+    return winding_numerical(_planted(chiral_ti_3d(2.0), (2, 4, 6), np.nan), 16)
 
 
 def _nan_plaquette(value=np.nan):
@@ -414,8 +413,8 @@ def _overflow_solid_angle_sum():
 
 
 @pytest.mark.parametrize("integral, message", [
-    (lambda: winding_numerical(chiral_ti_3d(1e308), 8), "(0.000000, 0.000000, 0.000000)"),
-    (lambda: winding_numerical(_planted(chiral_ti_3d(2.0), (1, 2, 3), 1e200), 8),
+    (lambda: winding_numerical(chiral_ti_3d(1e308), 16), "(0.000000, 0.000000, 0.000000)"),
+    (lambda: winding_numerical(_planted(chiral_ti_3d(2.0), (2, 4, 6), 1e200), 16),
      "(0.785398, 1.570796, 2.356194)"),
     (lambda: degree_2band(kane_mele_spin_sector(1e200, 0.06, 0.1, +1), 8),
      "(0.000000, 0.000000)"),
@@ -439,7 +438,7 @@ _GAPPED_MASS = st.floats(-4.5, 4.5).filter(
 @given(m_param=_GAPPED_MASS)
 def test_winding_count_equals_corner_formula_property(m_param):
     model = chiral_ti_3d(m_param)
-    assert winding_numerical(model, 40) == (winding_from_hsp(model), 0.0)
+    assert winding_numerical(model, 40) == winding_from_hsp(model)
 
 
 def _kuhn_count(n, d):
@@ -465,11 +464,11 @@ def _kuhn_count(n, d):
 def stacked_winding(model, grid):
     """The two-grid count on meshes 8, 16, ... up to ``grid``, each built directly from
     model.coeff rather than read off a finer mesh; returns the outcome (value or error)."""
-    previous, n = None, min(8, grid)
+    previous, n = None, 8
     while n <= grid:
         raw = _kuhn_count(n, model.coeff(invariants._zone_mesh(n, 3)))
         if previous == int(raw):
-            return (int(raw), 0.0)
+            return int(raw)
         previous, n = int(raw), 2 * n
     return ("ValueError", f"zone sum did not stabilize on an integer up to grid {grid} "
                           f"(last {raw!r})")
@@ -482,19 +481,26 @@ def _winding_outcome(model, grid):
         return (type(err).__name__, str(err))
 
 
+def _expected_winding_outcome(model, grid):
+    """The reference outcome, or the refusal of a grid below 16, which leaves the count on
+    mesh 8 no second mesh to agree with."""
+    if grid < 16:
+        return ("ValueError", f"grid must be an integer in 16..64, got {grid}")
+    return stacked_winding(model, grid)
+
+
 @pytest.mark.parametrize("grid", [1, 2, 9, 40, 60])
 @pytest.mark.parametrize("m_param", [0.5, 2.0, 3.5])
 def test_winding_matches_stacked_reference_bit_for_bit(m_param, grid):
-    # grids 1, 2 and 9 leave no two agreeing meshes: both refuse with the same last count
     model = chiral_ti_3d(m_param)
-    assert _winding_outcome(model, grid) == stacked_winding(model, grid)
+    assert _winding_outcome(model, grid) == _expected_winding_outcome(model, grid)
 
 
 @given(m_param=st.floats(-4.5, 4.5).filter(
     lambda m: min(abs(m - c) for c in (-3.0, -1.0, 1.0, 3.0)) > 0.05), grid=st.integers(1, 24))
 def test_winding_matches_stacked_reference_property(m_param, grid):
     model = chiral_ti_3d(m_param)
-    assert _winding_outcome(model, grid) == stacked_winding(model, grid)
+    assert _winding_outcome(model, grid) == _expected_winding_outcome(model, grid)
 
 
 @pytest.mark.parametrize("m_param", [4.0, 2.0, 0.0, -2.0, 1.001, -0.999, 2.999, -3.001])
@@ -503,7 +509,7 @@ def test_winding_count_is_the_same_for_a_second_target(monkeypatch, m_param):
     first = winding_numerical(model, 40)
     second = np.array([-0.47, 0.29, 0.71, -0.43])
     monkeypatch.setattr(invariants, "WINDING_TARGET", second / np.linalg.norm(second))
-    assert winding_numerical(model, 40) == first == (winding_from_hsp(model), 0.0)
+    assert winding_numerical(model, 40) == first == winding_from_hsp(model)
 
 
 NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)
@@ -526,7 +532,7 @@ def test_winding_count_is_exact_near_transitions(monkeypatch, m_param):
 
     monkeypatch.setattr(invariants, "_preimage_count", spy)
     expected = winding_from_hsp(model)
-    assert winding_numerical(model, 40) == (expected, 0.0)
+    assert winding_numerical(model, 40) == expected
     assert counts == [((8, 8, 8, 4), expected), ((16, 16, 16, 4), expected)]
 
 
@@ -546,13 +552,15 @@ def test_winding_stop_refuses_what_a_residual_bound_passes(monkeypatch, count, l
 
 def test_winding_count_refines_up_to_the_grid_ceiling(monkeypatch):
     # a count that changes on every mesh is tried on 8, 16, 32 and 64 but
-    # never above the ceiling; a ceiling under 16 leaves no second mesh
+    # never above the ceiling; a ceiling under 16 leaves no second mesh and
+    # is refused before any count
     grids = []
     monkeypatch.setattr(invariants, "_preimage_count", lambda d: grids.append(len(d)) or len(d))
-    for ceiling in (64, 15):
-        with pytest.raises(ValueError, match=f"integer up to grid {ceiling} "):
-            winding_numerical(chiral_ti_3d(2.0), ceiling)
-    assert grids == [8, 16, 32, 64, 8]
+    with pytest.raises(ValueError, match="integer up to grid 64 "):
+        winding_numerical(chiral_ti_3d(2.0), 64)
+    with pytest.raises(ValueError, match="grid must be an integer in 16..64, got 15"):
+        winding_numerical(chiral_ti_3d(2.0), 15)
+    assert grids == [8, 16, 32, 64]
 
 
 def test_winding_memory_is_one_jacobian():
@@ -568,12 +576,12 @@ def test_winding_memory_is_one_jacobian():
 
 
 def test_winding_grid_zero_rejected():
-    with pytest.raises(ValueError, match="grid must be an integer in 1..64, got 0"):
+    with pytest.raises(ValueError, match="grid must be an integer in 16..64, got 0"):
         winding_numerical(chiral_ti_3d(1.0), 0)
 
 
 def test_winding_grid_above_the_ceiling_rejected():
-    with pytest.raises(ValueError, match="grid must be an integer in 1..64, got 65"):
+    with pytest.raises(ValueError, match="grid must be an integer in 16..64, got 65"):
         winding_numerical(chiral_ti_3d(1.0), 65)
 
 
@@ -714,10 +722,26 @@ def test_report_maxwell():
     assert payload["hsp"][0]["nu"] == -1
 
 
+def test_report_refuses_a_plaquette_sum_that_disagrees(monkeypatch):
+    # the plaquette sum is the Chern numbers' second route: one band's sign
+    # flipped must fail the report, not be printed beside the corner formula
+    real = invariants.chern_plaquette
+
+    def flipped(model, bands, grid):
+        values = real(model, bands, grid)
+        return (-values[0],) + values[1:]
+
+    monkeypatch.setattr(invariants, "chern_plaquette", flipped)
+    with pytest.raises(ValueError) as info:
+        compute_invariants(maxwell_lattice(1.0, 1.0))
+    assert str(info.value) == ("Chern cross-check failed: corner formula (-2, 0, 2), "
+                               "plaquette sum (2, 0, 2)")
+
+
 def test_report_chiral():
     report = compute_invariants(chiral_ti_3d(2.0), winding_grid=20)
     assert report.winding == -1
-    assert report.winding_residual < 0.05
+    assert report.to_dict()["winding_residual"] == 0.0
     assert report.chern_hsp is None and report.z2 is None
 
 

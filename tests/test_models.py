@@ -238,6 +238,17 @@ def test_chiral_symmetry_operator():
     assert np.max(np.abs(anti)) < 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    maxwell_lattice(1.0, 1.0),
+    kane_mele(1.0, 0.06, 0.1, 0.1),
+], ids=["maxwell", "kane_mele"])
+def test_chiral_symmetry_refuses_a_model_without_one(model):
+    # no S anticommutes with all three spin-1 generators, nor with the
+    # honeycomb model's ten
+    with pytest.raises(ValueError, match="no chiral symmetry operator found"):
+        chiral_symmetry(model)
+
+
 def test_chiral_gradient_at_corner():
     model = chiral_ti_3d(2.0)
     grad = gradient(model, [np.pi, 0.0, 0.0])
