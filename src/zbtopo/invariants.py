@@ -45,7 +45,7 @@ PLAQUETTE_MAX_GRID = 512
 # The count starts on mesh 8 and doubles, so a ceiling of 16 is the least that admits two
 # meshes to agree; every counted mesh is 8 * 2^k, free of the flat cones of n = 2 (mod 4).
 WINDING_MIN_GRID = 16
-WINDING_MAX_GRID = 64  # one batched Kuhn solve at 64^3 holds a (64^3, 4, 4) stack, 34 MB
+WINDING_MAX_GRID = 64  # one count on the 64^3 mesh peaks at 78 MB traced, 1.2 MB at 16^3
 # The direction on S^3 whose signed preimages the 3D winding count sums: generic, and
 # not +-e4, whose preimages are the zone corners that the corner formula already reads.
 WINDING_TARGET = np.array([2.0, -4.0, 5.0, 6.0]) / 9.0  # unit: 4 + 16 + 25 + 36 = 81
@@ -297,19 +297,26 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
 def _preimage_count(d) -> float:
     """Signed preimage count of WINDING_TARGET under d/|d| on one zone mesh d (n, n, n, 4).
     Each mesh cube splits into six Kuhn tetrahedra, one per axis permutation, with d linear
-    on each; one whose image cone holds the target ([d_a d_b d_c d_e] x = target, x > 0)
-    adds the permutation's sign times sgn det [d_a d_b d_c d_e]."""
+    on each.  A Householder reflection (det -1) takes the target to e4, which a reflected
+    cone [r_0 r_1 r_2 r_3] holds when its fourth-row cofactors (triple products of the first
+    three components) share the sign of its determinant; the cone then adds the permutation's
+    sign times sgn det [d_0 d_1 d_2 d_3], minus that sign, and a flat cone adds 0."""
     _zone_norms(d, 1, "spectrum gap closes")
-    index = np.arange(len(d) ** 3).reshape(d.shape[:3])
+    v = WINDING_TARGET - np.eye(4)[3]
+    r0 = d @ (np.eye(4) - 2 * np.outer(v, v) / (v @ v))
+    r3 = np.roll(r0, -1, axis=(0, 1, 2))
+    r30 = np.cross(r3[..., :3], r0[..., :3])
     total = 0.0
     for perm in itertools.permutations(range(3)):
         # vertices k, k + e_a, k + e_a + e_b, k + (1, 1, 1) for perm = (a, b, c)
-        vertices = np.stack([np.roll(index, -1, axis=perm[:i]) for i in range(4)], axis=-1)
-        cone = d.reshape(-1, 4)[vertices.reshape(-1, 4)].swapaxes(-1, -2)
-        det = np.linalg.det(cone)
-        cone[det == 0] = np.eye(4)  # a flat cone holds no generic direction; sgn 0 drops it
-        inside = (np.linalg.solve(cone, WINDING_TARGET[:, None])[..., 0] > 0).all(axis=-1)
-        total += np.linalg.det(np.eye(3)[list(perm)]) * np.sign(det[inside]).sum()
+        r1 = np.roll(r0, -1, axis=perm[0])
+        r2 = np.roll(r1, -1, axis=perm[1])
+        r12 = np.cross(r1[..., :3], r2[..., :3])
+        cof = [s * np.einsum("...i,...i->...", r[..., :3], x)
+               for s, r, x in ((-1, r3, r12), (1, r2, r30), (-1, r1, r30), (1, r0, r12))]
+        sign = np.sign(sum(r[..., 3] * c for r, c in zip((r0, r1, r2, r3), cof)))
+        inside = (np.sign(cof) == sign).all(axis=0)
+        total -= np.linalg.det(np.eye(3)[list(perm)]) * sign[inside].sum()
     return DEGREE_ORIENTATION * float(total)
 
 

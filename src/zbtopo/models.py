@@ -1,7 +1,8 @@
 """Bloch and continuum Hamiltonians used throughout the package.
 
 Every model writes H(k) = sum_G c_G(k) G over a fixed Hermitian generator
-set with real, analytically differentiable coefficients.  Momenta are
+set; the coefficient function ``coeff`` is the only formula it declares, and
+the momentum gradient is derived from it (`BlochModel`).  Momenta are
 dimensionless (hbar = 1, lattice constant = 1); lattice models are
 2*pi-periodic per axis.  The honeycomb model uses reduced coordinates on
 the triangular reciprocal basis so that exact periodicity holds there too.
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 SQ2 = np.sqrt(2.0)
+# The complex step of `BlochModel.coeff_grad`: a power of two, so Im / h is exact.
+_COMPLEX_STEP = 2.0**-64
 
 # Jz eigenbasis of the cartesian spin-1 representation (columns: -1, 0, +1).
 _SPIN1_MASS_BASIS = np.array(
@@ -84,11 +87,13 @@ _CUBIC_PATH = (
 class BlochModel:
     """A momentum-space Hamiltonian H(k) = sum_G coeff_G(k) * G.
 
-    ``coeff`` maps (..., momentum_dim) momenta to (..., n_generators) real
-    coefficients; ``coeff_grad`` returns the (..., n_generators,
-    momentum_dim) analytic gradient.  ``velocity_generators[d]`` names the
-    generator whose coefficient carries the axis-d velocity at a
-    high-symmetry point, ``mass_generator`` the one carrying the local gap.
+    ``coeff`` maps (..., momentum_dim) momenta to (..., n_generators)
+    coefficients; it is the only formula a model declares, built from +, -, x
+    and the sin and cos of the momenta, with its output allocated as
+    ``dtype=k.dtype`` so that complex momenta stay complex (`coeff_grad`
+    differentiates it).  ``velocity_generators[d]`` names the generator whose
+    coefficient carries the axis-d velocity at a high-symmetry point,
+    ``mass_generator`` the one carrying the local gap.
 
     Each factory also declares what differs between the systems, so callers
     never switch on ``name``: ``band_path`` holds the (label, momentum)
@@ -104,7 +109,6 @@ class BlochModel:
     band_count: int
     generators: GeneratorSet
     coeff: Callable[[np.ndarray], np.ndarray]
-    coeff_grad: Callable[[np.ndarray], np.ndarray]
     hsps: tuple
     params: dict
     periodic: bool
@@ -120,6 +124,13 @@ class BlochModel:
     def band_spin(self, band: int) -> float:
         """Spin index of ``band`` counted from the lowest: -J .. J, J = (bands - 1) / 2."""
         return band - (self.band_count - 1) / 2.0
+
+    def coeff_grad(self, k) -> np.ndarray:
+        """The (..., n_generators, momentum_dim) gradient of ``coeff`` at real momenta k: Im
+        coeff(k + i h e_d) / h per axis d (Squire & Trapp, SIAM Rev. 40, 110 (1998)), exact
+        to rounding since h = 2^-64 gives cosh h = 1 and sinh h = h in floating point."""
+        steps = k[..., None, :] + 1j * _COMPLEX_STEP * np.eye(self.momentum_dim)
+        return (self.coeff(steps).imag / _COMPLEX_STEP).swapaxes(-1, -2)
 
     def mass_eigenbasis(self) -> np.ndarray:
         if self.mass_basis is None:
@@ -150,7 +161,7 @@ def evaluate(model: BlochModel, k) -> np.ndarray:
 
 
 def gradient(model: BlochModel, k) -> np.ndarray:
-    """Analytic dH/dk_d, shape (..., momentum_dim, n, n)."""
+    """dH/dk_d from `BlochModel.coeff_grad`, shape (..., momentum_dim, n, n)."""
     k = _check_momenta(model, k)
     dc = model.coeff_grad(k)
     return np.einsum("...gd,gij->...dij", dc.astype(complex), model.generators.matrices)
@@ -180,23 +191,16 @@ def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder")
     m * (-j .. j).  ``basis='cartesian'`` (j = 1 only) uses the adjoint
     representation so spinors match the spin-1 lattice model convention.
     """
-    grad_const = np.array([[v_x, 0.0], [0.0, v_y], [0.0, 0.0]])
-
-    def coeff(k, _vx=v_x, _vy=v_y, _m=m):
-        out = np.empty(k.shape[:-1] + (3,))
-        out[..., 0] = _vx * k[..., 0]
-        out[..., 1] = _vy * k[..., 1]
+    def coeff(k, _v=(v_x, v_y), _m=m):
+        out = np.empty(k.shape[:-1] + (3,), dtype=k.dtype)
+        out[..., :2] = k * _v
         out[..., 2] = _m
         return out
-
-    def coeff_grad(k, _g=grad_const):
-        return np.broadcast_to(_g, k.shape[:-1] + (3, 2)).copy()
 
     return _spin_model(
         j, basis,
         name="spin_j",
         coeff=coeff,
-        coeff_grad=coeff_grad,
         hsps=(np.zeros(2),),
         params={"j": float(j), "v_x": v_x, "v_y": v_y, "m": m, "basis": basis},
         periodic=False,
@@ -215,25 +219,15 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         raise ValueError("t_h must be nonzero")
 
     def coeff(k, _t=t_h, _M=M):
-        out = np.empty(k.shape[:-1] + (3,))
-        out[..., 0] = 2 * _t * np.sin(k[..., 0])
-        out[..., 1] = 2 * _t * np.sin(k[..., 1])
+        out = np.empty(k.shape[:-1] + (3,), dtype=k.dtype)
+        out[..., :2] = 2 * _t * np.sin(k)
         out[..., 2] = 2 * _t * (_M - np.cos(k[..., 0]) - np.cos(k[..., 1]))
-        return out
-
-    def coeff_grad(k, _t=t_h):
-        out = np.zeros(k.shape[:-1] + (3, 2))
-        out[..., 0, 0] = 2 * _t * np.cos(k[..., 0])
-        out[..., 1, 1] = 2 * _t * np.cos(k[..., 1])
-        out[..., 2, 0] = 2 * _t * np.sin(k[..., 0])
-        out[..., 2, 1] = 2 * _t * np.sin(k[..., 1])
         return out
 
     return _spin_model(
         1, "cartesian",
         name="maxwell",
         coeff=coeff,
-        coeff_grad=coeff_grad,
         hsps=_zone_corners(2),
         params={"t_h": t_h, "M": M},
         periodic=True,
@@ -301,7 +295,7 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
     def coeff(k, _t=t, _so=lambda_so, _r=lambda_r, _v=lambda_v):
         k1, k2 = k[..., 0], k[..., 1]
         s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
-        out = np.empty(k.shape[:-1] + (10,))
+        out = np.empty(k.shape[:-1] + (10,), dtype=k.dtype)
         out[..., 0] = _t * (1 + c1 + c2)
         out[..., 1] = _t * (s1 + s2)
         out[..., 2] = 2 * _so * (s1 - s2 - np.sin(k1 - k2))  # Haldane g(k)
@@ -314,22 +308,6 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
         out[..., 9] = -_r * c2
         return out
 
-    def coeff_grad(k, _t=t, _so=lambda_so, _r=lambda_r):
-        k1, k2 = k[..., 0], k[..., 1]
-        s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
-        out = np.zeros(k.shape[:-1] + (10, 2))
-        out[..., 0, 0] = -_t * s1
-        out[..., 0, 1] = -_t * s2
-        out[..., 1, 0] = _t * c1
-        out[..., 1, 1] = _t * c2
-        out[..., 2, 0] = 2 * _so * (c1 - np.cos(k1 - k2))
-        out[..., 2, 1] = 2 * _so * (-c2 + np.cos(k1 - k2))
-        out[..., 6, 0] = _r * c1
-        out[..., 7, 0] = _r * s1
-        out[..., 8, 1] = _r * c2
-        out[..., 9, 1] = _r * s2
-        return out
-
     pi = np.pi
     return BlochModel(
         name="kane_mele",
@@ -337,7 +315,6 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
         band_count=4,
         generators=gens,
         coeff=coeff,
-        coeff_grad=coeff_grad,
         hsps=(
             np.array([0.0, 0.0]),                  # Gamma
             np.array([2 * pi / 3, 4 * pi / 3]),    # K
@@ -375,16 +352,12 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
         c = _c(k)
         return np.stack([c[..., 0], c[..., 1], c[..., 3] + c[..., 2]], axis=-1)
 
-    def coeff_grad(k, _g=full.coeff_grad):
-        return _g(k)[..., :3, :]
-
     return replace(
         full,
         name="kane_mele_sector",
         band_count=2,
         generators=gens,
         coeff=coeff,
-        coeff_grad=coeff_grad,
         hsps=full.hsps[1:3],
         params={"t": t, "lambda_so": lambda_so, "lambda_v": lambda_v, "spin": spin},
         invariant=None,
@@ -407,18 +380,9 @@ def chiral_ti_3d(M: float) -> BlochModel:
     gens = GeneratorSet(labels=full.labels[3:7], matrices=full.matrices[3:7].copy())
 
     def coeff(k, _M=M):
-        out = np.empty(k.shape[:-1] + (4,))
-        out[..., 0] = np.sin(k[..., 0])
-        out[..., 1] = np.sin(k[..., 1])
-        out[..., 2] = np.sin(k[..., 2])
+        out = np.empty(k.shape[:-1] + (4,), dtype=k.dtype)
+        out[..., :3] = np.sin(k)
         out[..., 3] = _M - np.cos(k[..., 0]) - np.cos(k[..., 1]) - np.cos(k[..., 2])
-        return out
-
-    def coeff_grad(k):
-        out = np.zeros(k.shape[:-1] + (4, 3))
-        for d in range(3):
-            out[..., d, d] = np.cos(k[..., d])
-            out[..., 3, d] = np.sin(k[..., d])
         return out
 
     return BlochModel(
@@ -427,7 +391,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
         band_count=3,
         generators=gens,
         coeff=coeff,
-        coeff_grad=coeff_grad,
         hsps=_zone_corners(3),
         params={"M": M},
         periodic=True,

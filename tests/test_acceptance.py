@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from zbtopo import dynamics, invariants
+from zbtopo import dynamics, invariants, models
 from zbtopo.verify import (
     check_closed_form_oracle,
     check_direction_reversal,
@@ -113,3 +113,14 @@ def test_sign_flipped_winding_count_fails_the_battery(monkeypatch):
     assert "M=+2: corners=-1 count=1 expected=-1" in result.lines
     failed = [res.name for res in run_battery(SEED) if not res.passed]
     assert failed == ["winding_3d"]
+
+
+def test_negated_velocities_fail_the_oracle_and_winding(monkeypatch):
+    # the exact trajectories take dH/dk from coeff_grad and turn against the closed forms,
+    # and the eight 3D corner signs sgn(v_x v_y v_z m) all flip; in 2D sgn(v_x v_y m) and
+    # every rotation sense survive a flip of both velocities, so phase_table and
+    # direction_reversal cannot see this fault
+    real = models.BlochModel.coeff_grad
+    monkeypatch.setattr(models.BlochModel, "coeff_grad", lambda self, k: -real(self, k))
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["closed_form_oracle", "winding_3d"]

@@ -1,19 +1,22 @@
-"""Property tests for Hamiltonian assembly, the momentum-batched spectral path,
-the chunked packet synthesis, the stacked high-symmetry-point linearization,
-the shared-solve plaquette Chern numbers, the rotation sense, the stacked
-honeycomb invariants, the bounded Rashba ramp and the CSV row template.
+"""Property tests for Hamiltonian assembly, the complex-step coefficient
+gradients, the momentum-batched spectral path, the chunked packet synthesis,
+the stacked high-symmetry-point linearization, the shared-solve plaquette
+Chern numbers, the rotation sense, the stacked honeycomb invariants, the
+bounded Rashba ramp and the CSV row template.
 
 Each property is checked against a plain reference written here: the real
-coefficient einsum, per-matrix ``hermitian_eig`` calls, amplitudes built from
-explicit eigenvectors and from explicit degenerate-group projectors, a dense
-sin/cos sum, a one-shot factored product, a per-momentum packet loop,
-per-generator trace projections, per-band plaquette calls, per-point honeycomb
-solves, the full-mesh Rashba ramp and ``io.fmt`` per value.
+coefficient einsum, hand-derived gradients, per-matrix ``hermitian_eig``
+calls, amplitudes built from explicit eigenvectors and from explicit
+degenerate-group projectors, a dense sin/cos sum, a one-shot factored
+product, a per-momentum packet loop, per-generator trace projections,
+per-band plaquette calls, per-point honeycomb solves, the full-mesh Rashba
+ramp and ``io.fmt`` per value.
 """
 
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -90,6 +93,47 @@ def same_bits(a, b):
 
 # ---------------------------------------------------------------- assembly
 
+def drawn_momenta(seed, count, dim):
+    """``count`` momenta in [-2 pi, 2 pi]^dim, about 30% of entries planted at 0, -0 or
+    +-pi: exact zeros and pi put signed zeros into the coefficients."""
+    rng = np.random.default_rng(seed)
+    ks = rng.uniform(-2 * np.pi, 2 * np.pi, (count, dim))
+    special = rng.random(ks.shape) < 0.3
+    ks[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
+    return ks
+
+
+def reference_coeff_grad(model, k):
+    """The (..., n_generators, momentum_dim) gradient of each factory's coefficients,
+    differentiated by hand, one formula per factory."""
+    p = model.params
+    out = np.zeros(k.shape[:-1] + (len(model.generators), model.momentum_dim))
+    if model.name == "spin_j":
+        out[..., 0, 0] = p["v_x"]
+        out[..., 1, 1] = p["v_y"]
+    elif model.name == "maxwell":
+        t = p["t_h"]
+        for d in range(2):
+            out[..., d, d] = 2 * t * np.cos(k[..., d])
+            out[..., 2, d] = 2 * t * np.sin(k[..., d])
+    elif model.name == "chiral_ti":
+        for d in range(3):
+            out[..., d, d] = np.cos(k[..., d])
+            out[..., 3, d] = np.sin(k[..., d])
+    else:  # kane_mele, or one spin sector of it: its first three rows at lambda_r = 0
+        t, r = p["t"], p.get("lambda_r", 0.0)
+        so = p["lambda_so"] * p.get("spin", 1)
+        k1, k2 = k[..., 0], k[..., 1]
+        s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
+        rows = {(0, 0): -t * s1, (0, 1): -t * s2, (1, 0): t * c1, (1, 1): t * c2,
+                (2, 0): 2 * so * (c1 - np.cos(k1 - k2)), (2, 1): 2 * so * (-c2 + np.cos(k1 - k2)),
+                (6, 0): r * c1, (7, 0): r * s1, (8, 1): r * c2, (9, 1): r * s2}
+        for (g, d), value in rows.items():
+            if g < len(model.generators):
+                out[..., g, d] = value
+    return out
+
+
 ALL_MODELS = [
     maxwell_lattice(1.0, 1.3),
     spin_j_continuum(1.5, 0.8, -1.1, 0.4),
@@ -98,23 +142,39 @@ ALL_MODELS = [
     kane_mele_spin_sector(1.0, 0.06, 0.1, -1),
     chiral_ti_3d(2.0),
 ]
+ALL_MODEL_IDS = ["maxwell", "spin-j-ladder", "spin-j-cartesian", "kane-mele",
+                 "kane-mele-sector", "chiral"]
 
 
-@pytest.mark.parametrize("model", ALL_MODELS,
-                         ids=["maxwell", "spin-j-ladder", "spin-j-cartesian", "kane-mele",
-                              "kane-mele-sector", "chiral"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=ALL_MODEL_IDS)
 @given(seed=seeds, count=st.integers(1, 40))
 def test_assembly_matches_real_coefficient_einsum(model, seed, count):
-    # exact zeros and pi put signed zeros into the coefficients
-    rng = np.random.default_rng(seed)
-    ks = rng.uniform(-2 * np.pi, 2 * np.pi, (count, model.momentum_dim))
-    special = rng.random(ks.shape) < 0.3
-    ks[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
+    ks = drawn_momenta(seed, count, model.momentum_dim)
     gens = model.generators.matrices
     assert same_bits(evaluate(model, ks), np.einsum("...g,gij->...ij", model.coeff(ks), gens))
     assert same_bits(gradient(model, ks),
                      np.einsum("...gd,gij->...dij", model.coeff_grad(ks), gens))
     assert same_bits(evaluate(model, ks[0]), np.einsum("g,gij->ij", model.coeff(ks[0]), gens))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=ALL_MODEL_IDS)
+@given(seed=seeds, count=st.integers(1, 40))
+def test_complex_step_gradient_equals_hand_derivative(model, seed, count):
+    # by value: Im sin(x + 0i) = cos(x) * 0 may carry the other sign of zero
+    ks = drawn_momenta(seed, count, model.momentum_dim)
+    assert np.array_equal(model.coeff_grad(ks), reference_coeff_grad(model, ks))
+    assert np.array_equal(model.coeff_grad(ks[0]), reference_coeff_grad(model, ks[0]))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=ALL_MODEL_IDS)
+def test_coefficients_keep_complex_momenta_complex(model):
+    # a float output array would drop the imaginary part with only a ComplexWarning,
+    # and every complex-step velocity would read 0
+    ks = drawn_momenta(7, 5, model.momentum_dim) + 1j * 2.0**-64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = model.coeff(ks)
+    assert coeffs.dtype == complex and coeffs.shape == (5, len(model.generators))
 
 
 # ---------------------------------------------------------------- eigensolve
