@@ -8,7 +8,7 @@ independent global cross-checks.
 
 from .errors import GaplessError, GridSizeError, NotHighSymmetryError
 from .spectral import SpectralDecomposition, hermitian_eig
-from .generators import GeneratorSet, spin_matrices, gell_mann, adjacent_amplitude
+from .generators import spin_matrices, gell_mann, adjacent_amplitude
 from .models import (
     BlochModel,
     evaluate,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    zb bands|zb|invariants|phase-diagram|verify --config FILE
-       [--out DIR] [--allow-critical]
+    zb bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
+    zb phase-diagram ... [--allow-critical]
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
@@ -388,7 +388,8 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=".")
-        cmd.add_argument("--allow-critical", action="store_true")
+        if name == "phase-diagram":
+            cmd.add_argument("--allow-critical", action="store_true")
     args = parser.parse_args(argv)
 
     try:

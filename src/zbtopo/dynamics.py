@@ -514,9 +514,12 @@ def rotation_index(traj: Trajectory, plane=(0, 1)) -> int:
     The signed area integral (x dy - y dx)/2 is accumulated over an integer
     number of periods of the dominant oscillation (trapezoidal rule).
     Returns 0 when the peak oscillation amplitude is below 1e-9 of the
-    expected amplitude scale (metadata ``zb_scale``, else 1).
+    expected amplitude scale (metadata ``zb_scale``, else 1).  A trajectory
+    with a non-finite position has no sense: it is a ValueError.
     """
     times = _check_uniform(traj.times)
+    if not np.isfinite(traj.pcm).all():
+        raise ValueError("trajectory positions are not finite: no rotation sense")
     clean = _detrended(traj)
     x = clean[:, plane[0]]
     y = clean[:, plane[1]]

@@ -1,6 +1,8 @@
-"""Generator sets: spin-J matrices and the SU(3) Gell-Mann basis.
+"""Generators: spin-J matrices and the SU(3) Gell-Mann basis.
 
-Two spin-1 representations are supported.  The ladder basis orders states by
+Each builder returns a plain (count, n, n) array of Hermitian traceless
+matrices, in a fixed row order; a model's band count is its n.  Two spin-1
+representations are supported.  The ladder basis orders states by
 descending Jz so that Jz = diag(J, J-1, ..., -J); the "cartesian" basis is
 the 3x3 adjoint representation (Ji)_jk = -i eps_ijk used by the spin-1
 lattice model in this package.
@@ -8,29 +10,9 @@ lattice model in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["GeneratorSet", "spin_matrices", "gell_mann", "adjacent_amplitude"]
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An ordered family of Hermitian traceless matrices with name tags."""
-
-    labels: tuple[str, ...]
-    matrices: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, label: str) -> np.ndarray:
-        return self.matrices[self.labels.index(label)]
+__all__ = ["spin_matrices", "gell_mann", "adjacent_amplitude"]
 
 
 def _check_spin(j) -> int:
@@ -40,8 +22,9 @@ def _check_spin(j) -> int:
     return int(round(two_j))
 
 
-def spin_matrices(j, basis: str = "ladder") -> GeneratorSet:
-    """Spin-j angular momentum matrices (Jx, Jy, Jz), [Ji, Jj] = i eps_ijk Jk."""
+def spin_matrices(j, basis: str = "ladder") -> np.ndarray:
+    """Spin-j angular momentum matrices as the (3, n, n) stack (Jx, Jy, Jz),
+    [Ji, Jj] = i eps_ijk Jk."""
     two_j = _check_spin(j)
     if basis == "cartesian":
         if two_j != 2:
@@ -60,13 +43,14 @@ def spin_matrices(j, basis: str = "ladder") -> GeneratorSet:
         jz = np.diag(m).astype(complex)
     else:
         raise ValueError(f"unknown basis {basis!r}; expected 'ladder' or 'cartesian'")
-    return GeneratorSet(labels=("Jx", "Jy", "Jz"), matrices=np.stack([jx, jy, jz]))
+    return np.stack([jx, jy, jz])
 
 
-def gell_mann() -> GeneratorSet:
-    """The eight 3x3 Gell-Mann matrices, tr(la lb) = 2 delta_ab."""
+def gell_mann() -> np.ndarray:
+    """The eight 3x3 Gell-Mann matrices lambda1 .. lambda8 as an (8, 3, 3) stack,
+    tr(la lb) = 2 delta_ab."""
     s3 = 1.0 / np.sqrt(3.0)
-    mats = np.array(
+    return np.array(
         [
             [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
             [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
@@ -79,8 +63,6 @@ def gell_mann() -> GeneratorSet:
         ],
         dtype=complex,
     )
-    labels = tuple(f"lambda{i}" for i in range(1, 9))
-    return GeneratorSet(labels=labels, matrices=mats)
 
 
 def adjacent_amplitude(j, a: int, b: int) -> float:

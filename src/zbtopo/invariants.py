@@ -193,7 +193,8 @@ def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
 def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID, dim=2) -> int:
     """Integer value of ``integral`` over zone meshes from ``grid``, doubling (up to ``ceiling``)
     until two successive sizes agree on the rounded integer, each within 1e-6 of it.  ``zone(n)``
-    returns a tuple of arrays whose first ``dim`` axes span the n^dim mesh, kept in ``meshes``."""
+    returns a tuple of arrays whose first ``dim`` axes span the n^dim mesh, kept in ``meshes``.
+    A sum that is not finite is a ValueError naming its grid: no finer grid is tried."""
     previous = None
     n = grid
     while n <= ceiling:
@@ -205,6 +206,8 @@ def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID,
             meshes[step * n] = zone(step * n)
             meshes[n] = tuple(x[(slice(None, None, step),) * dim] for x in meshes[step * n])
         raw = integral(*meshes[n])
+        if not math.isfinite(raw):
+            raise ValueError(f"zone sum is not finite on grid {n}: {raw!r}")
         rounded = int(round(raw))
         good = abs(raw - rounded) < 1e-6
         if good and previous == rounded:
@@ -268,7 +271,7 @@ def degree_2band(model: BlochModel, grid: int = 32) -> int:
     the three Pauli generators (`kane_mele_spin_sector`) is accepted.
     """
     if not (model.momentum_dim == 2 and model.periodic
-            and np.array_equal(model.generators.matrices, _PAULI)):
+            and np.array_equal(model.generators, _PAULI)):
         raise ValueError(f"the two-band degree needs a periodic 2D model with generators "
                          f"(sx, sy, sz), got '{model.name}'")
     check_grid(grid, PLAQUETTE_MAX_GRID)
@@ -430,9 +433,9 @@ def _ramp_mesh(grid):
 
 def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
                     lambda_r_max: float, steps: int = 6, grid: int = 33):
-    """Track the bulk gap and the Z2 index along a Rashba ramp 0 -> lambda_r_max.
+    """Track the bulk gap along a Rashba ramp 0 -> lambda_r_max.
 
-    Returns a list of (lambda_r, min bulk gap, z2).  The grid includes the
+    Returns a list of (lambda_r, min bulk gap) pairs.  The grid includes the
     valley momenta exactly when it is a multiple of 3.  At lambda_r = 0 the
     spin sectors decouple with levels +-|d_s(k)|, and H(lambda_r) - H(0) =
     lambda_r R(k); by Weyl's inequality the gap at k lies within
@@ -459,7 +462,7 @@ def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
         spread = 2 * delta + 1e-9 * (scale + delta)
         # skip only the points proven above the minimum (a NaN is not)
         w = np.linalg.eigvalsh(evaluate(model, mesh[~(gap0 - spread > (gap0 + spread).min())]))
-        out.append((float(lam_r), float((w[..., 2] - w[..., 1]).min()), z2_kane_mele(model)))
+        out.append((float(lam_r), float((w[..., 2] - w[..., 1]).min())))
     return out
 
 

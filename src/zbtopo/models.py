@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .generators import GeneratorSet, gell_mann, spin_matrices
+from .generators import gell_mann, spin_matrices
 
 __all__ = [
     "BlochModel",
@@ -87,13 +87,14 @@ _CUBIC_PATH = (
 class BlochModel:
     """A momentum-space Hamiltonian H(k) = sum_G coeff_G(k) * G.
 
-    ``coeff`` maps (..., momentum_dim) momenta to (..., n_generators)
-    coefficients; it is the only formula a model declares, built from +, -, x
-    and the sin and cos of the momenta, with its output allocated as
-    ``dtype=k.dtype`` so that complex momenta stay complex (`coeff_grad`
-    differentiates it).  ``velocity_generators[d]`` names the generator whose
-    coefficient carries the axis-d velocity at a high-symmetry point,
-    ``mass_generator`` the one carrying the local gap.
+    ``generators`` is the (n_generators, n, n) array of the G, so the model
+    has n bands (`band_count`).  ``coeff`` maps (..., momentum_dim) momenta
+    to (..., n_generators) coefficients; it is the only formula a model
+    declares, built from +, -, x and the sin and cos of the momenta, with its
+    output allocated as ``dtype=k.dtype`` so that complex momenta stay
+    complex (`coeff_grad` differentiates it).  ``velocity_generators[d]``
+    names the generator whose coefficient carries the axis-d velocity at a
+    high-symmetry point, ``mass_generator`` the one carrying the local gap.
 
     Each factory also declares what differs between the systems, so callers
     never switch on ``name``: ``band_path`` holds the (label, momentum)
@@ -106,8 +107,7 @@ class BlochModel:
 
     name: str
     momentum_dim: int
-    band_count: int
-    generators: GeneratorSet
+    generators: np.ndarray
     coeff: Callable[[np.ndarray], np.ndarray]
     hsps: tuple
     params: dict
@@ -120,6 +120,10 @@ class BlochModel:
     invariant: str | None = None
     sweep_parameters: tuple[str, ...] = ()
     critical_values: tuple[float, ...] = ()
+
+    @property
+    def band_count(self) -> int:
+        return self.generators.shape[-1]
 
     def band_spin(self, band: int) -> float:
         """Spin index of ``band`` counted from the lowest: -J .. J, J = (bands - 1) / 2."""
@@ -157,14 +161,14 @@ def evaluate(model: BlochModel, k) -> np.ndarray:
     """Hamiltonian at momentum k; broadcasts over leading axes of k."""
     k = _check_momenta(model, k)
     c = model.coeff(k)
-    return np.einsum("...g,gij->...ij", c.astype(complex), model.generators.matrices)
+    return np.einsum("...g,gij->...ij", c.astype(complex), model.generators)
 
 
 def gradient(model: BlochModel, k) -> np.ndarray:
     """dH/dk_d from `BlochModel.coeff_grad`, shape (..., momentum_dim, n, n)."""
     k = _check_momenta(model, k)
     dc = model.coeff_grad(k)
-    return np.einsum("...gd,gij->...dij", dc.astype(complex), model.generators.matrices)
+    return np.einsum("...gd,gij->...dij", dc.astype(complex), model.generators)
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +182,8 @@ def _spin_model(j, basis: str, **fields) -> BlochModel:
     ``fields`` give the rest of the `BlochModel`."""
     gens = spin_matrices(j, basis)
     mass_basis = (_SPIN1_MASS_BASIS if basis == "cartesian"
-                  else np.eye(gens.dim, dtype=complex)[:, ::-1])
-    return BlochModel(momentum_dim=2, band_count=gens.dim, generators=gens, mass_generator=2,
+                  else np.eye(gens.shape[-1], dtype=complex)[:, ::-1])
+    return BlochModel(momentum_dim=2, generators=gens, mass_generator=2,
                       velocity_generators=(0, 1), mass_basis=mass_basis,
                       band_path=_SQUARE_PATH, **fields)
 
@@ -259,19 +263,17 @@ _BOND_HATS = np.array(
 
 
 @functools.cache
-def _km_generators() -> GeneratorSet:
+def _km_generators() -> np.ndarray:
     """The ten honeycomb generators, built once and shared read-only."""
+    # rows, as sublattice (x) spin: sx s0, sy s0, sz sz, sz s0, then sx m_j, sy m_j per bond j
     mats = [np.kron(_SX, _S0), np.kron(_SY, _S0), np.kron(_SZ, _SZ), np.kron(_SZ, _S0)]
-    labels = ["sx_s0", "sy_s0", "sz_sz", "sz_s0"]
-    for jbond, (hx, hy) in enumerate(_BOND_HATS):
-        spin_part = hy * _SX - hx * _SY  # in-plane spin (x) bond-direction cross product
+    for hx, hy in _BOND_HATS:
+        spin_part = hy * _SX - hx * _SY  # m_j: in-plane spin (x) bond-direction cross product
         mats.append(np.kron(_SX, spin_part))
         mats.append(np.kron(_SY, spin_part))
-        labels.append(f"sx_m{jbond}")
-        labels.append(f"sy_m{jbond}")
     matrices = np.stack(mats)
     matrices.setflags(write=False)
-    return GeneratorSet(labels=tuple(labels), matrices=matrices)
+    return matrices
 
 
 def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> BlochModel:
@@ -290,8 +292,6 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
     lambda_r = 0 the model splits into two opposite-mass Haldane sectors.
     t = 0 is allowed so the pure staggered-potential limit stays testable.
     """
-    gens = _km_generators()
-
     def coeff(k, _t=t, _so=lambda_so, _r=lambda_r, _v=lambda_v):
         k1, k2 = k[..., 0], k[..., 1]
         s1, c1, s2, c2 = np.sin(k1), np.cos(k1), np.sin(k2), np.cos(k2)
@@ -312,8 +312,7 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
     return BlochModel(
         name="kane_mele",
         momentum_dim=2,
-        band_count=4,
-        generators=gens,
+        generators=_km_generators(),
         coeff=coeff,
         hsps=(
             np.array([0.0, 0.0]),                  # Gamma
@@ -346,7 +345,6 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
     full = kane_mele(t, spin * lambda_so, 0.0, lambda_v)
-    gens = GeneratorSet(labels=("sx", "sy", "sz"), matrices=_PAULI)
 
     def coeff(k, _c=full.coeff):
         c = _c(k)
@@ -355,8 +353,7 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
     return replace(
         full,
         name="kane_mele_sector",
-        band_count=2,
-        generators=gens,
+        generators=_PAULI,
         coeff=coeff,
         hsps=full.hsps[1:3],
         params={"t": t, "lambda_so": lambda_so, "lambda_v": lambda_v, "spin": spin},
@@ -376,9 +373,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
     by ``chiral_symmetry``; the eight corner points of the cubic zone carry
     the local data that fixes the integer winding.
     """
-    full = gell_mann()
-    gens = GeneratorSet(labels=full.labels[3:7], matrices=full.matrices[3:7].copy())
-
     def coeff(k, _M=M):
         out = np.empty(k.shape[:-1] + (4,), dtype=k.dtype)
         out[..., :3] = np.sin(k)
@@ -388,8 +382,7 @@ def chiral_ti_3d(M: float) -> BlochModel:
     return BlochModel(
         name="chiral_ti",
         momentum_dim=3,
-        band_count=3,
-        generators=gens,
+        generators=gell_mann()[3:7].copy(),  # lambda4 .. lambda7
         coeff=coeff,
         hsps=_zone_corners(3),
         params={"M": M},
@@ -407,9 +400,8 @@ def chiral_ti_3d(M: float) -> BlochModel:
 def chiral_symmetry(model: BlochModel) -> np.ndarray:
     """Hermitian unitary S with S H(k) S = -H(k): the null vector of the anticommutation
     system (G (x) 1 + 1 (x) G^T) vec(S) = 0, stacked over the model's generators."""
-    gens = model.generators.matrices
-    eye = np.eye(gens.shape[-1])
-    system = np.concatenate([np.kron(g, eye) + np.kron(eye, g.T) for g in gens])
+    eye = np.eye(model.band_count)
+    system = np.concatenate([np.kron(g, eye) + np.kron(eye, g.T) for g in model.generators])
     _, svals, vh = np.linalg.svd(system)
     if svals[-1] > 1e-6 * max(svals[0], 1.0):
         raise ValueError(f"no chiral symmetry operator found (min singular value {svals[-1]:.3e})")

@@ -9,8 +9,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from zbtopo import dynamics, invariants, models
+from zbtopo import GaplessError, cli, dynamics, invariants, models
+from zbtopo.spectral import SpectralDecomposition
 from zbtopo.verify import (
     check_closed_form_oracle,
     check_direction_reversal,
@@ -124,3 +126,70 @@ def test_negated_velocities_fail_the_oracle_and_winding(monkeypatch):
     monkeypatch.setattr(models.BlochModel, "coeff_grad", lambda self, k: -real(self, k))
     failed = [res.name for res in run_battery(1) if not res.passed]
     assert failed == ["closed_form_oracle", "winding_3d"]
+
+
+def _patch_evaluate(monkeypatch, fault):
+    # every module that imported evaluate holds its own binding
+    real = models.evaluate
+    for module in (dynamics, invariants, cli):
+        monkeypatch.setattr(module, "evaluate", lambda model, k: fault(real(model, k)))
+
+
+def test_non_finite_hamiltonians_are_refused_by_the_first_zone_solve(monkeypatch):
+    _patch_evaluate(monkeypatch, lambda h: np.full_like(h, np.nan))
+    with pytest.raises(GaplessError, match=r"^Hamiltonian is not finite near "
+                       r"k = \(0\.000000, 0\.000000\): gap nan$"):
+        run_battery(1)
+
+
+def test_negated_hamiltonians_fail_the_table_oracle_and_reversal(monkeypatch):
+    # -H flips the mass and both 2D velocities, so every sgn(v_x v_y m) and
+    # rotation sense; the 3D corners and the preimage count read coeff, and the
+    # Kane-Mele gaps, the spectra and the closed forms are blind to the sign
+    _patch_evaluate(monkeypatch, lambda h: -h)
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["phase_table", "closed_form_oracle", "direction_reversal"]
+
+
+def test_negated_energies_fail_the_oracle_and_reversal(monkeypatch):
+    # energies negated, with the columns reversed to keep them ascending: the
+    # pair frequencies keep their magnitudes, so only the senses and the
+    # trajectories that the closed forms check turn
+    real = dynamics.hermitian_eig
+
+    def negated(hams):
+        w, v = real(hams)
+        return SpectralDecomposition(-w[..., ::-1], v[..., ::-1])
+
+    monkeypatch.setattr(dynamics, "hermitian_eig", negated)
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["closed_form_oracle", "direction_reversal"]
+
+
+def test_non_finite_eigensolve_is_refused_by_the_rotation_sense(monkeypatch):
+    real = dynamics.hermitian_eig
+
+    def non_finite(hams):
+        w, v = real(hams)
+        return SpectralDecomposition(np.full_like(w, np.nan), np.full_like(v, np.nan))
+
+    monkeypatch.setattr(dynamics, "hermitian_eig", non_finite)
+    with pytest.raises(ValueError,
+                       match="^trajectory positions are not finite: no rotation sense$"):
+        run_battery(1)
+
+
+def test_negated_plaquette_sum_fails_the_phase_table(monkeypatch):
+    # the plaquette sum is the phase table's global route and no other check's
+    real = invariants._fhs_sum
+    monkeypatch.setattr(invariants, "_fhs_sum", lambda *args: -real(*args))
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["phase_table"]
+
+
+@pytest.mark.parametrize("layer, grid", [("_fhs_sum", 64), ("_solid_angle_sum", 32)])
+def test_non_finite_zone_sum_is_refused_on_its_first_grid(monkeypatch, layer, grid):
+    # refused at once, naming the grid, with no refinement towards grid 512
+    monkeypatch.setattr(invariants, layer, lambda *args: float("nan"))
+    with pytest.raises(ValueError, match=f"^zone sum is not finite on grid {grid}: nan$"):
+        run_battery(1)

@@ -422,6 +422,17 @@ def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bands", "zb", "invariants", "verify"])
+def test_allow_critical_outside_phase_diagram_is_a_usage_error(tmp_path, capsys, command):
+    # only phase-diagram reads the flag; the command never starts
+    cfg = write_config(tmp_path, {"seed": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), "--allow-critical"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-critical" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.txt").exists()
+
+
 def test_phase_diagram_empty_range_rejected(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -483,7 +494,7 @@ def test_sweep_chern_column_uses_the_models_lowest_band_spin(monkeypatch):
     half_gens = spin_matrices(0.5, "ladder")
 
     def spin_half_lattice(t_h, M):
-        return replace(spin1(t_h, M), band_count=2, generators=half_gens, mass_basis=None)
+        return replace(spin1(t_h, M), generators=half_gens, mass_basis=None)
 
     monkeypatch.setattr(models, "maxwell_lattice", spin_half_lattice)
     section = {"name": "maxwell", "params": {"t_h": 1.0}}

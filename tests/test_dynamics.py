@@ -6,6 +6,7 @@ from zbtopo import (
     GridSizeError,
     Trajectory,
     WavePacket,
+    adjacent_amplitude,
     chiral_ti_3d,
     closed_form_chiral,
     closed_form_spin1,
@@ -341,6 +342,19 @@ def test_rotation_index_needs_uniform_grid():
         rotation_index(Trajectory(t, pcm))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rotation_index_refuses_a_non_finite_trajectory(bad):
+    # used to leak Python's "cannot convert float NaN to integer"
+    t = np.linspace(0.0, 8 * np.pi, 512, endpoint=False)
+    pcm = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    pcm[7, 1] = bad
+    with pytest.raises(ValueError,
+                       match="^trajectory positions are not finite: no rotation sense$"):
+        rotation_index(Trajectory(t, pcm))
+    with pytest.raises(ValueError, match="^trajectory positions are not finite"):
+        rotation_index(Trajectory(t, np.full_like(pcm, np.nan)))
+
+
 def test_spectrum_pure_tone():
     times = zb_time_grid(2.0)
     pcm = np.zeros((len(times), 3))
@@ -388,6 +402,23 @@ def test_selection_rule_check(j):
     report = selection_rule_check(j, 1.0, trials=100, seed=555)
     assert report.passed
     assert report.max_spurious_power < 1e-10
+
+
+@pytest.mark.parametrize("j, a", [(two_j / 2, a) for two_j in range(1, 8) for a in range(two_j)])
+def test_pair_amplitude_is_the_adjacent_amplitude(j, a):
+    # the amplitude half of the selection rule: at p = 0 the mass-basis spinor
+    # (|a> + |a+1>)/sqrt2 oscillates only in its own band pair (labels a+1, a+2
+    # counted from 1), with the pair amplitude adjacent_amplitude / 4
+    model = spin_j_continuum(j, 1.0, 1.0, 1.0)
+    n, k = model.band_count, np.zeros((1, 2))
+    spinor = np.zeros(n)
+    spinor[[a, a + 1]] = 1 / SQ2
+    psi = model.mass_eigenbasis() @ spinor
+    _, amps, _ = _pair_data(evaluate(model, k), gradient(model, k), psi)
+    mags = np.abs(amps[0])  # (pairs, 3), pairs (g, h) in np.triu_indices order
+    pair = list(zip(*np.triu_indices(n, k=1))).index((a, a + 1))
+    assert abs(mags[pair].max() - adjacent_amplitude(j, a + 1, a + 2) / 4) < 1e-14
+    assert np.delete(mags, pair, axis=0).max(initial=0.0) < 1e-14
 
 
 def test_selection_rule_spin_cap():

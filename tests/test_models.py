@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from zbtopo import (
+    BlochModel,
     chiral_symmetry,
     chiral_ti_3d,
     evaluate,
@@ -30,6 +33,17 @@ def test_hermitian_everywhere(name, factory):
     ks = RNG.uniform(-np.pi, np.pi, (200, model.momentum_dim))
     h = evaluate(model, ks)
     assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) < 1e-12
+
+
+@pytest.mark.parametrize("name,factory,bands", [
+    entry + (bands,) for entry, bands in zip(ALL_MODELS, (3, 4, 3, 4, 2))])
+def test_band_count_is_the_generator_dimension(name, factory, bands):
+    # read off the generator array, so no model can declare another count
+    model = factory()
+    assert model.band_count == model.generators.shape[-1] == bands
+    assert "band_count" not in {f.name for f in dataclasses.fields(BlochModel)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(model, band_count=bands + 1)
 
 
 @pytest.mark.parametrize("name,factory", ALL_MODELS)
@@ -74,7 +88,7 @@ def test_momentum_dimension_mismatch():
 
 def test_spin_j_at_origin_is_mass_term():
     model = spin_j_continuum(1, 2.0, 3.0, 0.7)
-    jz = model.generators["Jz"]
+    _, _, jz = model.generators
     assert np.allclose(evaluate(model, [0.0, 0.0]), 0.7 * jz)
 
 
@@ -98,8 +112,9 @@ def test_spin_j_spectrum_pattern(j):
 def test_spin_j_gradient_is_constant_velocity():
     model = spin_j_continuum(1.5, 0.4, 0.9, 0.2)
     grad = gradient(model, [0.3, -0.8])
-    assert np.allclose(grad[0], 0.4 * model.generators["Jx"])
-    assert np.allclose(grad[1], 0.9 * model.generators["Jy"])
+    jx, jy, _ = model.generators
+    assert np.allclose(grad[0], 0.4 * jx)
+    assert np.allclose(grad[1], 0.9 * jy)
 
 
 # ---------------------------------------------------------------- spin-1 lattice
@@ -112,7 +127,8 @@ def test_maxwell_gap_closes_at_transition():
 def test_maxwell_m1_spectrum_at_origin():
     model = maxwell_lattice(1.0, 1.0)
     h = evaluate(model, [0.0, 0.0])
-    assert np.allclose(h, -2.0 * model.generators["Jz"])
+    _, _, jz = model.generators
+    assert np.allclose(h, -2.0 * jz)
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, 0.0, 2.0])
 
 
@@ -123,7 +139,7 @@ def test_maxwell_rejects_zero_hopping():
 
 def test_maxwell_hsps_proportional_to_mass_generator():
     model = maxwell_lattice(1.0, 0.7)
-    jz = model.generators["Jz"]
+    _, _, jz = model.generators
     for K in model.hsps:
         h = evaluate(model, K)
         coef = np.trace(jz @ h).real / 2.0
@@ -133,8 +149,9 @@ def test_maxwell_hsps_proportional_to_mass_generator():
 def test_maxwell_gradient_at_origin():
     model = maxwell_lattice(1.0, 1.0)
     grad = gradient(model, [0.0, 0.0])
-    assert np.allclose(grad[0], 2.0 * model.generators["Jx"])
-    assert np.allclose(grad[1], 2.0 * model.generators["Jy"])
+    jx, jy, _ = model.generators
+    assert np.allclose(grad[0], 2.0 * jx)
+    assert np.allclose(grad[1], 2.0 * jy)
 
 
 def test_band_drift_matches_band_slopes():
@@ -210,9 +227,12 @@ def test_kane_mele_sector_matches_full_model():
 
 # ---------------------------------------------------------------- chiral 3D
 
+# rows of `chiral_ti_3d`'s generators, which are lambda4 .. lambda7
+CHIRAL_LAMBDA4, CHIRAL_LAMBDA7 = 0, 3
+
 def test_chiral_corner_hamiltonians():
     model = chiral_ti_3d(1.2)
-    lam7 = model.generators["lambda7"]
+    lam7 = model.generators[CHIRAL_LAMBDA7]
     assert np.allclose(evaluate(model, [0.0, 0.0, 0.0]), (1.2 - 3) * lam7)
     pi = np.pi
     assert np.allclose(evaluate(model, [pi, pi, pi]), (1.2 + 3) * lam7)
@@ -220,7 +240,7 @@ def test_chiral_corner_hamiltonians():
 
 def test_chiral_corners_proportional_to_mass_generator():
     model = chiral_ti_3d(0.4)
-    lam7 = model.generators["lambda7"]
+    lam7 = model.generators[CHIRAL_LAMBDA7]
     for K in model.hsps:
         h = evaluate(model, K)
         coef = np.trace(lam7 @ h).real / 2.0
@@ -252,7 +272,7 @@ def test_chiral_symmetry_refuses_a_model_without_one(model):
 def test_chiral_gradient_at_corner():
     model = chiral_ti_3d(2.0)
     grad = gradient(model, [np.pi, 0.0, 0.0])
-    assert np.allclose(grad[0], -model.generators["lambda4"], atol=1e-12)
+    assert np.allclose(grad[0], -model.generators[CHIRAL_LAMBDA4], atol=1e-12)
 
 
 def test_chiral_middle_band_flat():

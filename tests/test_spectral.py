@@ -40,7 +40,7 @@ def test_pauli_z_pattern():
 
 
 def test_spin1_jz_spectrum():
-    jz = spin_matrices(1, "ladder")["Jz"]
+    _, _, jz = spin_matrices(1, "ladder")
     dec = hermitian_eig(jz)
     assert np.allclose(dec.energies, [-1.0, 0.0, 1.0])
 
