@@ -48,7 +48,6 @@ __all__ = [
 
 MIN_SAMPLES_PER_PERIOD = 4
 MIN_SPAN_PERIODS = 4
-AMPLITUDE_FLOOR = 1e-12
 SPINOR_NORM_TOL = 1e-10
 DEGENERACY_TOL = 1e-8  # neighbouring energies at most this far apart share a degenerate chain
 _MAX_TIME_SAMPLES = 4 * 10**6  # default time grid; `zb zb` peaks near 350 bytes per sample
@@ -61,10 +60,9 @@ class Trajectory:
     """Uniformly sampled center-of-mass track.
 
     ``pcm[i]`` is the 3-vector (<x>, <y>, <z>) at ``times[i]``.  Metadata
-    records how it was generated (model, momentum or packet, spinor, drift
-    flag) plus ``zb_scale``, the predicted oscillation amplitude scale used
-    by :func:`rotation_index` to tell real rotation from numerical noise (exact
-    routes: max 2 |amps_p| / |omega_p| over eigenvector pairs, momentum-averaged).
+    holds only what the analysis reads: ``include_drift`` (whether
+    :func:`zb_spectrum` and :func:`rotation_index` fit out a drift line) and,
+    for a packet, its momentum ``grid`` (``half_width`` and ``points``).
     """
 
     times: np.ndarray
@@ -124,10 +122,11 @@ def zb_time_grid(omega_fast: float, omega_slow: float | None = None,
                  samples_per_period: int = 64, periods: int = 8) -> np.ndarray:
     """Uniform grid resolving omega_fast and spanning ``periods`` of omega_slow;
     refused with GridSizeError, unallocated, above ``_MAX_TIME_SAMPLES`` samples."""
-    omega_fast = abs(float(omega_fast))
-    if omega_fast == 0.0:
-        raise ValueError("omega_fast must be nonzero")
-    omega_slow = omega_fast if omega_slow is None else abs(float(omega_slow))
+    omega_slow = omega_fast if omega_slow is None else omega_slow
+    for name, value in (("omega_fast", omega_fast), ("omega_slow", omega_slow)):
+        if not (np.isfinite(value) and value != 0):
+            raise ValueError(f"{name} must be finite and nonzero, got {value}")
+    omega_fast, omega_slow = abs(float(omega_fast)), abs(float(omega_slow))
     dt = 2 * np.pi / (omega_fast * samples_per_period)
     span = periods * 2 * np.pi / omega_slow
     if span / dt > _MAX_TIME_SAMPLES:
@@ -182,9 +181,11 @@ def _pair_data(hams, grad_mats, psi):
     over eigenvector pairs g < h: pair p oscillates as (2 / omega_p) Im(amps_p
     e^{i omega_p t}), omega_p = E_g - E_h at chain-mean energies, amps_p =
     <y_g| dH |y_h>, zero inside a chain.  The drift sums each chain's whole block:
-    <psi| P_G dH P_G |psi> over chains G.
+    <psi| P_G dH P_G |psi> over chains G.  Non-finite energies are refused.
     """
     w, v = hermitian_eig(hams)
+    if not np.isfinite(w).all():  # NaN gaps would all read as degenerate: one chain
+        raise ValueError("eigenvalues are not finite: no level pairs")
     n, psi = hams.shape[-1], np.asarray(psi)
     index = psi.dtype.kind in "iu"  # band indices
     rows = np.broadcast_shapes(hams.shape[:1], psi.shape[:psi.ndim - 1 + index])
@@ -251,11 +252,8 @@ def pcm_trajectories_exact(model: BlochModel, k, spinors, times=None,
         return ()
     sums = _momentum_sum(model, k[None], np.ones(1), spinors, times, include_drift,
                          samples_per_period, periods)
-    momentum = tuple(float(x) for x in k)
-    return tuple(Trajectory(times=t, pcm=pcm, metadata={
-        "model": model.name, "momentum": momentum, "spinor": _spinor_tag(spinor),
-        "include_drift": include_drift, "zb_scale": scale})
-        for spinor, (t, pcm, scale) in zip(spinors, sums))
+    return tuple(Trajectory(times=t, pcm=pcm, metadata={"include_drift": include_drift})
+                 for t, pcm in sums)
 
 
 def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
@@ -266,15 +264,9 @@ def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
                                   samples_per_period=samples_per_period, periods=periods)[0]
 
 
-def _amp_scale(omegas, amps, mask) -> np.ndarray:
-    """Per-momentum largest predicted amplitude 2|amps| / |omega| over present pairs."""
-    ratio = 2.0 * np.abs(amps) / np.where(mask, np.abs(omegas), 1.0)[..., None]
-    return np.max(np.where(mask[..., None], ratio, 0.0), axis=(-2, -1), initial=0.0)
-
-
 def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, periods):
-    """Weighted pair-sum trajectories over momenta ``ks``, one (times, pcm, zb_scale)
-    per spinor; several spinors need a single momentum, so pair rows split as (S, K)."""
+    """Weighted pair-sum trajectories over momenta ``ks``, one (times, pcm) per
+    spinor; several spinors need a single momentum, so pair rows split as (S, K)."""
     index = [isinstance(s, (int, np.integer)) for s in spinors]
     if index.count(index[0]) != len(index):
         i = index.index(not index[0])
@@ -289,7 +281,6 @@ def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, period
     omegas, amps, drifts = (np.concatenate(x).reshape((len(psi), -1) + x[0].shape[1:])
                             for x in zip(*parts))
     mask = _present_mask(amps)
-    scales = _amp_scale(omegas, amps, mask)
     # only each spinor's weighted present pairs are kept: the full table is released
     amps = {s: (weights[:, None, None] * a)[m] for s, (a, m) in enumerate(zip(amps, mask))}
     groups, out = {}, {}
@@ -305,14 +296,8 @@ def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, period
         for s, pcm in zip(members, _oscillation(grid, present, stack)):
             if include_drift:
                 pcm = pcm + np.outer(grid, weights @ drifts[s])
-            out[s] = (grid, pcm, float(weights @ scales[s]))
+            out[s] = (grid, pcm)
     return [out[s] for s in range(len(psi))]
-
-
-def _spinor_tag(spinor):
-    if isinstance(spinor, (int, np.integer)):
-        return f"eigenstate:{int(spinor)}"
-    return tuple(complex(c) for c in np.asarray(spinor, dtype=complex))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +309,7 @@ def _polar(w):
     return r, (float(np.angle(w)) if r > 0 else 0.0)
 
 
-def _closed_form(name, params, spinor, comps, omega, mag, scale, times):
+def _closed_form(comps, omega, mag, times):
     """Trajectory with components Re(C_c e^{i omega t}) for the complex amplitudes
     ``comps``, plus their (amplitude, phase, omega) summary.  ``times=None`` builds
     the default grid; omega counts as present (for the sampling check) when ``mag`` > 0."""
@@ -334,11 +319,9 @@ def _closed_form(name, params, spinor, comps, omega, mag, scale, times):
     for c, amp in enumerate(comps):
         if amp != 0:
             pcm[:, c] = np.real(amp * np.exp(1j * omega * times))
-    meta = {"model": name, "params": params, "spinor": _spinor_tag(spinor),
-            "include_drift": False, "zb_scale": scale}
     form = ZBClosedForm(amplitude=np.array([abs(c) for c in comps]),
                         phase=np.array([_polar(c)[1] for c in comps]), omega=omega)
-    return Trajectory(times=times, pcm=pcm, metadata=meta), form
+    return Trajectory(times=times, pcm=pcm), form
 
 
 def closed_form_spin1(v_x: float, v_y: float, m: float, spinor, times=None):
@@ -365,8 +348,7 @@ def closed_form_spin1(v_x: float, v_y: float, m: float, spinor, times=None):
 
     cx = (v_x / omega) * mag * np.exp(1j * (sgn * theta - np.pi / 2))
     cy = -sgn * (v_y / omega) * mag * np.exp(1j * sgn * theta)
-    return _closed_form("spin1_closed_form", {"v_x": v_x, "v_y": v_y, "m": m}, spinor,
-                        (cx, cy, 0.0), omega, mag, mag * max(abs(v_x), abs(v_y)) / omega, times)
+    return _closed_form((cx, cy, 0.0), omega, mag, times)
 
 
 def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, times=None):
@@ -397,14 +379,13 @@ def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, tim
         omega = abs(m)
         cx = -np.sqrt(2.0) * (v_x / m) * r2 * np.exp(1j * sgn * th2)
         cy = -np.sqrt(2.0) * (v_y / abs(m)) * r2 * np.exp(1j * (sgn * th2 - np.pi / 2))
-        comps, mag, scale = (cx, cy, 0.0), r2, np.sqrt(2.0) * r2 * max(abs(v_x), abs(v_y)) / abs(m)
+        comps, mag = (cx, cy, 0.0), r2
     else:
         r3, th3 = _polar(a * np.conj(c))
         omega = 2 * abs(m)
         cz = -(v_z / m) * r3 * np.exp(1j * sgn * th3)
-        comps, mag, scale = (0.0, 0.0, cz), r3, r3 * abs(v_z) / abs(m)
-    return _closed_form("chiral_closed_form", {"v_x": v_x, "v_y": v_y, "v_z": v_z, "m": m},
-                        spinor, comps, omega, mag, scale, times)
+        comps, mag = (0.0, 0.0, cz), r3
+    return _closed_form(comps, omega, mag, times)
 
 
 def _unit_spinor(spinor, dim, model_name=None):
@@ -445,17 +426,10 @@ def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
     weights = np.exp(-d * d * np.sum((mesh - center) ** 2, axis=1))
     weights /= weights.sum()
 
-    (times, pcm, scale), = _momentum_sum(model, mesh, weights, [packet.spinor], None,
-                                         include_drift, samples_per_period, periods)
-    meta = {
-        "model": model.name,
-        "packet": {"width": d, "center": tuple(float(x) for x in center)},
-        "spinor": _spinor_tag(packet.spinor),
-        "include_drift": include_drift,
-        "grid": {"half_width": half_width, "points": n_pts},
-        "zb_scale": scale,
-    }
-    return Trajectory(times=times, pcm=pcm, metadata=meta)
+    (times, pcm), = _momentum_sum(model, mesh, weights, [packet.spinor], None,
+                                  include_drift, samples_per_period, periods)
+    return Trajectory(times=times, pcm=pcm, metadata={
+        "include_drift": include_drift, "grid": {"half_width": half_width, "points": n_pts}})
 
 
 def _check_center(model, center):
@@ -513,9 +487,10 @@ def rotation_index(traj: Trajectory, plane=(0, 1)) -> int:
 
     The signed area integral (x dy - y dx)/2 is accumulated over an integer
     number of periods of the dominant oscillation (trapezoidal rule).
-    Returns 0 when the peak oscillation amplitude is below 1e-9 of the
-    expected amplitude scale (metadata ``zb_scale``, else 1).  A trajectory
-    with a non-finite position has no sense: it is a ValueError.
+    Returns 0 when the detrended in-plane amplitude is at most 1e-9 of max
+    |pcm| over all three raw components, the noise reference of
+    :func:`zb_spectrum`.  A trajectory with a non-finite position has no
+    sense: it is a ValueError.
     """
     times = _check_uniform(traj.times)
     if not np.isfinite(traj.pcm).all():
@@ -524,8 +499,7 @@ def rotation_index(traj: Trajectory, plane=(0, 1)) -> int:
     x = clean[:, plane[0]]
     y = clean[:, plane[1]]
     amp = float(np.max(np.hypot(x, y)))
-    scale = traj.metadata.get("zb_scale") or 1.0
-    if amp < 1e-9 * max(scale, AMPLITUDE_FLOOR):
+    if amp <= 1e-9 * np.max(np.abs(traj.pcm)):
         return 0
 
     power = np.abs(np.fft.rfft(x)) ** 2 + np.abs(np.fft.rfft(y)) ** 2
@@ -617,7 +591,8 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> Se
     The trials' exact trajectories at p = 0 come from one spinor stack; each
     is transformed and every Fourier bin away from the |m| line is compared
     against the main peak; the worst relative power over all trials is reported.
-    A trajectory with a non-finite entry fails the check and reports NaN.
+    A trajectory with a non-finite entry fails the check and reports NaN, and
+    one with no spectral line fails it too: a random spinor always oscillates.
     """
     if j > 3.5:
         raise ValueError("selection-rule check supports j <= 7/2")
@@ -638,6 +613,7 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> Se
             break
         spec = zb_spectrum(traj)
         if not spec.peaks:
+            ok = False
             continue
         main_bin = int(round(omega / spec.resolution))
         freq, _ = max(spec.peaks, key=lambda pk: pk[1])

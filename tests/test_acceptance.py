@@ -166,17 +166,30 @@ def test_negated_energies_fail_the_oracle_and_reversal(monkeypatch):
     assert failed == ["closed_form_oracle", "direction_reversal"]
 
 
-def test_non_finite_eigensolve_is_refused_by_the_rotation_sense(monkeypatch):
+@pytest.mark.parametrize("states", ["finite-states", "nan-states"])
+def test_non_finite_eigensolve_is_refused_before_level_pairs(monkeypatch, states):
+    # NaN energies compare as no gap: unrefused, they fold into one degenerate
+    # chain and every trajectory reads a silent drift instead of NaN
     real = dynamics.hermitian_eig
 
     def non_finite(hams):
         w, v = real(hams)
-        return SpectralDecomposition(np.full_like(w, np.nan), np.full_like(v, np.nan))
+        return SpectralDecomposition(np.full_like(w, np.nan),
+                                     v if states == "finite-states" else np.full_like(v, np.nan))
 
     monkeypatch.setattr(dynamics, "hermitian_eig", non_finite)
-    with pytest.raises(ValueError,
-                       match="^trajectory positions are not finite: no rotation sense$"):
+    with pytest.raises(ValueError, match="^eigenvalues are not finite: no level pairs$"):
         run_battery(1)
+
+
+def test_silent_oscillation_fails_every_trajectory_check(monkeypatch):
+    # a random spinor always oscillates: a trial with no spectral line is a
+    # failure, not a skip, and no check leaks an empty max()
+    real = dynamics._oscillation
+    monkeypatch.setattr(dynamics, "_oscillation", lambda *args: np.zeros_like(real(*args)))
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["closed_form_oracle", "direction_reversal", "selection_rule",
+                      "scaling_laws"]
 
 
 def test_negated_plaquette_sum_fails_the_phase_table(monkeypatch):

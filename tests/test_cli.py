@@ -220,6 +220,14 @@ def test_zb_eigenstate_prints_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_zb_drifting_eigenstate_prints_zero(tmp_path, capsys):
+    # the roundoff left after the drift line is fitted out has no sense
+    dynamics = {"momentum": [0.3, 0.2], "spinor": {"eigenstate": 0}, "include_drift": True}
+    cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": dynamics}))
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def test_zb_csv_round_trip(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -50,6 +50,15 @@ def test_time_grid_is_capped_before_allocation(monkeypatch):
         zb_time_grid(1e6, 1e-6)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("omega_fast", (np.nan,)), ("omega_fast", (np.inf, 1.0)), ("omega_fast", (0.0,)),
+    ("omega_slow", (1.0, np.nan)), ("omega_slow", (1.0, 0.0)),
+], ids=["nan-fast", "inf-fast", "zero-fast", "nan-slow", "zero-slow"])
+def test_time_grid_refuses_a_non_finite_or_zero_frequency_by_name(name, args):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonzero, got "):
+        zb_time_grid(*args)
+
+
 def test_eigenstate_gives_zero_oscillation():
     model = maxwell_lattice(1.0, 1.0)
     traj = pcm_trajectory_exact(model, ORIGIN2, 0, zb_time_grid(2.0))
@@ -328,10 +337,12 @@ def test_rotation_index_circles():
     assert rotation_index(Trajectory(t, cw)) == -1
 
 
-def test_rotation_index_amplitude_floor():
+def test_rotation_index_reads_roundoff_beside_a_drift_as_zero():
+    # what the fitted line leaves of a drift is noise against the drift itself
     t = np.linspace(0.0, 8 * np.pi, 512, endpoint=False)
-    tiny = 1e-13 * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
-    assert rotation_index(Trajectory(t, tiny, {"zb_scale": 1.0})) == 0
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    pcm = np.outer(t, [0.3, -0.7, 0.2]) + 1e-16 * circle
+    assert rotation_index(Trajectory(t, pcm, {"include_drift": True})) == 0
 
 
 def test_rotation_index_needs_uniform_grid():

@@ -420,9 +420,7 @@ def test_oscillation_memory_is_bounded_by_the_chunk():
 def reference_packet(model, packet, grid_spec):
     """Per-momentum loop over explicit group projectors with dense synthesis.
 
-    Group pairs oscillate at the gap of the groups' mean levels; ``zb_scale``
-    is the largest 2 |<y_g| dH |y_h>| / |omega| over present pairs of
-    eigenvectors y_g = v_g (v_g^dag psi) in different groups.
+    Group pairs oscillate at the gap of the groups' mean levels.
     """
     half_width, n_pts = grid_spec
     axes = [c + np.linspace(-half_width, half_width, n_pts) for c in packet.center]
@@ -430,7 +428,7 @@ def reference_packet(model, packet, grid_spec):
     weights = np.exp(-packet.width**2 * np.sum((mesh - packet.center) ** 2, axis=1))
     weights /= weights.sum()
     n = model.band_count
-    omegas, amps, drift, scale = [], [], np.zeros(3), 0.0
+    omegas, amps, drift = [], [], np.zeros(3)
     for weight, k in zip(weights, mesh):
         ham = evaluate(model, k)
         psi = packet.spinor
@@ -447,23 +445,13 @@ def reference_packet(model, packet, grid_spec):
                    if mag > 1e-12 * (1.0 + mags.max())]
         omegas += [omega for omega, _ in present]
         amps += [weight * amp for _, amp in present]
-
-        v = hermitian_eig(ham).states
-        y = v * (np.eye(n)[psi] if isinstance(psi, int) else v.conj().T @ psi)
-        label = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-        level = means[label]
-        eigen_pairs = [(level[a] - level[b], np.einsum("i,dij,j->d", y[:, a].conj(), dh, y[:, b]))
-                       for a in range(n) for b in range(a + 1, n) if label[a] != label[b]]
-        mags = np.array([np.max(np.abs(amp)) for _, amp in eigen_pairs] or [0.0])
-        scale += weight * max((2 * mag / abs(omega) for (omega, _), mag in zip(eigen_pairs, mags)
-                               if mag > 1e-12 * (1.0 + mags.max())), default=0.0)
     omegas, amps = np.array(omegas), np.array(amps).reshape(-1, 3)
     if omegas.size:
         times = zb_time_grid(np.abs(omegas).max(), np.abs(omegas).min())
     else:
         times = zb_time_grid(1.0)
     pcm = dense_oscillation(times, omegas, amps) if omegas.size else 0.0
-    return times, pcm + np.outer(times, drift), scale
+    return times, pcm + np.outer(times, drift)
 
 
 SPINOR3 = np.array([0.6, 0.48j, 0.64])
@@ -473,10 +461,9 @@ SPINOR4 = np.array([0.5, -0.5j, 0.5, 0.5])
 def assert_packet_matches_reference(model, center, spinor):
     packet = WavePacket(width=10.0, center=np.array(center), spinor=spinor)
     traj = wavepacket_trajectory(model, packet, (0.35, 21))
-    times, pcm, scale = reference_packet(model, packet, (0.35, 21))
+    times, pcm = reference_packet(model, packet, (0.35, 21))
     assert np.array_equal(traj.times, times)
     assert np.max(np.abs(traj.pcm - pcm)) <= 1e-12 * max(1.0, np.max(np.abs(pcm)))
-    assert abs(traj.metadata["zb_scale"] - scale) <= 1e-12 * max(1.0, scale)
 
 
 @pytest.mark.parametrize(
@@ -691,9 +678,21 @@ def test_rotation_index_is_unchanged_by_whole_period_shifts(case, shifts):
     model, k, spinor, samples, period = case
     traj = pcm_trajectory_exact(model, k, spinor, samples_per_period=samples)
     later = pcm_trajectory_exact(model, k, spinor, traj.times + shifts * period)
-    assert np.allclose(later.pcm, traj.pcm, rtol=0.0, atol=1e-9 * traj.metadata["zb_scale"])
+    assert np.allclose(later.pcm, traj.pcm, rtol=0.0, atol=1e-9 * np.max(np.abs(traj.pcm)))
     for plane in ((0, 1), (1, 0)):
         assert rotation_index(later, plane) == rotation_index(traj, plane)
+
+
+@given(exponent=st.integers(-30, 30), sense=st.sampled_from([-1, 1]),
+       axes=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+       phase=st.floats(0.0, 2 * np.pi), periods=st.integers(4, 12))
+def test_rotation_sense_of_an_ellipse_is_free_of_its_scale(exponent, sense, axes, phase, periods):
+    # the noise floor is relative to the trajectory, so no unit turns a
+    # rotation into noise
+    t = np.linspace(0.0, periods * 2 * np.pi, 64 * periods, endpoint=False)
+    pcm = 10.0**exponent * np.stack([axes[0] * np.cos(t + phase),
+                                     sense * axes[1] * np.sin(t + phase), np.zeros_like(t)], axis=1)
+    assert rotation_index(Trajectory(t, pcm)) == sense
 
 
 # ---------------------------------------------------------------- honeycomb
@@ -997,7 +996,8 @@ def reference_selection_rule(j, m, trials, seed):
     for _ in range(trials):
         raw = rng.standard_normal(model.band_count) + 1j * rng.standard_normal(model.band_count)
         spec = zb_spectrum(pcm_trajectory_exact(model, ORIGIN2, raw / np.linalg.norm(raw), times))
-        if not spec.peaks:
+        if not spec.peaks:  # a random spinor always oscillates
+            ok = False
             continue
         main_bin = int(round(omega / spec.resolution))
         freq, _ = max(spec.peaks, key=lambda pk: pk[1])
