@@ -6,8 +6,8 @@ free).  The lattice field-strength (plaquette) sum plays the global role
 in 2D, a signed preimage count of d/|d| in 3D, and the decoupled-sector Chern
 parity / inversion-parity products for the honeycomb model.  The sector
 Chern number behind that parity is the degree of d/|d| for the two-band
-sector H = d(k) . sigma, summed as signed solid angles over the zone mesh
-(`degree_2band`), with no eigensolve.
+sector H = d(k) . sigma, read by the same signed preimage count on the 2D
+zone mesh (`degree_2band`), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ WINDING_MAX_GRID = 64  # one count on the 64^3 mesh peaks at 78 MB traced, 1.2 M
 # The direction on S^3 whose signed preimages the 3D winding count sums: generic, and
 # not +-e4, whose preimages are the zone corners that the corner formula already reads.
 WINDING_TARGET = np.array([2.0, -4.0, 5.0, 6.0]) / 9.0  # unit: 4 + 16 + 25 + 36 = 81
+# The direction on S^2 whose preimages the 2D sector count sums: generic, not +-e3 (the valleys).
+SECTOR_TARGET = np.array([1.0, -2.0, 2.0]) / 3.0  # unit: 1 + 4 + 4 = 9
 
-# Orientation of the plaquette field-strength sum and of the 3D preimage
-# count.  Both signs are pinned once so that the global integrals and
-# the high-symmetry-point sign formulas quote invariants in the same
-# convention; the agreement at every other parameter value is then a real
-# cross-check.
+# Orientation of the plaquette field-strength sum and of the 2D and 3D preimage
+# counts.  The signs are pinned once so that the global integrals and the
+# high-symmetry-point sign formulas quote invariants in the same convention;
+# the agreement at every other parameter value is then a real cross-check.
 PLAQUETTE_ORIENTATION = -1.0
+SECTOR_ORIENTATION = 1.0
 DEGREE_ORIENTATION = -1.0
 
 
@@ -148,18 +150,6 @@ def _refuse_gap(gap, what: str):
         raise GaplessError(f"{what} near k = ({_mesh_k(at, len(gap))}): gap {gap.min():.3e}")
 
 
-def _zone_norms(d, gap_per_norm, what: str):
-    """|d| on a zone mesh d (n, ..., n, k); `_refuse_gap` refuses the gap gap_per_norm |d| as
-    ``what``, and a ValueError ``coefficient norm |d| overflows near k = (..)`` an inf |d|."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(d, axis=-1)
-    _refuse_gap(gap_per_norm * norms, what)
-    if not np.isfinite(norms).all():
-        at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
-        raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
-    return norms
-
-
 def _mesh_k(at, n_grid: int) -> str:
     """The zone-mesh momentum at index tuple ``at``, as ``k_1, k_2, ..`` to 6 places."""
     return ", ".join(f"{2 * np.pi * i / n_grid:.6f}" for i in at)
@@ -242,27 +232,61 @@ def chern_plaquette(model: BlochModel, band, grid: int = 64):
     return values if isinstance(band, tuple) else values[0]
 
 
-def _solid_angle_sum(d) -> float:
-    """Degree of d/|d| over one zone mesh d (n, n, 3): the signed solid angles
-    of two triangles per plaquette, over 4 pi (Berg & Luscher, Nucl. Phys. B
-    190, 412 (1981)).  Refused where the gap 2|d| falls below the floor or |d|
-    overflows."""
-    a = d / _zone_norms(d, 2, "two-band gap closes")[..., None]
-    b, e = np.roll(a, -1, axis=0), np.roll(a, -1, axis=1)
-    c = np.roll(b, -1, axis=1)
+def _cross(a, b):
+    """a x b over the first D components of (D + 1)-vectors: a scalar in 2D, a vector in 3D."""
+    if a.shape[-1] == 3:
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return np.cross(a[..., :3], b[..., :3])
+
+
+def _preimage_count(d) -> float:
+    """Degree of d/|d| : T^D -> S^D on one zone mesh d (n^D, D + 1), D = 2 or 3: the signed
+    preimage count of SECTOR_TARGET (D = 2) or WINDING_TARGET (D = 3).  Each mesh cell splits
+    into D! Kuhn simplices, one per axis permutation, with d linear on each.  A Householder
+    reflection (det -1) takes the target to e_(D+1), which a reflected cone [r_0 .. r_D] holds
+    when its last-row cofactors (the cyclic 2D crosses, or the triple products of the first
+    three components) share the sign of its determinant; the cone then adds the permutation's
+    sign times sgn det [d_0 .. d_D], minus that sign, and a flat cone adds 0.  `_refuse_gap`
+    refuses the gap 2|d| (D = 2) or |d| (D = 3), and an inf |d| is a ValueError."""
+    dim = d.ndim - 1
+    if dim == 2:
+        target, orientation, gap, what = SECTOR_TARGET, SECTOR_ORIENTATION, 2, "two-band"
+    else:
+        target, orientation, gap, what = WINDING_TARGET, DEGREE_ORIENTATION, 1, "spectrum"
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=-1)
+    _refuse_gap(gap * norms, f"{what} gap closes")
+    if not np.isfinite(norms).all():
+        at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
+        raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
+    v = target - np.eye(dim + 1)[dim]
+    r0 = d @ (np.eye(dim + 1) - 2 * np.outer(v, v) / (v @ v))
+    last = np.roll(r0, -1, axis=tuple(range(dim)))
+    closing = _cross(last, r0)
     total = 0.0
-    # counterclockwise triangles (k, k + x, k + x + y) and (k, k + x + y, k + y)
-    for p, q, r in ((a, b, c), (a, c, e)):
-        volume = np.einsum("...i,...i->...", p, np.cross(q, r))
-        cosine = 1.0 + np.einsum("...i,...i->...", p + r, q) + np.einsum("...i,...i->...", r, p)
-        total += 2.0 * float(np.arctan2(volume, cosine).sum())
-    return total / (4 * np.pi)
+    for perm in itertools.permutations(range(dim)):
+        # vertices k, k + e_a, k + e_a + e_b, .., k + (1, .., 1) for perm = (a, b, ..)
+        walk = [r0]
+        for axis in perm[:-1]:
+            walk.append(np.roll(walk[-1], -1, axis=axis))
+        walk.append(last)
+        if dim == 2:
+            cof = [_cross(walk[1], last), closing, _cross(r0, walk[1])]
+        else:
+            r12 = _cross(walk[1], walk[2])
+            cof = [s * np.einsum("...i,...i->...", r[..., :3], x) for s, r, x in
+                   ((-1, last, r12), (1, walk[2], closing), (-1, walk[1], closing), (1, r0, r12))]
+        sign = np.sign(sum(r[..., dim] * c for r, c in zip(walk, cof)))
+        inside = (np.sign(cof) == sign).all(axis=0)
+        total -= np.linalg.det(np.eye(dim)[list(perm)]) * sign[inside].sum()
+    return orientation * float(total)
 
 
 def degree_2band(model: BlochModel, grid: int = 32) -> int:
     """Lower-band Chern number of a two-band sector H = d(k) . (sx, sy, sz).
 
-    It is the degree of d/|d| : T^2 -> S^2, in the orientation of
+    It is the degree of d/|d| : T^2 -> S^2, the signed preimage count that
+    `winding_numerical` runs in 3D (`_preimage_count`), in the orientation of
     `chern_plaquette` (which quotes the lower band as +degree).  The
     coefficients are evaluated once on the 2 grid mesh, and ``grid`` is read
     off it as [::2, ::2]; the grid then doubles by the two-grid rule of
@@ -275,7 +299,7 @@ def degree_2band(model: BlochModel, grid: int = 32) -> int:
         raise ValueError(f"the two-band degree needs a periodic 2D model with generators "
                          f"(sx, sy, sz), got '{model.name}'")
     check_grid(grid, PLAQUETTE_MAX_GRID)
-    return _refine(lambda n: (model.coeff(_zone_mesh(n)),), _solid_angle_sum, grid, {})
+    return _refine(lambda n: (model.coeff(_zone_mesh(n)),), _preimage_count, grid, {})
 
 
 def check_grid(grid, upper=None, name="grid", lower=1):
@@ -295,32 +319,6 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
     if total % 2 != 0:
         raise ValueError(f"odd index sum {total}: inconsistent linearization")
     return total // 2
-
-
-def _preimage_count(d) -> float:
-    """Signed preimage count of WINDING_TARGET under d/|d| on one zone mesh d (n, n, n, 4).
-    Each mesh cube splits into six Kuhn tetrahedra, one per axis permutation, with d linear
-    on each.  A Householder reflection (det -1) takes the target to e4, which a reflected
-    cone [r_0 r_1 r_2 r_3] holds when its fourth-row cofactors (triple products of the first
-    three components) share the sign of its determinant; the cone then adds the permutation's
-    sign times sgn det [d_0 d_1 d_2 d_3], minus that sign, and a flat cone adds 0."""
-    _zone_norms(d, 1, "spectrum gap closes")
-    v = WINDING_TARGET - np.eye(4)[3]
-    r0 = d @ (np.eye(4) - 2 * np.outer(v, v) / (v @ v))
-    r3 = np.roll(r0, -1, axis=(0, 1, 2))
-    r30 = np.cross(r3[..., :3], r0[..., :3])
-    total = 0.0
-    for perm in itertools.permutations(range(3)):
-        # vertices k, k + e_a, k + e_a + e_b, k + (1, 1, 1) for perm = (a, b, c)
-        r1 = np.roll(r0, -1, axis=perm[0])
-        r2 = np.roll(r1, -1, axis=perm[1])
-        r12 = np.cross(r1[..., :3], r2[..., :3])
-        cof = [s * np.einsum("...i,...i->...", r[..., :3], x)
-               for s, r, x in ((-1, r3, r12), (1, r2, r30), (-1, r1, r30), (1, r0, r12))]
-        sign = np.sign(sum(r[..., 3] * c for r, c in zip((r0, r1, r2, r3), cof)))
-        inside = (np.sign(cof) == sign).all(axis=0)
-        total -= np.linalg.det(np.eye(3)[list(perm)]) * sign[inside].sum()
-    return DEGREE_ORIENTATION * float(total)
 
 
 def winding_numerical(model: BlochModel, grid: int = 40) -> int:
@@ -388,7 +386,7 @@ def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
     sector = _km_up_sector(model)
     if model.params["lambda_r"] != 0.0:
         raise ValueError("the decoupled-sector parity oracle needs lambda_r = 0")
-    return abs(degree_2band(sector, grid)) % 2
+    return degree_2band(sector, grid) % 2
 
 
 def z2_fu_kane_parity(model: BlochModel) -> int:

@@ -200,9 +200,13 @@ def test_negated_plaquette_sum_fails_the_phase_table(monkeypatch):
     assert failed == ["phase_table"]
 
 
-@pytest.mark.parametrize("layer, grid", [("_fhs_sum", 64), ("_solid_angle_sum", 32)])
+@pytest.mark.parametrize("layer, grid", [("_fhs_sum", 64), ("_preimage_count", 32)])
 def test_non_finite_zone_sum_is_refused_on_its_first_grid(monkeypatch, layer, grid):
     # refused at once, naming the grid, with no refinement towards grid 512
-    monkeypatch.setattr(invariants, layer, lambda *args: float("nan"))
+    real = invariants._preimage_count
+    nan = {"_fhs_sum": lambda *args: float("nan"),
+           # NaN on 2D meshes only, so winding_3d still counts
+           "_preimage_count": lambda d: float("nan") if d.ndim == 3 else real(d)}
+    monkeypatch.setattr(invariants, layer, nan[layer])
     with pytest.raises(ValueError, match=f"^zone sum is not finite on grid {grid}: nan$"):
         run_battery(1)

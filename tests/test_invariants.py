@@ -32,7 +32,7 @@ from zbtopo import (
     z2_spin_chern_parity,
 )
 from zbtopo import invariants
-from zbtopo.models import evaluate
+from zbtopo.models import _PAULI, evaluate
 
 PI = np.pi
 
@@ -363,10 +363,10 @@ def _nan_fhs_sum():
     return invariants._fhs_sum(model, 1, w, v)
 
 
-def _nan_solid_angle_sum():
+def _nan_sector_count():
     d = kane_mele_spin_sector(1.0, 0.06, 0.1, +1).coeff(invariants._zone_mesh(8))
     d[1, 2] = np.nan
-    return invariants._solid_angle_sum(d)
+    return invariants._preimage_count(d)
 
 
 def _planted(model, at, value):
@@ -395,7 +395,7 @@ def _nan_plaquette(value=np.nan):
     # an inf in H is refused the same way, before eigh: no gap is computed there
     (lambda: _nan_plaquette(np.inf),
      "Hamiltonian is not finite near k = (1.178097, 1.963495): gap nan"),
-    (_nan_solid_angle_sum, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
+    (_nan_sector_count, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
     (_nan_winding, "spectrum gap closes near k = (0.785398, 1.570796, 2.356194): gap nan"),
 ])
 def test_zone_integrals_refuse_a_nan_integrand(integral, message):
@@ -406,10 +406,10 @@ def test_zone_integrals_refuse_a_nan_integrand(integral, message):
     assert str(info.value) == message
 
 
-def _overflow_solid_angle_sum():
+def _overflow_sector_count():
     d = kane_mele_spin_sector(1.0, 0.06, 0.1, +1).coeff(invariants._zone_mesh(8))
     d[1, 2] = 1e200
-    return invariants._solid_angle_sum(d)
+    return invariants._preimage_count(d)
 
 
 @pytest.mark.parametrize("integral, message", [
@@ -418,7 +418,7 @@ def _overflow_solid_angle_sum():
      "(0.785398, 1.570796, 2.356194)"),
     (lambda: degree_2band(kane_mele_spin_sector(1e200, 0.06, 0.1, +1), 8),
      "(0.000000, 0.000000)"),
-    (_overflow_solid_angle_sum, "(0.785398, 1.570796)"),
+    (_overflow_sector_count, "(0.785398, 1.570796)"),
 ])
 def test_zone_integrals_refuse_an_overflowing_norm(integral, message):
     # |d| above ~1.3e154 squares to inf: d/|d| would be all zeros and the
@@ -442,23 +442,29 @@ def test_winding_count_equals_corner_formula_property(m_param):
 
 
 def _kuhn_count(n, d):
-    """Signed preimage count of WINDING_TARGET on a directly built n^3 mesh d: each cube's
-    six tetrahedra gathered by explicit index arithmetic, a cone with det 0 left out, the
-    permutation sign from its inversions."""
-    shifts = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    """Signed preimage count on a directly built n^D mesh d, of SECTOR_TARGET for D = 2 and
+    WINDING_TARGET for D = 3: each cell's D! simplices gathered by explicit index arithmetic,
+    a cone with det 0 left out, the permutation sign from its inversions."""
+    dim = d.ndim - 1
+    if dim == 2:
+        target, orientation = invariants.SECTOR_TARGET, invariants.SECTOR_ORIENTATION
+    else:
+        target, orientation = invariants.WINDING_TARGET, invariants.DEGREE_ORIENTATION
+    shifts = np.stack(np.meshgrid(*[np.arange(n)] * dim, indexing="ij"), axis=-1)
+    shifts = shifts.reshape(-1, dim)
     total = 0
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
-        steps = np.zeros((4, 3), dtype=int)
-        for i in range(1, 4):
+    for perm in itertools.permutations(range(dim)):
+        inversions = sum(perm[i] > perm[j] for i in range(dim) for j in range(i + 1, dim))
+        steps = np.zeros((dim + 1, dim), dtype=int)
+        for i in range(1, dim + 1):
             steps[i:, perm[i - 1]] += 1
         corners = (shifts[:, None, :] + steps) % n
-        cone = d[corners[..., 0], corners[..., 1], corners[..., 2]].swapaxes(-1, -2)
+        cone = d[tuple(corners[..., axis] for axis in range(dim))].swapaxes(-1, -2)
         det = np.linalg.det(cone)
         solid = det != 0
-        x = np.linalg.solve(cone[solid], invariants.WINDING_TARGET[:, None])[..., 0]
+        x = np.linalg.solve(cone[solid], target[:, None])[..., 0]
         total += (-1) ** inversions * int(np.sign(det[solid][(x > 0).all(axis=-1)]).sum())
-    return invariants.DEGREE_ORIENTATION * float(total)
+    return orientation * float(total)
 
 
 def stacked_winding(model, grid):
@@ -510,6 +516,82 @@ def test_winding_count_is_the_same_for_a_second_target(monkeypatch, m_param):
     second = np.array([-0.47, 0.29, 0.71, -0.43])
     monkeypatch.setattr(invariants, "WINDING_TARGET", second / np.linalg.norm(second))
     assert winding_numerical(model, 40) == first == winding_from_hsp(model)
+
+
+def _degree_outcome(model, grid):
+    try:
+        return degree_2band(model, grid)
+    except ValueError as err:
+        return (type(err).__name__, str(err))
+
+
+def stacked_degree(model, grid):
+    """The outcome of `degree_2band` rebuilt from directly built meshes grid, 2 grid, ..
+    up to 512: a grid outside 1..512, a mesh whose gap 2|d| is below the floor or NaN, and
+    a count that never repeats on two successive meshes are refused."""
+    if not 1 <= grid <= 512:
+        return ("ValueError", f"grid must be an integer in 1..512, got {grid}")
+    previous, n = None, grid
+    while n <= 512:
+        d = model.coeff(invariants._zone_mesh(n))
+        gap = 2 * np.linalg.norm(d, axis=-1)
+        if not gap.min() >= invariants.PLAQUETTE_GAP_FLOOR:
+            at = np.unravel_index(int(np.argmin(gap)), gap.shape)
+            k = ", ".join(f"{2 * np.pi * i / n:.6f}" for i in at)
+            return ("GaplessError", f"two-band gap closes near k = ({k}): gap {gap.min():.3e}")
+        raw = _kuhn_count(n, d)
+        if previous == int(raw):
+            return int(raw)
+        previous, n = int(raw), 2 * n
+    return ("ValueError", f"zone sum did not stabilize on an integer up to grid 512 "
+                          f"(last {raw!r})")
+
+
+SECTORS = {
+    "topological": (1.0, 0.06, 0.1, +1),
+    "spin_down": (1.0, 0.06, 0.1, -1),
+    "trivial": (1.2, 0.05, 0.6, +1),
+    # t = 0 closes the gap at Gamma; lambda_v = 3 sqrt(3) lambda_so at the valley K'
+    "t_zero": (0.0, 0.1, 0.0, +1),
+    "valley_closing": (1.0, 0.07, 3 * np.sqrt(3) * 0.07, +1),
+}
+
+
+@pytest.mark.parametrize("grid", [0, 1, 2, 6, 9, 32, 512, 513])
+@pytest.mark.parametrize("sector", SECTORS)
+def test_sector_degree_matches_stacked_reference_bit_for_bit(sector, grid):
+    model = kane_mele_spin_sector(*SECTORS[sector])
+    assert _degree_outcome(model, grid) == stacked_degree(model, grid)
+
+
+def test_sector_degree_is_the_same_for_a_second_target(monkeypatch):
+    rng = np.random.default_rng(21)
+    second = np.array([0.62, 0.35, -0.70])
+    seen = []
+    while len(seen) < 20:
+        t, lambda_so, lambda_v = rng.uniform((0.5, 0.02, -0.8), (1.5, 0.15, 0.8))
+        if abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) < 0.03:
+            continue
+        sector = kane_mele_spin_sector(t, lambda_so, lambda_v, int(rng.choice([1, -1])))
+        seen.append(degree_2band(sector))
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "SECTOR_TARGET", second / np.linalg.norm(second))
+            assert degree_2band(sector) == seen[-1]
+    assert set(seen) == {-1, 0, 1}
+
+
+MAXWELL_NEAR_CRITICAL = [c + s * e for c in (-2.0, 0.0, 2.0) for s in (-1, 1)
+                         for e in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
+
+
+@pytest.mark.parametrize("start", [8, 32])
+@pytest.mark.parametrize("m_param", MAXWELL_NEAR_CRITICAL)
+def test_spin_one_chern_is_twice_the_sector_degree(m_param, start):
+    # the lowest band of J . d(k) carries -2 m deg(d/|d|) with m = -1, and a Pauli sector
+    # on the same coefficients carries deg: the 2D count reads the J = 1 lattice exactly
+    model = maxwell_lattice(1.0, m_param)
+    sector = replace(model, generators=_PAULI)
+    assert 2 * degree_2band(sector, start) == chern_from_hsp(model, -1)
 
 
 NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)
