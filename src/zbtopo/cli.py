@@ -1,14 +1,15 @@
 """Command-line front end.
 
     zb bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
-    zb phase-diagram ... [--allow-critical]
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
 ``FACTORIES`` is the one list of model names: a model's parameters are its
 factory's arguments, and its band path, sweep invariant and sweep
-parameters are read off the ``BlochModel`` the factory returns.  Time-grid,
-drift and topology options a config leaves out take the library's defaults.
+parameters are read off the ``BlochModel`` the factory returns.  A sweep
+skips each value whose row raises `GaplessError` (a gap closing), with a
+``skipping critical point`` line on stderr.  Time-grid, drift and topology
+options a config leaves out take the library's defaults.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
 0 success, 1 runtime error, 2 config error, 3 verification failure.
 """
@@ -36,7 +37,7 @@ from .dynamics import (
     wavepacket_trajectory,
     zb_spectrum,
 )
-from .errors import GridSizeError
+from .errors import GaplessError, GridSizeError
 from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, WINDING_MIN_GRID, check_grid,
                          chern_from_hsp, compute_invariants, linearize_at_hsp, winding_from_hsp,
                          z2_kane_mele)
@@ -316,7 +317,7 @@ def _sweep_value(model_section, parameter, value):
     return [value, index] + [lin.nu for lin in lins]
 
 
-def cmd_phase_diagram(config, out_dir, allow_critical):
+def cmd_phase_diagram(config, out_dir):
     model_section = config["model"]
     model = build_model(model_section)
     if model.invariant is None:
@@ -338,17 +339,15 @@ def cmd_phase_diagram(config, out_dir, allow_critical):
     values = np.arange(start, stop + step / 2, step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
-    kept = []
+    rows = []
     for value in values:
-        critical = any(abs(value - c) < 1e-6 for c in model.critical_values)
-        if critical and not allow_critical:
+        try:
+            rows.append(_sweep_value(model_section, parameter, float(value)))
+        except GaplessError:
             print(f"skipping critical point {parameter}={value:.6g}", file=sys.stderr)
-            continue
-        kept.append(float(value))
-    if not kept:
-        raise ConfigError("sweep contains only critical points; use --allow-critical")
+    if not rows:
+        raise ConfigError("sweep contains only critical points")
 
-    rows = [_sweep_value(model_section, parameter, v) for v in kept]
     nus = [] if model.invariant == "z2" else [_nu_col(K) for K in model.hsps]
     header = [parameter, model.invariant] + nus
     path = os.path.join(out_dir, "phase_diagram.csv")
@@ -388,8 +387,6 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=".")
-        if name == "phase-diagram":
-            cmd.add_argument("--allow-critical", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -402,7 +399,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(config, args.out)
         if args.command == "phase-diagram":
-            return cmd_phase_diagram(config, args.out, args.allow_critical)
+            return cmd_phase_diagram(config, args.out)
         return cmd_verify(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

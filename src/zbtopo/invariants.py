@@ -63,11 +63,12 @@ DEGREE_ORIENTATION = -1.0
 
 @dataclass(frozen=True)
 class HSPLinearization:
-    """Local expansion data H(K + p) ~ sum_d v_d p_d G_d + m G_mass.
+    """Local expansion data H(K + p) ~ sum_d (V p)_d G_d + m G_mass, G_d the
+    generator ``velocity_generators[d]``.
 
-    ``nu`` = sgn(prod_d v_d) sgn(m): in 2D sgn(v_x v_y m), the rotation
-    sense of the local oscillation; in 3D the quantity summed by the
-    winding formula.
+    ``velocities`` is the diagonal of the D x D velocity Jacobian V, and
+    ``nu`` = sgn(det V) sgn(m): in 2D the rotation sense of the local
+    oscillation, in 3D the quantity summed by the winding formula.
     """
 
     hsp: tuple
@@ -82,10 +83,11 @@ def linearize_at_hsp(model: BlochModel, K):
     ``K`` is one point (D,) or a stack (H, D); a stack returns a tuple of
     H linearizations, and the first failing point in stack order raises.
     The data are the model's own coefficients at K: the mass is
-    ``coeff(K)[mass_generator]`` and v_d is
-    ``coeff_grad(K)[velocity_generators[d], d]``.  Every other coefficient
-    of H(K) must vanish (within PROJECTION_TOL), |m| reach MASS_FLOOR (a
-    non-finite H(K) does not) and no velocity vanish.
+    ``coeff(K)[mass_generator]`` and V is
+    ``coeff_grad(K)[velocity_generators, :]``.  Every other coefficient of
+    H(K) must vanish (within PROJECTION_TOL), |m| reach MASS_FLOOR (a
+    non-finite H(K) or V does not) and the smallest singular value of V
+    reach 1e-12, which for a diagonal V is |v_d| >= 1e-12 on every axis.
     """
     if model.mass_generator is None:
         raise NotHighSymmetryError(
@@ -94,41 +96,47 @@ def linearize_at_hsp(model: BlochModel, K):
     K = np.atleast_1d(np.asarray(K, dtype=float))
     points = _check_momenta(model, np.atleast_2d(K))
     coeffs = model.coeff(points)
+    jac = model.coeff_grad(points)[:, list(model.velocity_generators)]
     # a NaN off-mass coefficient would pass the off-mass test: a non-finite
-    # H(K) has no mass, so it reads NaN and the mass floor refuses the point
-    coeffs = np.where(np.isfinite(coeffs).all(axis=-1, keepdims=True), coeffs, np.nan)
+    # H(K) or V has no mass, so it reads NaN and the mass floor refuses the point
+    finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(jac).all(axis=(-2, -1))
+    coeffs = np.where(finite[:, None], coeffs, np.nan)
+    jac = np.where(finite[:, None, None], jac, 0.0)
     off_mass = np.abs(np.delete(coeffs, model.mass_generator, axis=-1)).max(-1, initial=0.0)
-    vels = model.coeff_grad(points)[:, list(model.velocity_generators),
-                                    np.arange(model.momentum_dim)]
+    # sqrt of the least eigenvalue of V^T V: min |v_d| bit for bit when V is diagonal
+    floors = np.sqrt(np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac)[:, 0].clip(0.0))
     lins = []
-    for k, off, mass, vel in zip(points, off_mass.tolist(),
-                                 coeffs[:, model.mass_generator].tolist(), vels.tolist()):
+    for k, off, mass, vel, det, floor in zip(
+            points, off_mass.tolist(), coeffs[:, model.mass_generator].tolist(),
+            np.diagonal(jac, axis1=-2, axis2=-1).tolist(), np.linalg.det(jac).tolist(),
+            floors.tolist()):
         hsp = tuple(k.tolist())
         if off > PROJECTION_TOL:
             raise NotHighSymmetryError(f"H at K={hsp} is not proportional to the mass "
                                        f"generator (max off-mass coefficient {off:.3e})")
         if not abs(mass) >= MASS_FLOOR:
             raise GaplessError(f"gapless high-symmetry point K={hsp}: |m| = {abs(mass):.3e}")
-        if not all(abs(v) >= 1e-12 for v in vel):
-            raise NotHighSymmetryError(f"vanishing velocity at K={hsp}: {vel}")
-        nu = (1 if math.prod(vel) > 0 else -1) * (1 if mass > 0 else -1)
+        if not floor >= 1e-12:
+            raise NotHighSymmetryError(f"vanishing velocity at K={hsp}: smallest singular "
+                                       f"value of V {floor:.3e}")
+        nu = (1 if det > 0 else -1) * (1 if mass > 0 else -1)
         lins.append(HSPLinearization(hsp=hsp, velocities=tuple(vel), mass=mass, nu=nu))
     return tuple(lins) if K.ndim == 2 else lins[0]
 
 
 def chern_from_hsp(model: BlochModel, j, lins=None):
-    """Band Chern number from the four local indices: -j * sum_K nu_K.
+    """Band Chern number from the local indices at ``model.hsps``: -j * sum_K nu_K.
 
     ``j`` is the band's spin index (-J .. J counted from the lowest band).
-    The sum of four signs is always even, so the result is integral even
-    for half-integer j; integral values are returned as int.  ``lins``
+    On a two-band model (j = -1/2 for the lower band) this is the Dirac-point
+    index (1/2) sum_K sgn(det V_K) sgn(m_K) (Sticlet et al., PRB 85, 165456
+    (2012)); the spin-J lattices sum their four zone corners.  Any periodic
+    2D model is accepted; integral values are returned as int.  ``lins``
     reuses a linearization of ``model.hsps`` already at hand.
     """
-    if model.momentum_dim != 2 or len(model.hsps) != 4:
-        raise ValueError(
-            "the four-point index formula needs a 2D lattice model with four "
-            "high-symmetry points"
-        )
+    if model.momentum_dim != 2 or not model.periodic:
+        raise ValueError(f"the local Chern formula needs a periodic 2D model, "
+                         f"got '{model.name}'")
     total = sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps))
     value = -j * total
     if abs(value - round(value)) < 1e-12:
@@ -182,7 +190,8 @@ def _fhs_sum(model: BlochModel, band: int, w, v) -> float:
 
 def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID, dim=2) -> int:
     """Integer value of ``integral`` over zone meshes from ``grid``, doubling (up to ``ceiling``)
-    until two successive sizes agree on the rounded integer, each within 1e-6 of it.  ``zone(n)``
+    until two successive sizes agree on the rounded integer, each within 1e-6 of it; a mesh
+    n <= 2 holds only k in {0, pi}^dim, so its value is never the one agreed with.  ``zone(n)``
     returns a tuple of arrays whose first ``dim`` axes span the n^dim mesh, kept in ``meshes``.
     A sum that is not finite is a ValueError naming its grid: no finer grid is tried."""
     previous = None
@@ -202,7 +211,7 @@ def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID,
         good = abs(raw - rounded) < 1e-6
         if good and previous == rounded:
             return rounded
-        previous = rounded if good else None
+        previous = rounded if good and n > 2 else None
         n *= 2
     raise ValueError(f"zone sum did not stabilize on an integer up to grid {ceiling} "
                      f"(last {raw!r})")
@@ -311,7 +320,7 @@ def check_grid(grid, upper=None, name="grid", lower=1):
 
 
 def winding_from_hsp(model: BlochModel, lins=None) -> int:
-    """3D winding number: half the sum of sgn(v_x v_y v_z) sgn(m) over the
+    """3D winding number: half the sum of nu = sgn(det V) sgn(m) over the
     eight corner points (``lins`` as in `chern_from_hsp`)."""
     if model.momentum_dim != 3 or len(model.hsps) != 8:
         raise ValueError("the eight-point winding formula needs a 3D model")
@@ -351,34 +360,25 @@ def _km_up_sector(model: BlochModel) -> BlochModel:
     return kane_mele_spin_sector(params["t"], params["lambda_so"], params["lambda_v"], +1)
 
 
-def _km_valley_masses(model: BlochModel):
-    """Per-valley spin-up masses: the sz coefficient of the spin-up sector at its
-    valleys K and K'.
+def z2_kane_mele(model: BlochModel) -> int:
+    """Z2 index: the spin-up sector's local Chern number at its valleys,
+    ``chern_from_hsp(sector, -1/2)``, mod 2.
 
     The sector drops the Rashba block entirely, which is exactly the
     Rashba-free reduction used to classify the phase; its validity is guarded
-    by the full model's valley gaps, not assumed.
+    by the full model's valley gaps, checked first, not assumed.  t = 0 is
+    refused as a vanishing velocity at the valley K.
     """
     sector = _km_up_sector(model)
     valleys = np.array(sector.hsps)
     w = np.linalg.eigvalsh(evaluate(model, valleys))
-    masses = sector.coeff(valleys)[:, 2].tolist()
-    for kpt, gap, mass in zip(valleys, (w[:, 2] - w[:, 1]).tolist(), masses):
+    for kpt, gap in zip(valleys, (w[:, 2] - w[:, 1]).tolist()):
         if gap < MASS_FLOOR:
             raise GaplessError(
                 f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
                 f"gap {gap:.3e}"
             )
-        if abs(mass) < MASS_FLOOR:
-            raise GaplessError(f"vanishing valley mass at k = {tuple(kpt.tolist())}")
-    return masses
-
-
-def z2_kane_mele(model: BlochModel) -> int:
-    """Z2 index from the valley mass-sign rule: 1 iff the spin-up masses at
-    the two valleys have opposite signs."""
-    m_k, m_kp = _km_valley_masses(model)
-    return 1 if m_k * m_kp < 0 else 0
+    return chern_from_hsp(sector, -0.5) % 2
 
 
 def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
@@ -516,7 +516,7 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         if model.params["lambda_r"] == 0.0:
             parity = z2_spin_chern_parity(model)
             if parity != z2:
-                raise ValueError(f"Z2 cross-check failed: valley mass rule {z2}, "
+                raise ValueError(f"Z2 cross-check failed: valley index {z2}, "
                                  f"sector Chern parity {parity}")
     elif model.mass_generator is not None:
         lins = linearize_at_hsp(model, model.hsps)

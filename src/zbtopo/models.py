@@ -101,8 +101,7 @@ class BlochModel:
     nodes of the band-structure path; ``invariant`` names the invariant a
     parameter sweep records (``"chern"``, ``"winding"``, ``"z2"``, or None
     when the model has no sweep); ``sweep_parameters`` lists the parameters
-    a sweep may vary, the first being the default; ``critical_values`` are
-    the parameter values where the gap closes.
+    a sweep may vary, the first being the default.
     """
 
     name: str
@@ -119,7 +118,6 @@ class BlochModel:
     band_path: tuple = ()
     invariant: str | None = None
     sweep_parameters: tuple[str, ...] = ()
-    critical_values: tuple[float, ...] = ()
 
     @property
     def band_count(self) -> int:
@@ -237,7 +235,6 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         periodic=True,
         invariant="chern",
         sweep_parameters=("M",),
-        critical_values=(-2.0, 0.0, 2.0),
     )
 
 
@@ -290,7 +287,8 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
     with g(k) = sin k1 - sin k2 - sin(k1 - k2), bond offsets R_j in
     {0, a1, a2} and unit bond vectors h_j as in ``_BOND_HATS``.  At
     lambda_r = 0 the model splits into two opposite-mass Haldane sectors.
-    t = 0 is allowed so the pure staggered-potential limit stays testable.
+    t = 0 builds, so the band structure of that limit stays computable, but
+    every local route refuses it: the valley velocities vanish.
     """
     def coeff(k, _t=t, _so=lambda_so, _r=lambda_r, _v=lambda_v):
         k1, k2 = k[..., 0], k[..., 1]
@@ -340,7 +338,8 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
 
     Its coefficients are those of ``kane_mele`` with intrinsic coupling
     spin * lambda_so, folded onto (sx, sy, sz): the two hopping rows, and
-    the staggered potential plus the Haldane row on sz.
+    the staggered potential plus the Haldane row on sz, the mass generator
+    at its high-symmetry points, the valleys K and K'.
     """
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
@@ -356,6 +355,8 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
         generators=_PAULI,
         coeff=coeff,
         hsps=full.hsps[1:3],
+        mass_generator=2,
+        velocity_generators=(0, 1),
         params={"t": t, "lambda_so": lambda_so, "lambda_v": lambda_v, "spin": spin},
         invariant=None,
         sweep_parameters=(),
@@ -393,7 +394,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
         band_path=_CUBIC_PATH,
         invariant="winding",
         sweep_parameters=("M",),
-        critical_values=(-3.0, -1.0, 1.0, 3.0),
     )
 
 

@@ -450,19 +450,64 @@ def test_phase_diagram_empty_range_rejected(tmp_path):
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_phase_diagram_allow_critical_hits_gapless(tmp_path, capsys):
+def test_phase_diagram_of_only_critical_points_is_refused(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         maxwell_config(0.0, {"sweep": {"parameter": "M", "start": 2.0, "stop": 2.0,
                                        "step": 0.5}}),
     )
-    # without the flag: nothing but critical points -> config error
+    # the one row closes the gap at Gamma: nothing is left to write
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
-    # with the flag the gap closure surfaces as a runtime error
-    assert main([
-        "phase-diagram", "--config", cfg, "--out", str(tmp_path),
-        "--allow-critical",
-    ]) == 1
+    err = capsys.readouterr().err
+    assert err == ("skipping critical point M=2\n"
+                   "config error: sweep contains only critical points\n")
+    assert not (tmp_path / "phase_diagram.csv").exists()
+    # the flag that once forced such rows through is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-diagram", "--config", cfg, "--out", str(tmp_path), "--allow-critical"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-critical" in capsys.readouterr().err
+
+
+def test_phase_diagram_skips_only_the_closing_itself(tmp_path, capsys):
+    # M = 2 -+ 5e-7 leaves |m| = 1e-6 at Gamma, a gapped row; only the
+    # closing at M = 2 (within rounding of the step) raises and is skipped
+    cfg = write_config(
+        tmp_path,
+        maxwell_config(0.0, {"sweep": {"parameter": "M", "start": 2.0 - 5e-7,
+                                       "stop": 2.0 + 5e-7, "step": 5e-7}}),
+    )
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "skipping critical point M=2\n"
+    header, data = read_csv_table(tmp_path / "phase_diagram.csv")
+    assert data[:, 0].tolist() == [2.0 - 5e-7, 2.0 - 5e-7 + 2 * 5e-7]
+    assert data[:, 1].tolist() == [-2, 0]
+    assert data[:, 2].tolist() == [-1, 1]  # nu at Gamma turns with the mass
+
+
+KANE_MELE_T0 = {"name": "kane_mele",
+                "params": {"t": 0.0, "lambda_so": 0.06, "lambda_r": 0.0, "lambda_v": 0.0}}
+T0_REFUSAL = ("error: vanishing velocity at K=(2.0943951023931953, 4.1887902047863905): "
+              "smallest singular value of V 0.000e+00\n")
+
+
+def test_phase_diagram_refuses_a_kane_mele_sweep_at_t_zero(tmp_path, capsys):
+    # gapless on a line for |lambda_v| < 3 sqrt(3) lambda_so: no row may claim a Z2
+    cfg = write_config(tmp_path, {"model": KANE_MELE_T0, "sweep": {
+        "parameter": "lambda_v", "start": 0.0, "stop": 0.3, "step": 0.05}})
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == T0_REFUSAL
+    assert not (tmp_path / "phase_diagram.csv").exists()
+
+
+@pytest.mark.parametrize("lambda_v", [0.1, 0.4], ids=["gapless", "gapped"])
+def test_invariants_refuse_kane_mele_at_t_zero(tmp_path, capsys, lambda_v):
+    # gapped or not, t = 0 has no valley velocity to read a local index from
+    model = {**KANE_MELE_T0, "params": {**KANE_MELE_T0["params"], "lambda_v": lambda_v}}
+    cfg = write_config(tmp_path, {"model": model})
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == T0_REFUSAL
+    assert not (tmp_path / "invariants.json").exists()
 
 
 def test_chiral_phase_diagram_winding_column(tmp_path, capsys):

@@ -175,9 +175,20 @@ def test_chern_half_integer_index_reported_raw():
     assert chern_from_hsp(model, 0.5) == 1
 
 
-def test_chern_from_hsp_needs_four_points():
-    with pytest.raises(ValueError, match="four"):
+def test_chern_from_hsp_refuses_the_continuum():
+    with pytest.raises(ValueError, match="the local Chern formula needs a periodic 2D model, "
+                                         "got 'spin_j'"):
         chern_from_hsp(spin_j_continuum(1.0, 1.0, 1.0, 0.5), -1)
+
+
+@pytest.mark.parametrize("spin", [1, -1])
+def test_chern_from_hsp_reads_the_sector_valleys(spin):
+    # (1/2) sum over K, K' of sgn(det V) sgn(m): the Dirac-point index
+    sector = kane_mele_spin_sector(1.0, 0.06, 0.1, spin)
+    lins = linearize_at_hsp(sector, sector.hsps)
+    assert [lin.nu for lin in lins] == [spin, spin]
+    assert chern_from_hsp(sector, -0.5) == spin == degree_2band(sector)
+    assert chern_from_hsp(kane_mele_spin_sector(1.0, 0.06, 0.4, spin), -0.5) == 0
 
 
 def test_chern_from_hsp_gapless_propagates():
@@ -542,7 +553,8 @@ def stacked_degree(model, grid):
         raw = _kuhn_count(n, d)
         if previous == int(raw):
             return int(raw)
-        previous, n = int(raw), 2 * n
+        # meshes 1 and 2 hold only k in {0, pi}^2: their count is never agreed with
+        previous, n = int(raw) if n > 2 else None, 2 * n
     return ("ValueError", f"zone sum did not stabilize on an integer up to grid 512 "
                           f"(last {raw!r})")
 
@@ -562,6 +574,15 @@ SECTORS = {
 def test_sector_degree_matches_stacked_reference_bit_for_bit(sector, grid):
     model = kane_mele_spin_sector(*SECTORS[sector])
     assert _degree_outcome(model, grid) == stacked_degree(model, grid)
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_coarse_start_mesh_is_never_the_agreeing_value(grid):
+    # meshes 1 and 2 see d(k) only at k in {0, pi}^2, where the sector's count reads 0
+    # on both; the integer is the one two meshes of 4 and up agree on
+    sector = kane_mele_spin_sector(1.0, 0.06, 0.1, +1)
+    assert degree_2band(sector, grid) == chern_plaquette(sector, 0, grid) == 1
+    assert chern_plaquette(sector, (0, 1), grid) == (1, -1)
 
 
 def test_sector_degree_is_the_same_for_a_second_target(monkeypatch):
@@ -696,9 +717,9 @@ def test_compute_invariants_cross_checks_z2(monkeypatch):
     topological = kane_mele(1.0, 0.06, 0.0, 0.1)
     assert compute_invariants(topological).z2 == 1
     monkeypatch.setattr(invariants, "z2_spin_chern_parity", lambda model, grid=32: 0)
-    with pytest.raises(ValueError, match="valley mass rule 1, sector Chern parity 0"):
+    with pytest.raises(ValueError, match="valley index 1, sector Chern parity 0"):
         compute_invariants(topological)
-    # with Rashba coupling only the mass rule applies
+    # with Rashba coupling only the valley index applies
     assert compute_invariants(kane_mele(1.0, 0.06, 0.05, 0.1)).z2 == 1
 
 
@@ -720,6 +741,19 @@ def test_z2_gapless_transition_rejected():
     lam_v = 3 * np.sqrt(3) * lam_so  # exactly on the phase boundary
     with pytest.raises(GaplessError):
         z2_kane_mele(kane_mele(1.0, lam_so, 0.0, lam_v))
+
+
+@pytest.mark.parametrize("lambda_v", [0.1, 0.4], ids=["gapless", "gapped"])
+def test_z2_refuses_t_zero_as_a_vanishing_valley_velocity(lambda_v):
+    # at t = 0 the sector is d = (0, 0, m(k)): gapless on a line when |lambda_v| <
+    # 3 sqrt(3) lambda_so, gapped beyond, and without a velocity at either valley
+    model = kane_mele(0.0, 0.06, 0.0, lambda_v)
+    message = ("vanishing velocity at K=(2.0943951023931953, 4.1887902047863905): "
+               "smallest singular value of V 0.000e+00")
+    for route in (z2_kane_mele, compute_invariants):
+        with pytest.raises(NotHighSymmetryError) as info:
+            route(model)
+        assert str(info.value) == message
 
 
 def test_z2_stable_along_rashba_ramp():

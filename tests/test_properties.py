@@ -15,6 +15,7 @@ ramp and ``io.fmt`` per value.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -25,8 +26,10 @@ from hypothesis import assume, example, given, strategies as st
 
 from zbtopo import (
     GaplessError,
+    NotHighSymmetryError,
     Trajectory,
     WavePacket,
+    chern_from_hsp,
     chern_plaquette,
     degree_2band,
     chiral_ti_3d,
@@ -45,6 +48,7 @@ from zbtopo import (
     spin_j_continuum,
     wavepacket_trajectory,
     z2_fu_kane_parity,
+    z2_kane_mele,
     zb_spectrum,
     zb_time_grid,
 )
@@ -658,6 +662,33 @@ def test_sector_degree_equals_plaquette_chern(t, lambda_so, lambda_v, spin):
     assert degree_2band(sector) == chern_plaquette(sector, 0)
 
 
+# Unimodular changes of the reduced basis, k = A q: each keeps the torus and the degree
+SHEARS = (np.eye(2), np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([[1.0, 1.0], [0.0, 1.0]]),
+          np.array([[-1.0, 0.0], [-2.0, -1.0]]), np.array([[2.0, 1.0], [1.0, 1.0]]))
+
+
+def sheared_sector(sector, shear):
+    """The sector written in the coordinates q = A^-1 k; its valleys move to A^-1 K."""
+    return dataclasses.replace(
+        sector, coeff=lambda q: sector.coeff(q @ shear.T),
+        hsps=tuple(np.linalg.solve(shear, K) % (2 * np.pi) for K in sector.hsps))
+
+
+@given(t=st.floats(0.2, 1.5), t_sign=st.sampled_from([1.0, -1.0]), spin=st.sampled_from([1, -1]),
+       lambda_so=st.floats(0.0, 0.3), lambda_v=st.floats(-1.0, 1.0),
+       shear=st.sampled_from(range(len(SHEARS))))
+@example(t=1.0, t_sign=1.0, spin=1, lambda_so=0.06, lambda_v=0.1, shear=1)
+@example(t=1.0, t_sign=-1.0, spin=-1, lambda_so=0.06, lambda_v=-0.1, shear=3)
+def test_dirac_point_index_is_the_sector_degree(t, t_sign, spin, lambda_so, lambda_v, shear):
+    # (1/2) sum over K, K' of sgn(det V) sgn(m) is the signed degree of d/|d|.  On the
+    # plain sector det V = 2 V_11 V_22 at both valleys, but V -> V A on a sheared basis,
+    # and for A = +-[[1, 0], [2, 1]] the diagonal product of V A has the sign of -det V
+    assume(abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) > 0.03)
+    sector = sheared_sector(kane_mele_spin_sector(t_sign * t, lambda_so, lambda_v, spin),
+                            SHEARS[shear])
+    assert chern_from_hsp(sector, -0.5) == degree_2band(sector)
+
+
 @st.composite
 def oscillating_trajectories(draw):
     """A spin-1 lattice trajectory at a random gapped momentum and spinor, and
@@ -705,21 +736,43 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+VALLEYS = (np.array([2 * np.pi / 3, 4 * np.pi / 3]), np.array([4 * np.pi / 3, 2 * np.pi / 3]))
+
+
 def reference_valley_masses(model):
-    """Spin-up masses from one solve per valley, K before K'."""
+    """Spin-up masses from one solve per valley, K before K': first the gap of the
+    full model at both valleys, then per valley the mass (a projection of H) and
+    the hopping velocity, whose least singular value is |t| / sqrt(2)."""
     proj = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])).astype(complex)
-    masses = []
-    for kpt in (np.array([2 * np.pi / 3, 4 * np.pi / 3]), np.array([4 * np.pi / 3, 2 * np.pi / 3])):
-        ham = evaluate(model, kpt)
+    hams = [evaluate(model, kpt) for kpt in VALLEYS]
+    for kpt, ham in zip(VALLEYS, hams):
         w = np.linalg.eigvalsh(ham)
         if w[2] - w[1] < invariants.MASS_FLOOR:
             raise GaplessError(f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
                                f"gap {w[2] - w[1]:.3e}")
+    masses = []
+    for kpt, ham in zip(VALLEYS, hams):
         mass = float(np.einsum("ij,ji->", proj, ham).real) / 2.0
         if abs(mass) < invariants.MASS_FLOOR:
             raise GaplessError(f"vanishing valley mass at k = {tuple(kpt.tolist())}")
+        if not abs(model.params["t"]) / np.sqrt(2.0) >= 1e-12:
+            raise NotHighSymmetryError(f"vanishing velocity at k = {tuple(kpt.tolist())}")
         masses.append(mass)
     return masses
+
+
+def reference_z2(model):
+    """The valley mass-sign rule: 1 iff the spin-up masses at K and K' differ in sign."""
+    m_k, m_kp = reference_valley_masses(model)
+    return 1 if m_k * m_kp < 0 else 0
+
+
+def named_outcome(fn, model):
+    """fn(model), or the type of what it raised and the momentum its message names."""
+    try:
+        return fn(model)
+    except ValueError as exc:
+        return type(exc), re.search(r"\(([^)]*)\)", str(exc)).group(1)
 
 
 def reference_fu_kane(model):
@@ -753,11 +806,13 @@ BOUNDARY = 3 * np.sqrt(3)
 def test_stacked_valley_masses_match_per_valley_solves(t, lambda_so, side, lambda_v, lambda_r):
     # side puts lambda_v on the phase boundary lambda_v = +-3 sqrt(3) lambda_so:
     # without Rashba coupling both valleys close their gap (time reversal maps
-    # K to K'), with it the mass of K' (side +1) or K (side -1) vanishes
+    # K to K'), with it the mass of K' (side +1) or K (side -1) vanishes; t = 0
+    # leaves no velocity at either valley.  The stacked sector linearization
+    # refuses the same valley, or reads the mass-sign rule's Z2
     if side is not None:
         lambda_v = side * BOUNDARY * lambda_so
     model = kane_mele(t, lambda_so, lambda_r, lambda_v)
-    assert outcome(invariants._km_valley_masses, model) == outcome(reference_valley_masses, model)
+    assert named_outcome(z2_kane_mele, model) == named_outcome(reference_z2, model)
 
 
 @pytest.mark.parametrize("lambda_r, message", [
@@ -768,7 +823,7 @@ def test_valley_masses_refuse_the_phase_boundary(lambda_r, message):
     model = kane_mele(1.0, 0.06, lambda_r, BOUNDARY * 0.06)
     expected = outcome(reference_valley_masses, model)
     assert expected[0] is GaplessError and expected[1].startswith(message)
-    assert outcome(invariants._km_valley_masses, model) == expected
+    assert named_outcome(z2_kane_mele, model) == named_outcome(reference_z2, model)
 
 
 @given(t=st.sampled_from([0.0]) | st.floats(-1.5, 1.5), lambda_so=st.floats(0.0, 0.3))
