@@ -273,9 +273,10 @@ def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, period
         kinds = ("a spinor", "a band index")
         raise ValueError(f"spinor stack mixes band indices and spinors: entry 0 is "
                          f"{kinds[index[0]]} but entry {i} is {kinds[index[i]]}")
-    psi = np.stack([s if band else model.mass_eigenbasis()
-                    @ _unit_spinor(s, model.band_count, model.name)
-                    for s, band in zip(spinors, index)])
+    if not index[0]:
+        basis = model.mass_eigenbasis()
+        spinors = [basis @ _unit_spinor(s, model.band_count, model.name) for s in spinors]
+    psi = np.stack(spinors)
     parts = [_pair_data(evaluate(model, c), gradient(model, c), psi)
              for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
     omegas, amps, drifts = (np.concatenate(x).reshape((len(psi), -1) + x[0].shape[1:])

@@ -63,8 +63,8 @@ DEGREE_ORIENTATION = -1.0
 
 @dataclass(frozen=True)
 class HSPLinearization:
-    """Local expansion data H(K + p) ~ sum_d (V p)_d G_d + m G_mass, G_d the
-    generator ``velocity_generators[d]``.
+    """Local expansion data H(K + p) ~ sum_d (V p)_d G_d + m G_D of a model with
+    D + 1 generators, G_d (d < D) its velocity rows and G_D its mass row.
 
     ``velocities`` is the diagonal of the D x D velocity Jacobian V, and
     ``nu`` = sgn(det V) sgn(m): in 2D the rotation sense of the local
@@ -82,32 +82,33 @@ def linearize_at_hsp(model: BlochModel, K):
 
     ``K`` is one point (D,) or a stack (H, D); a stack returns a tuple of
     H linearizations, and the first failing point in stack order raises.
-    The data are the model's own coefficients at K: the mass is
-    ``coeff(K)[mass_generator]`` and V is
-    ``coeff_grad(K)[velocity_generators, :]``.  Every other coefficient of
-    H(K) must vanish (within PROJECTION_TOL), |m| reach MASS_FLOOR (a
-    non-finite H(K) or V does not) and the smallest singular value of V
-    reach 1e-12, which for a diagonal V is |v_d| >= 1e-12 on every axis.
+    The data are the model's own coefficients at K, in the d-vector layout of
+    `BlochModel`: the mass is ``coeff(K)[D]`` and V is ``coeff_grad(K)[:D]``.
+    Every other coefficient of H(K) must vanish (within PROJECTION_TOL), |m|
+    reach MASS_FLOOR (a non-finite H(K) or V does not) and the smallest
+    singular value of V reach 1e-12, which for a diagonal V is |v_d| >= 1e-12
+    on every axis.
     """
-    if model.mass_generator is None:
+    dim = model.mass_generator
+    if dim is None:
         raise NotHighSymmetryError(
             f"model '{model.name}' does not declare a mass generator"
         )
     K = np.atleast_1d(np.asarray(K, dtype=float))
     points = _check_momenta(model, np.atleast_2d(K))
     coeffs = model.coeff(points)
-    jac = model.coeff_grad(points)[:, list(model.velocity_generators)]
+    jac = model.coeff_grad(points)[:, :dim]
     # a NaN off-mass coefficient would pass the off-mass test: a non-finite
     # H(K) or V has no mass, so it reads NaN and the mass floor refuses the point
     finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(jac).all(axis=(-2, -1))
     coeffs = np.where(finite[:, None], coeffs, np.nan)
     jac = np.where(finite[:, None, None], jac, 0.0)
-    off_mass = np.abs(np.delete(coeffs, model.mass_generator, axis=-1)).max(-1, initial=0.0)
+    off_mass = np.abs(coeffs[:, :dim]).max(-1, initial=0.0)
     # sqrt of the least eigenvalue of V^T V: min |v_d| bit for bit when V is diagonal
     floors = np.sqrt(np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac)[:, 0].clip(0.0))
     lins = []
     for k, off, mass, vel, det, floor in zip(
-            points, off_mass.tolist(), coeffs[:, model.mass_generator].tolist(),
+            points, off_mass.tolist(), coeffs[:, dim].tolist(),
             np.diagonal(jac, axis1=-2, axis2=-1).tolist(), np.linalg.det(jac).tolist(),
             floors.tolist()):
         hsp = tuple(k.tolist())
@@ -337,7 +338,7 @@ def winding_numerical(model: BlochModel, grid: int = 40) -> int:
     successive meshes agree on the integer count, which is returned.  An unsettled count or
     an inf |d| is a ValueError, a mesh point where |d| is below PLAQUETTE_GAP_FLOOR or NaN a
     GaplessError."""
-    if model.momentum_dim != 3 or len(model.generators) != 4:
+    if model.momentum_dim != 3 or model.mass_generator is None:
         raise ValueError("the winding count needs a 3D four-generator chiral model")
     check_grid(grid, WINDING_MAX_GRID, lower=WINDING_MIN_GRID)
     return _refine(lambda n: (model.coeff(_zone_mesh(n, 3)),), _preimage_count, 8, {}, grid,

@@ -8,13 +8,18 @@ dimensionless (hbar = 1, lattice constant = 1); lattice models are
 the triangular reciprocal basis so that exact periodicity holds there too.
 
 Initial internal states ("spinors") are always expressed in the eigenbasis
-of the model's mass generator, columns ordered by ascending eigenvalue:
+of the model's mass generator (`BlochModel.mass_eigenbasis`), read off the
+generator itself: columns ordered by ascending eigenvalue, each with its
+largest entry real and positive (`hermitian_eig`).  That gives
 
 * spin-1 lattice / cartesian spin-1 continuum:  Jz eigenvectors
   (1,-i,0)/sqrt2, (0,0,1), (1,i,0)/sqrt2 for eigenvalues -1, 0, +1;
 * three-band chiral model: fourth-generator eigenvectors (0,1,-i)/sqrt2,
   (1,0,0), (0,1,i)/sqrt2;
-* ladder spin-J: the computational basis in reversed order.
+* ladder spin-J: the computational basis in reversed order;
+* a Kane-Mele spin sector: (sz = -1, sz = +1), the computational basis
+  reversed;
+* the full Kane-Mele model, which has no mass row: the computational basis.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .generators import gell_mann, spin_matrices
+from .spectral import hermitian_eig
 
 __all__ = [
     "BlochModel",
@@ -40,30 +46,8 @@ __all__ = [
     "chiral_symmetry",
 ]
 
-SQ2 = np.sqrt(2.0)
 # The complex step of `BlochModel.coeff_grad`: a power of two, so Im / h is exact.
 _COMPLEX_STEP = 2.0**-64
-
-# Jz eigenbasis of the cartesian spin-1 representation (columns: -1, 0, +1).
-_SPIN1_MASS_BASIS = np.array(
-    [
-        [1 / SQ2, 0, 1 / SQ2],
-        [-1j / SQ2, 0, 1j / SQ2],
-        [0, 1, 0],
-    ],
-    dtype=complex,
-)
-
-# Eigenbasis of the chiral model's mass generator (columns: -1, 0, +1).
-_CHIRAL_MASS_BASIS = np.array(
-    [
-        [0, 1, 0],
-        [1 / SQ2, 0, 1 / SQ2],
-        [-1j / SQ2, 0, 1j / SQ2],
-    ],
-    dtype=complex,
-)
-
 
 # Band-structure paths: (label, momentum) nodes joined by straight segments.
 _SQUARE_PATH = (("G", (0.0, 0.0)), ("X", (np.pi, 0.0)), ("M", (np.pi, np.pi)), ("G", (0.0, 0.0)))
@@ -92,9 +76,15 @@ class BlochModel:
     to (..., n_generators) coefficients; it is the only formula a model
     declares, built from +, -, x and the sin and cos of the momenta, with its
     output allocated as ``dtype=k.dtype`` so that complex momenta stay
-    complex (`coeff_grad` differentiates it).  ``velocity_generators[d]``
-    names the generator whose coefficient carries the axis-d velocity at a
-    high-symmetry point, ``mass_generator`` the one carrying the local gap.
+    complex (`coeff_grad` differentiates it).
+
+    The coefficients are the d-vector of H = d(k) . G, and its layout is the
+    contract of the local and global routes: a model with D + 1 generators
+    (D = ``momentum_dim``) carries the axis-d velocity at a high-symmetry
+    point on row d < D and the local gap, the mass, on row D
+    (`mass_generator`).  `linearize_at_hsp` reads V and m there, and the
+    orientation constants of `invariants._preimage_count` assume it.  A model
+    with any other generator count (the full Kane-Mele model) has no mass row.
 
     Each factory also declares what differs between the systems, so callers
     never switch on ``name``: ``band_path`` holds the (label, momentum)
@@ -111,9 +101,6 @@ class BlochModel:
     hsps: tuple
     params: dict
     periodic: bool
-    mass_generator: int | None = None
-    velocity_generators: tuple[int, ...] = ()
-    mass_basis: np.ndarray | None = None
     momentum_cutoff: float | None = None
     band_path: tuple = ()
     invariant: str | None = None
@@ -134,10 +121,18 @@ class BlochModel:
         steps = k[..., None, :] + 1j * _COMPLEX_STEP * np.eye(self.momentum_dim)
         return (self.coeff(steps).imag / _COMPLEX_STEP).swapaxes(-1, -2)
 
+    @property
+    def mass_generator(self) -> int | None:
+        """The mass row D = ``momentum_dim`` of a D + 1 generator model, else None."""
+        dim = self.momentum_dim
+        return dim if len(self.generators) == dim + 1 else None
+
     def mass_eigenbasis(self) -> np.ndarray:
-        if self.mass_basis is None:
+        """The mass generator's eigenvectors as columns (`hermitian_eig`: ascending
+        eigenvalue, phase fixed), or the identity when the model has no mass row."""
+        if self.mass_generator is None:
             return np.eye(self.band_count, dtype=complex)
-        return self.mass_basis
+        return hermitian_eig(self.generators[self.mass_generator]).states
 
 
 def _zone_corners(dim):
@@ -174,15 +169,10 @@ def gradient(model: BlochModel, k) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _spin_model(j, basis: str, **fields) -> BlochModel:
-    """A 2D spin-j model with the generators `spin_matrices(j, basis)`: mass on Jz,
-    velocities on Jx and Jy, the ascending-Jz mass basis (the cartesian spin-1 one, or
-    the reversed computational basis of the ladder) and the square band path.
-    ``fields`` give the rest of the `BlochModel`."""
-    gens = spin_matrices(j, basis)
-    mass_basis = (_SPIN1_MASS_BASIS if basis == "cartesian"
-                  else np.eye(gens.shape[-1], dtype=complex)[:, ::-1])
-    return BlochModel(momentum_dim=2, generators=gens, mass_generator=2,
-                      velocity_generators=(0, 1), mass_basis=mass_basis,
+    """A 2D spin-j model with the generators `spin_matrices(j, basis)`, so velocities
+    on Jx and Jy and mass on Jz, and the square band path.  ``fields`` give the rest
+    of the `BlochModel`."""
+    return BlochModel(momentum_dim=2, generators=spin_matrices(j, basis),
                       band_path=_SQUARE_PATH, **fields)
 
 
@@ -355,8 +345,6 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
         generators=_PAULI,
         coeff=coeff,
         hsps=full.hsps[1:3],
-        mass_generator=2,
-        velocity_generators=(0, 1),
         params={"t": t, "lambda_so": lambda_so, "lambda_v": lambda_v, "spin": spin},
         invariant=None,
         sweep_parameters=(),
@@ -388,9 +376,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
         hsps=_zone_corners(3),
         params={"M": M},
         periodic=True,
-        mass_generator=3,
-        velocity_generators=(0, 1, 2),
-        mass_basis=_CHIRAL_MASS_BASIS,
         band_path=_CUBIC_PATH,
         invariant="winding",
         sweep_parameters=("M",),

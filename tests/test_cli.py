@@ -547,7 +547,7 @@ def test_sweep_chern_column_uses_the_models_lowest_band_spin(monkeypatch):
     half_gens = spin_matrices(0.5, "ladder")
 
     def spin_half_lattice(t_h, M):
-        return replace(spin1(t_h, M), generators=half_gens, mass_basis=None)
+        return replace(spin1(t_h, M), generators=half_gens)
 
     monkeypatch.setattr(models, "maxwell_lattice", spin_half_lattice)
     section = {"name": "maxwell", "params": {"t_h": 1.0}}

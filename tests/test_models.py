@@ -280,3 +280,47 @@ def test_chiral_middle_band_flat():
     ks = RNG.uniform(-np.pi, np.pi, (50, 3))
     w = np.linalg.eigvalsh(evaluate(model, ks))
     assert np.max(np.abs(w[:, 1])) < 1e-12
+
+
+# ---------------------------------------------------------------- mass eigenbasis
+
+R2 = 1 / np.sqrt(2.0)
+# the module docstring's vectors, columns for mass eigenvalues -1, 0, +1
+SPIN1_BASIS = np.array([[R2, 0, R2], [-1j * R2, 0, 1j * R2], [0, 1, 0]])
+CHIRAL_BASIS = np.array([[0, 1, 0], [R2, 0, R2], [-1j * R2, 0, 1j * R2]])
+# Jz and sz are diagonal and descending, so their ascending basis is the
+# reversed identity: a sector spinor reads (sz = -1, sz = +1)
+MASS_ROW_MODELS = [
+    ("maxwell", lambda: maxwell_lattice(1.0, 1.3), SPIN1_BASIS),
+    ("chiral", lambda: chiral_ti_3d(1.7), CHIRAL_BASIS),
+    ("spin_j-cartesian", lambda: spin_j_continuum(1.0, 0.7, 1.2, 0.5, "cartesian"), SPIN1_BASIS),
+] + [
+    (f"spin_j-ladder-{j}", lambda j=j: spin_j_continuum(j, 0.7, 1.2, 0.5),
+     np.eye(int(2 * j) + 1)[:, ::-1])
+    for j in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+] + [
+    (f"km_sector{spin:+d}", lambda spin=spin: kane_mele_spin_sector(1.0, 0.06, 0.1, spin),
+     np.eye(2)[:, ::-1])
+    for spin in (1, -1)
+]
+
+
+@pytest.mark.parametrize("name,factory,expected", MASS_ROW_MODELS,
+                         ids=[entry[0] for entry in MASS_ROW_MODELS])
+def test_mass_eigenbasis_ascends_through_the_mass_row(name, factory, expected):
+    model = factory()
+    assert model.mass_generator == model.momentum_dim == len(model.generators) - 1
+    mass = model.generators[model.mass_generator]
+    basis = model.mass_eigenbasis()
+    assert np.allclose(basis.conj().T @ basis, np.eye(model.band_count), rtol=0.0, atol=1e-14)
+    # each column is an eigenvector of the mass generator, eigenvalues ascending
+    levels = np.einsum("in,ij,jn->n", basis.conj(), mass, basis).real
+    assert np.allclose(mass @ basis, basis * levels, rtol=0.0, atol=1e-14)
+    assert (np.diff(levels) > 0.5).all()
+    assert np.allclose(basis, expected, rtol=0.0, atol=1e-15)
+
+
+def test_full_kane_mele_has_no_mass_row():
+    model = kane_mele(1.0, 0.06, 0.05, 0.1)
+    assert model.mass_generator is None
+    assert np.array_equal(model.mass_eigenbasis(), np.eye(4))

@@ -539,7 +539,7 @@ def gapped(value, critical):
 
 @st.composite
 def hsp_models(draw):
-    """Random gapped instances of the three models that declare a mass generator."""
+    """Random gapped instances of the three models with a mass row."""
     kind = draw(st.sampled_from(["maxwell", "chiral", "spin_j"]))
     if kind == "maxwell":
         mass = draw(st.floats(-3.0, 3.0))
@@ -557,11 +557,11 @@ def hsp_models(draw):
 
 
 def reference_linearization(model, K):
-    """Mass and velocities as declared: coeff(K)[mass] and coeff_grad(K)[velocity_d, d]."""
+    """Mass and velocities in the d-vector layout: coeff(K)[D] and coeff_grad(K)[d, d], d < D."""
     K = np.asarray(K, dtype=float)
     grad = model.coeff_grad(K)
-    velocities = tuple(float(grad[g, d]) for d, g in enumerate(model.velocity_generators))
-    return float(model.coeff(K)[model.mass_generator]), velocities
+    dim = model.momentum_dim
+    return float(model.coeff(K)[dim]), tuple(float(grad[d, d]) for d in range(dim))
 
 
 def projected_linearization(model, K):
@@ -571,9 +571,10 @@ def projected_linearization(model, K):
     def project(matrix):
         return [np.trace(g @ matrix).real / np.trace(g @ g).real for g in gens]
 
-    mass = project(evaluate(model, K))[model.mass_generator]
+    dim = model.momentum_dim
+    mass = project(evaluate(model, K))[dim]
     dh = gradient(model, K)
-    velocities = tuple(float(project(dh[d])[g]) for d, g in enumerate(model.velocity_generators))
+    velocities = tuple(float(project(dh[d])[d]) for d in range(dim))
     return float(mass), velocities
 
 
