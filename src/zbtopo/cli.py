@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    zb bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
+    zb [--debug] bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
@@ -11,7 +11,8 @@ skips each value whose row raises `GaplessError` (a gap closing), with a
 ``skipping critical point`` line on stderr.  Time-grid, drift and topology
 options a config leaves out take the library's defaults.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
-0 success, 1 runtime error, 2 config error, 3 verification failure.
+0 success, 1 runtime error (``--debug`` adds its traceback), 2 config error,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import inspect
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -65,15 +67,8 @@ _PARAMETERS = {name: inspect.signature(getattr(models, factory)).parameters
 
 SECTION_KEYS = {
     "model": {"name", "params"},
-    "dynamics": {
-        "momentum",
-        "packet",
-        "spinor",
-        "samples_per_period",
-        "periods",
-        "include_drift",
-        "plane",
-    },
+    "dynamics": {"momentum", "packet", "spinor", "samples_per_period", "periods",
+                 "include_drift", "plane"},
     "packet": {"width", "center", "grid_points", "half_width"},
     "topology": {"plaquette_grid", "winding_grid"},
     "bands_path": {"points_per_segment"},
@@ -382,6 +377,7 @@ def main(argv=None) -> int:
         prog="zb",
         description="oscillation dynamics and topological invariants for small band models",
     )
+    parser.add_argument("--debug", action="store_true", help="print the traceback on exit 1")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMAND_SECTIONS:
         cmd = sub.add_parser(name)
@@ -405,6 +401,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if args.debug:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ the spin-1 and the three-band chiral families give an independent second
 route; both are checked against each other in the test suite.  Single momenta and
 Gaussian packets share one momentum-batched path, streamed in chunks so
 memory does not grow with the packet grid: stacked eigensolves and einsum
-pair amplitudes per chunk of momenta, phase-factored synthesis per chunk of pairs.
+pair amplitudes per chunk of momenta, then phase-factored synthesis per chunk
+of pairs, with phase factors per distinct frequency and one chunk's table alive.
 
 Conventions: the constant r(0) offset is dropped, so trajectories carry
 only the oscillatory part (plus ``t * <velocity>`` when drift is enabled).
@@ -154,20 +155,16 @@ def _validate_sampling(times, omegas_present):
     omegas = omegas[omegas > 0]
     if omegas.size == 0:
         return times
-    dt = times[1] - times[0]
-    span = times[-1] - times[0]
-    t_fast = 2 * np.pi / omegas.max()
-    t_slow = 2 * np.pi / omegas.min()
+    dt, span = times[1] - times[0], times[-1] - times[0]
+    t_fast, t_slow = 2 * np.pi / omegas.max(), 2 * np.pi / omegas.min()
     if dt > t_fast / MIN_SAMPLES_PER_PERIOD * (1 + 1e-9):
         raise ValueError(
             f"time step {dt:.3g} undersamples the fastest period {t_fast:.3g} "
-            f"(need >= {MIN_SAMPLES_PER_PERIOD} samples per period)"
-        )
+            f"(need >= {MIN_SAMPLES_PER_PERIOD} samples per period)")
     if span < MIN_SPAN_PERIODS * t_slow * (1 - 1e-9) - dt:
         raise ValueError(
             f"time span {span:.3g} covers fewer than {MIN_SPAN_PERIODS} periods "
-            f"of the slowest oscillation ({t_slow:.3g})"
-        )
+            f"of the slowest oscillation ({t_slow:.3g})")
     return times
 
 
@@ -215,7 +212,9 @@ def _oscillation(times, omegas, amps):
     On the uniform grid, with B = ceil(sqrt(T)), e^{i w t_{bB+j}} = e^{i w t_{bB}}
     e^{i w j dt}: a (B, P) base block times one phase row per block, one complex
     matmul per ``_CHUNK`` pairs, added in order (P <= _CHUNK is a single product).
-    About 2 sqrt(T) P transcendentals, and O(sqrt(T) _CHUNK) memory for any P.
+    Factors are taken once per distinct frequency of a chunk and gathered per pair, about
+    2 sqrt(T) transcendentals each; only one chunk's weighted table is alive at a time,
+    so memory is O(sqrt(T) _CHUNK) for any P.
     Leading (spinor) indices share the phase factors, each in its own matmul.
     """
     n_t = len(times)
@@ -226,10 +225,11 @@ def _oscillation(times, omegas, amps):
     out = np.zeros(lead + (block, n_blocks * 3), dtype=complex)
     for lo in range(0, omegas.size, _CHUNK):
         w, a = omegas[lo:lo + _CHUNK], amps[..., lo:lo + _CHUNK, :]
-        base = np.exp(1j * np.outer(np.arange(block) * dt, w))
-        rows = np.exp(1j * np.outer(w, times[::block]))
-        weighted = rows[:, :, None] * ((2.0 / w)[:, None] * a)[..., None, :]
-        part = base @ weighted.reshape(lead + (len(w), n_blocks * 3))
+        distinct, pick = np.unique(w, return_inverse=True)
+        weighted = (np.exp(1j * np.outer(distinct, times[::block]))[pick, :, None]
+                    * ((2.0 / w)[:, None] * a)[..., None, :]).reshape(lead + (len(w), -1))
+        part = np.exp(1j * np.outer(np.arange(block) * dt, distinct))[:, pick] @ weighted
+        del weighted
         out = out + part if lo else part
     pcm = out.imag.reshape(lead + (block, n_blocks, 3)).swapaxes(-3, -2).reshape(lead + (-1, 3))
     return pcm[..., :n_t, :]
@@ -281,6 +281,7 @@ def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, period
              for c in np.split(ks, range(_CHUNK, len(ks), _CHUNK))]
     omegas, amps, drifts = (np.concatenate(x).reshape((len(psi), -1) + x[0].shape[1:])
                             for x in zip(*parts))
+    del parts
     mask = _present_mask(amps)
     # only each spinor's weighted present pairs are kept: the full table is released
     amps = {s: (weights[:, None, None] * a)[m] for s, (a, m) in enumerate(zip(amps, mask))}

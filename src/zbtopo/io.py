@@ -25,6 +25,8 @@ __all__ = [
     "report_json",
 ]
 
+_ROW_BLOCK = 1024  # array rows turned into Python floats at a time: they format faster
+
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -38,9 +40,15 @@ def _write_rows(path, header, rows) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
+def _column_rows(*columns):
+    """Rows of arrays sharing their first axis, as lists of Python floats."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from np.column_stack([c[lo:lo + _ROW_BLOCK] for c in columns]).tolist()
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per sample: t,x,y,z."""
-    _write_rows(path, ["t", "x", "y", "z"], ((t, *p) for t, p in zip(traj.times, traj.pcm)))
+    _write_rows(path, ["t", "x", "y", "z"], _column_rows(traj.times, traj.pcm))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -52,8 +60,7 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_spectrum_csv(spectrum: ZBSpectrum, path) -> None:
     """One row per frequency bin: omega,px,py,pz (relative power)."""
-    _write_rows(path, ["omega", "px", "py", "pz"],
-                ((omega, *row) for omega, row in zip(spectrum.omegas, spectrum.power)))
+    _write_rows(path, ["omega", "px", "py", "pz"], _column_rows(spectrum.omegas, spectrum.power))
 
 
 def read_spectrum_csv(path):
@@ -65,10 +72,9 @@ def read_spectrum_csv(path):
 
 def write_bands_csv(path, arc, momenta, energies) -> None:
     """Band energies along a momentum path: s,k1..kd,E1..En."""
-    dim = momenta.shape[1]
-    nbands = energies.shape[1]
-    header = ["s"] + [f"k{i + 1}" for i in range(dim)] + [f"E{i + 1}" for i in range(nbands)]
-    _write_rows(path, header, ((s, *k, *e) for s, k, e in zip(arc, momenta, energies)))
+    header = (["s"] + [f"k{i + 1}" for i in range(momenta.shape[1])]
+              + [f"E{i + 1}" for i in range(energies.shape[1])])
+    _write_rows(path, header, _column_rows(arc, momenta, energies))
 
 
 def write_sweep_csv(path, header, rows) -> None:

@@ -264,6 +264,26 @@ def test_trajectory_csv_is_written_as_it_streams(tmp_path):
     assert np.array_equal(read_trajectory_csv(tmp_path / "long.csv").pcm, traj.pcm)
 
 
+def test_chiral_packet_run_memory(tmp_path, capsys):
+    # the 21^3 chiral packet of the benchmark: its synthesis held the previous
+    # chunk's weighted table and the per-chunk pair data, 21.8 MB traced
+    cfg = write_config(tmp_path, {
+        "model": {"name": "chiral_ti", "params": {"M": 2.02}},
+        "dynamics": {"packet": {"width": 10.0, "center": [0.0, 0.0, 0.0], "half_width": 0.35,
+                                "grid_points": 21},
+                     "spinor": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}})
+    argv = ["zb", "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv) == 0  # imports and first-call caches stay out of the traced peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 15e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_zb_byte_identical_reruns(tmp_path, capsys):
     cfg = write_config(tmp_path, maxwell_config(1.0, PACKET_DYNAMICS))
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -508,6 +528,26 @@ def test_invariants_refuse_kane_mele_at_t_zero(tmp_path, capsys, lambda_v):
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == T0_REFUSAL
     assert not (tmp_path / "invariants.json").exists()
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("invariants", maxwell_config(1.0), 0),
+    ("invariants", {"model": KANE_MELE_T0}, 1),
+    ("invariants", maxwell_config(1.0, {"bogus": 1}), 2),
+], ids=["ok", "runtime-error", "config-error"])
+def test_debug_adds_the_traceback_on_exit_one_only(tmp_path, capsys, command, config, code):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+    plain = capsys.readouterr()
+    assert main(["--debug", command, "--config", cfg, "--out", str(tmp_path)]) == code
+    debug = capsys.readouterr()
+    assert debug.out == plain.out
+    if code != 1:
+        assert debug.err == plain.err
+        return
+    assert plain.err == T0_REFUSAL
+    assert debug.err.startswith("Traceback (most recent call last):\n")
+    assert "in linearize_at_hsp\n" in debug.err and debug.err.endswith("\n" + T0_REFUSAL)
 
 
 def test_chiral_phase_diagram_winding_column(tmp_path, capsys):

@@ -421,6 +421,56 @@ def test_oscillation_memory_is_bounded_by_the_chunk():
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_oscillation_memory_holds_one_chunk_table():
+    # one chunk's weighted table alive at a time: the previous chunk's table,
+    # kept alive while the next was built, took the traced peak to 17.3 MB
+    times, omegas, amps = random_pairs(0, 100_000, 1000)
+    assert np.unique(omegas).size == omegas.size
+    tracemalloc.start()
+    try:
+        _oscillation(times, omegas, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def per_pair_oscillation(times, omegas, amps):
+    """The chunked synthesis with each pair's own phase factors, ``_CHUNK`` pairs per matmul."""
+    n_t = len(times)
+    block = int(np.ceil(np.sqrt(n_t)))
+    n_blocks = -(-n_t // block)
+    dt = (times[-1] - times[0]) / (n_t - 1)
+    lead = amps.shape[:-2]
+    out = np.zeros(lead + (block, n_blocks * 3), dtype=complex)
+    for lo in range(0, omegas.size, _CHUNK):
+        w, a = omegas[lo:lo + _CHUNK], amps[..., lo:lo + _CHUNK, :]
+        base = np.exp(1j * np.outer(np.arange(block) * dt, w))
+        rows = np.exp(1j * np.outer(w, times[::block]))
+        weighted = rows[:, :, None] * ((2.0 / w)[:, None] * a)[..., None, :]
+        part = base @ weighted.reshape(lead + (len(w), n_blocks * 3))
+        out = out + part if lo else part
+    pcm = out.imag.reshape(lead + (block, n_blocks, 3)).swapaxes(-3, -2).reshape(lead + (-1, 3))
+    return pcm[..., :n_t, :]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("n_p", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_distinct_frequency_factors_are_the_per_pair_ones(n_p, lead):
+    # a pool of 37 magnitudes with both signs: frequencies repeat inside each
+    # chunk and across chunk boundaries, as symmetric packet momenta give them
+    rng = np.random.default_rng(n_p + len(lead))
+    pool = rng.uniform(0.1, 5.0, 37)
+    omegas = rng.choice(pool, n_p) * rng.choice([-1.0, 1.0], n_p)
+    amps = rng.standard_normal(lead + (n_p, 3)) + 1j * rng.standard_normal(lead + (n_p, 3))
+    times = -2.5 + 0.05 * np.arange(1042)
+    if n_p > _CHUNK:
+        assert np.isin(omegas[:_CHUNK], omegas[_CHUNK:]).any()
+    got = _oscillation(times, omegas, amps)
+    assert got.shape == lead + (1042, 3)
+    assert same_bits(got, per_pair_oscillation(times, omegas, amps))
+
+
 def reference_packet(model, packet, grid_spec):
     """Per-momentum loop over explicit group projectors with dense synthesis.
 
