@@ -5,11 +5,13 @@
 Configs are strict JSON (unknown keys are rejected); numeric series land
 in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
 ``FACTORIES`` is the one list of model names: a model's parameters are its
-factory's arguments, and its band path, sweep invariant and sweep
-parameters are read off the ``BlochModel`` the factory returns.  A sweep
-skips each value whose row raises `GaplessError` (a gap closing), with a
-``skipping critical point`` line on stderr.  Time-grid, drift and topology
-options a config leaves out take the library's defaults.
+factory's arguments, and its band path, sweep invariant and sweep parameters
+are read off the ``BlochModel`` the factory returns.  A sweep computes its rows
+in stacked passes (`invariants.sweep_rows`) and reports them in row order: a
+row whose one-model route raises `GaplessError` (a gap closing) is skipped with
+a ``skipping critical point`` line on stderr, any other refusal ends the run.
+Time-grid, drift and topology options a config leaves out take the library's
+defaults.
 The environment variable ZB_SEED overrides the config seed.  Exit codes:
 0 success, 1 runtime error (``--debug`` adds its traceback), 2 config error,
 3 verification failure.
@@ -28,21 +30,12 @@ import numpy as np
 
 from . import io as zio
 from . import models
-from .dynamics import (
-    MIN_SAMPLES_PER_PERIOD,
-    MIN_SPAN_PERIODS,
-    SPINOR_NORM_TOL,
-    WavePacket,
-    packet_grid,
-    pcm_trajectory_exact,
-    rotation_index,
-    wavepacket_trajectory,
-    zb_spectrum,
-)
+from .dynamics import (MIN_SAMPLES_PER_PERIOD, MIN_SPAN_PERIODS, SPINOR_NORM_TOL, WavePacket,
+                       packet_grid, pcm_trajectory_exact, rotation_index, wavepacket_trajectory,
+                       zb_spectrum)
 from .errors import GaplessError, GridSizeError
 from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, WINDING_MIN_GRID, check_grid,
-                         chern_from_hsp, compute_invariants, linearize_at_hsp, winding_from_hsp,
-                         z2_kane_mele)
+                         compute_invariants, sweep_rows)
 from .models import evaluate
 from .verify import run_verify
 
@@ -78,6 +71,8 @@ SECTION_KEYS = {
 _TOPOLOGY_GRIDS = {"plaquette_grid": (1, PLAQUETTE_MAX_GRID),
                    "winding_grid": (WINDING_MIN_GRID, WINDING_MAX_GRID)}
 MAX_SWEEP_VALUES = 10**6
+# Sweep rows built and computed together: memory stays flat up to MAX_SWEEP_VALUES.
+_SWEEP_BLOCK = 32
 # Size caps for `zb zb`, checked before anything is allocated: time samples
 # scale with samples_per_period x periods (64 x 8 by default) and a packet
 # sums over points ** momentum_dim momenta (at most 31^3 by default).
@@ -194,16 +189,32 @@ def build_model(section: dict):
     for key, parameter in signature.items():
         if parameter.default is parameter.empty and key not in params:
             raise ConfigError(f"model '{name}' is missing parameter {key!r}")
-    try:
-        model = getattr(models, FACTORIES[name])(**params)
-    except ValueError as exc:
-        raise ConfigError(f"model '{name}': {exc}") from exc
+    built, error = _build_rows(name, [params])
+    if error is not None:
+        raise error
+    return built[0]
+
+
+def _build_rows(name: str, rows: list):
+    """The models that the factory of ``name``, looked up on `models` at call time, builds from
+    the params dicts ``rows``, up to the first row refused, and that row's ConfigError or None:
+    a factory ValueError, or a non-finite |d| at an hsp (one check over all rows)."""
+    factory, built, error = getattr(models, FACTORIES[name]), [], None
+    for params in rows:
+        try:
+            built.append(factory(**params))
+        except ValueError as exc:
+            error = ConfigError(f"model '{name}': {exc}")
+            break
+    if not built:
+        return built, error
+    hsps = np.array(built[0].hsps)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.linalg.norm(model.coeff(np.array(model.hsps)), axis=-1))
-    if not finite.all():
-        k = ", ".join(f"{x:.6f}" for x in model.hsps[int(np.argmin(finite))])
-        raise ConfigError(f"model.params {params} give a non-finite |d| at k = ({k})")
-    return model
+        finite = np.isfinite(np.linalg.norm([m.coeff(hsps) for m in built], axis=-1))
+    for r, h in zip(*np.nonzero(~finite)):
+        k = ", ".join(f"{x:.6f}" for x in hsps[h])
+        return built[:r], ConfigError(f"model.params {rows[r]} give a non-finite |d| at k = ({k})")
+    return built, error
 
 
 def _parse_spinor(raw, dim):
@@ -301,15 +312,21 @@ def cmd_invariants(config, out_dir):
     return 0
 
 
-def _sweep_value(model_section, parameter, value):
-    model = build_model({"name": model_section["name"],
-                         "params": {**model_section.get("params", {}), parameter: value}})
-    if model.invariant == "z2":
-        return [value, z2_kane_mele(model)]
-    lins = linearize_at_hsp(model, model.hsps)
-    index = (chern_from_hsp(model, model.band_spin(0), lins) if model.invariant == "chern"
-             else winding_from_hsp(model, lins))
-    return [value, index] + [lin.nu for lin in lins]
+def _sweep_rows(section, parameter, values):
+    """The CSV row of each sweep value, from one stacked pass (`sweep_rows`) per block of
+    values, walked in value order: a closed gap is skipped on stderr, any other refusal raised."""
+    rows, params = [], section.get("params", {})
+    for start in range(0, len(values), _SWEEP_BLOCK):
+        block = values[start:start + _SWEEP_BLOCK]
+        built, error = _build_rows(section["name"], [{**params, parameter: v} for v in block])
+        for value, row in zip(block, (sweep_rows(built) if built else []) + [error]):
+            if isinstance(row, GaplessError):
+                print(f"skipping critical point {parameter}={value:.6g}", file=sys.stderr)
+            elif isinstance(row, Exception):
+                raise row
+            else:
+                rows.append([value] + row)
+    return rows
 
 
 def cmd_phase_diagram(config, out_dir):
@@ -334,12 +351,7 @@ def cmd_phase_diagram(config, out_dir):
     values = np.arange(start, stop + step / 2, step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
-    rows = []
-    for value in values:
-        try:
-            rows.append(_sweep_value(model_section, parameter, float(value)))
-        except GaplessError:
-            print(f"skipping critical point {parameter}={value:.6g}", file=sys.stderr)
+    rows = _sweep_rows(model_section, parameter, values.tolist())
     if not rows:
         raise ConfigError("sweep contains only critical points")
 

@@ -23,19 +23,9 @@ from .errors import GaplessError, NotHighSymmetryError
 from .models import _PAULI, BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
 
 __all__ = [
-    "HSPLinearization",
-    "InvariantReport",
-    "linearize_at_hsp",
-    "chern_from_hsp",
-    "chern_plaquette",
-    "degree_2band",
-    "winding_from_hsp",
-    "winding_numerical",
-    "z2_kane_mele",
-    "z2_spin_chern_parity",
-    "z2_fu_kane_parity",
-    "rashba_gap_ramp",
-    "compute_invariants",
+    "HSPLinearization", "InvariantReport", "linearize_at_hsp", "chern_from_hsp", "chern_plaquette",
+    "degree_2band", "winding_from_hsp", "winding_numerical", "z2_kane_mele", "sweep_rows",
+    "z2_spin_chern_parity", "z2_fu_kane_parity", "rashba_gap_ramp", "compute_invariants",
 ]
 
 MASS_FLOOR = 1e-9
@@ -87,42 +77,47 @@ def linearize_at_hsp(model: BlochModel, K):
     Every other coefficient of H(K) must vanish (within PROJECTION_TOL), |m|
     reach MASS_FLOOR (a non-finite H(K) or V does not) and the smallest
     singular value of V reach 1e-12, which for a diagonal V is |v_d| >= 1e-12
-    on every axis.
+    on every axis.  This is the one-row case of the stacked pass that
+    `sweep_rows` runs over every row of a phase diagram (`_linearize_rows`).
     """
-    dim = model.mass_generator
-    if dim is None:
-        raise NotHighSymmetryError(
-            f"model '{model.name}' does not declare a mass generator"
-        )
-    K = np.atleast_1d(np.asarray(K, dtype=float))
-    points = _check_momenta(model, np.atleast_2d(K))
-    coeffs = model.coeff(points)
-    jac = model.coeff_grad(points)[:, :dim]
-    # a NaN off-mass coefficient would pass the off-mass test: a non-finite
-    # H(K) or V has no mass, so it reads NaN and the mass floor refuses the point
+    if model.mass_generator is None:
+        raise NotHighSymmetryError(f"model '{model.name}' does not declare a mass generator")
+    K = _check_momenta(model, K)
+    points = np.atleast_2d(K)
+    mass, vel, nu, errors = _linearize_rows(model.coeff(points)[None],
+                                            model.coeff_grad(points)[None], points)
+    if errors[0] is not None:
+        raise errors[0]
+    lins = tuple(HSPLinearization(hsp=tuple(k), velocities=tuple(v), mass=m, nu=n) for k, v, m, n
+                 in zip(points.tolist(), vel[0].tolist(), mass[0].tolist(), nu[0].tolist()))
+    return lins if K.ndim == 2 else lins[0]
+
+
+def _linearize_rows(coeffs, grads, points):
+    """`linearize_at_hsp` at the points (H, D) of R models with D + 1 generators, from their
+    coefficients (R, H, D + 1) and gradients (R, H, D + 1, D) there: mass (R, H), velocities
+    (R, H, D), nu (R, H) and per row what its first failing point raises, or None."""
+    dim = points.shape[-1]
+    jac, mass = grads[..., :dim, :], coeffs[..., dim]
     finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(jac).all(axis=(-2, -1))
-    coeffs = np.where(finite[:, None], coeffs, np.nan)
-    jac = np.where(finite[:, None, None], jac, 0.0)
-    off_mass = np.abs(coeffs[:, :dim]).max(-1, initial=0.0)
+    if not finite.all():  # a non-finite H(K) or V has no mass: NaN, which the mass floor refuses
+        mass, jac = np.where(finite, mass, np.nan), np.where(finite[..., None, None], jac, 0.0)
+    off_mass = np.abs(coeffs[..., :dim]).max(-1, initial=0.0)
     # sqrt of the least eigenvalue of V^T V: min |v_d| bit for bit when V is diagonal
-    floors = np.sqrt(np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac)[:, 0].clip(0.0))
-    lins = []
-    for k, off, mass, vel, det, floor in zip(
-            points, off_mass.tolist(), coeffs[:, dim].tolist(),
-            np.diagonal(jac, axis1=-2, axis2=-1).tolist(), np.linalg.det(jac).tolist(),
-            floors.tolist()):
-        hsp = tuple(k.tolist())
-        if off > PROJECTION_TOL:
-            raise NotHighSymmetryError(f"H at K={hsp} is not proportional to the mass "
-                                       f"generator (max off-mass coefficient {off:.3e})")
-        if not abs(mass) >= MASS_FLOOR:
-            raise GaplessError(f"gapless high-symmetry point K={hsp}: |m| = {abs(mass):.3e}")
-        if not floor >= 1e-12:
-            raise NotHighSymmetryError(f"vanishing velocity at K={hsp}: smallest singular "
-                                       f"value of V {floor:.3e}")
-        nu = (1 if det > 0 else -1) * (1 if mass > 0 else -1)
-        lins.append(HSPLinearization(hsp=hsp, velocities=tuple(vel), mass=mass, nu=nu))
-    return tuple(lins) if K.ndim == 2 else lins[0]
+    floors = np.sqrt(np.linalg.eigvalsh(jac.swapaxes(-1, -2) @ jac)[..., 0].clip(0.0))
+    nu = np.where((np.linalg.det(jac) > 0) == (mass > 0), 1, -1)
+    ok = (off_mass <= PROJECTION_TOL) & (np.abs(mass) >= MASS_FLOOR) & (floors >= 1e-12)
+    errors = [None] * len(coeffs)
+    for r, h in zip(*np.nonzero(~ok)) if not ok.all() else ():  # row-major: first failure first
+        at, off, m = f"K={tuple(points[h].tolist())}", off_mass[r, h], abs(mass[r, h])
+        errors[r] = errors[r] or (
+            NotHighSymmetryError(f"H at {at} is not proportional to the mass generator "
+                                 f"(max off-mass coefficient {off:.3e})")
+            if finite[r, h] and off > PROJECTION_TOL else
+            GaplessError(f"gapless high-symmetry point {at}: |m| = {m:.3e}") if not m >= MASS_FLOOR
+            else NotHighSymmetryError(f"vanishing velocity at {at}: smallest singular value of "
+                                      f"V {floors[r, h]:.3e}"))
+    return mass, np.diagonal(jac, axis1=-2, axis2=-1), nu, errors
 
 
 def chern_from_hsp(model: BlochModel, j, lins=None):
@@ -138,11 +133,31 @@ def chern_from_hsp(model: BlochModel, j, lins=None):
     if model.momentum_dim != 2 or not model.periodic:
         raise ValueError(f"the local Chern formula needs a periodic 2D model, "
                          f"got '{model.name}'")
-    total = sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps))
-    value = -j * total
-    if abs(value - round(value)) < 1e-12:
-        return int(round(value))
-    return float(value)
+    return _hsp_index(j, sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps)))
+
+
+def _hsp_index(j, total):
+    """-j * total, or for j None total / 2 (an odd total is a ValueError); int when integral."""
+    if j is None and total % 2 != 0:
+        raise ValueError(f"odd index sum {total}: inconsistent linearization")
+    value = total / 2 if j is None else -j * total
+    return int(round(value)) if abs(value - round(value)) < 1e-12 else float(value)
+
+
+def sweep_rows(rows) -> list:
+    """Phase-diagram entries of the models ``rows`` (one factory's: one layout and one set of
+    hsps, with finite coefficients there) from one stacked pass: per row ``[index] + nu`` as
+    `chern_from_hsp` (lowest band) or `winding_from_hsp` read them off `linearize_at_hsp`,
+    ``[z2]`` as `z2_kane_mele` gives it, or what that one-model route raises for the row."""
+    z2 = rows[0].invariant == "z2"
+    local = [_km_up_sector(model) for model in rows] if z2 else rows
+    closed = _valley_gaps(rows, local[0].hsps) if z2 else [None] * len(rows)
+    j = -0.5 if z2 else rows[0].band_spin(0) if rows[0].invariant == "chern" else None
+    k = np.array(local[0].hsps)
+    *_, nus, errors = _linearize_rows(np.array([model.coeff(k) for model in local]),
+                                      np.array([model.coeff_grad(k) for model in local]), k)
+    return [gap or error or ([_hsp_index(j, sum(nu)) % 2] if z2 else [_hsp_index(j, sum(nu))] + nu)
+            for gap, error, nu in zip(closed, errors, nus.tolist())]
 
 
 def _zone_mesh(n_grid: int, dim: int = 2):
@@ -325,10 +340,7 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
     eight corner points (``lins`` as in `chern_from_hsp`)."""
     if model.momentum_dim != 3 or len(model.hsps) != 8:
         raise ValueError("the eight-point winding formula needs a 3D model")
-    total = sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps))
-    if total % 2 != 0:
-        raise ValueError(f"odd index sum {total}: inconsistent linearization")
-    return total // 2
+    return _hsp_index(None, sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps)))
 
 
 def winding_numerical(model: BlochModel, grid: int = 40) -> int:
@@ -367,19 +379,28 @@ def z2_kane_mele(model: BlochModel) -> int:
 
     The sector drops the Rashba block entirely, which is exactly the
     Rashba-free reduction used to classify the phase; its validity is guarded
-    by the full model's valley gaps, checked first, not assumed.  t = 0 is
-    refused as a vanishing velocity at the valley K.
+    by the full model's valley gaps, checked first, not assumed (the one-row
+    case of `_valley_gaps`, which `sweep_rows` runs over a whole sweep).  t = 0
+    is refused as a vanishing velocity at the valley K.
     """
     sector = _km_up_sector(model)
-    valleys = np.array(sector.hsps)
-    w = np.linalg.eigvalsh(evaluate(model, valleys))
-    for kpt, gap in zip(valleys, (w[:, 2] - w[:, 1]).tolist()):
-        if gap < MASS_FLOOR:
-            raise GaplessError(
-                f"honeycomb gap closed at valley k = {tuple(kpt.tolist())}: "
-                f"gap {gap:.3e}"
-            )
+    closed = _valley_gaps([model], sector.hsps)[0]
+    if closed is not None:
+        raise closed
     return chern_from_hsp(sector, -0.5) % 2
+
+
+def _valley_gaps(rows, valleys) -> list:
+    """Per honeycomb model in ``rows``, the GaplessError of the first of ``valleys`` where the
+    full model's gap w_2 - w_1 falls below MASS_FLOOR, or None: one eigvalsh for all R x 2."""
+    valleys = np.array(valleys)
+    coeffs = np.array([model.coeff(valleys) for model in rows]).astype(complex)
+    w = np.linalg.eigvalsh(np.einsum("...g,gij->...ij", coeffs, rows[0].generators))
+    gaps, out = w[..., 2] - w[..., 1], [None] * len(rows)
+    for r, v in zip(*np.nonzero(gaps < MASS_FLOOR)):
+        out[r] = out[r] or GaplessError(f"honeycomb gap closed at valley k = "
+                                        f"{tuple(valleys[v].tolist())}: gap {gaps[r, v]:.3e}")
+    return out
 
 
 def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
@@ -399,10 +420,8 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
     """
     params = _km_params(model)
     if params["lambda_v"] != 0.0 or params["lambda_r"] != 0.0:
-        raise ValueError(
-            "the parity oracle needs the inversion-symmetric slice "
-            "lambda_v = 0, lambda_r = 0"
-        )
+        raise ValueError("the parity oracle needs the inversion-symmetric slice "
+                         "lambda_v = 0, lambda_r = 0")
     parity_op = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
     pi = np.pi
     trims = np.array([[0.0, 0.0], [pi, 0.0], [0.0, pi], [pi, pi]])
@@ -414,9 +433,8 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
         block = occ.conj().T @ parity_op @ occ
         xi = block.trace().real / 2.0
         if abs(abs(xi) - 1.0) > 1e-6 or np.max(np.abs(block - xi * np.eye(2))) > 1e-6:
-            raise ValueError(
-                f"occupied doublet at {tuple(trim.tolist())} is not a parity eigenspace"
-            )
+            raise ValueError(f"occupied doublet at {tuple(trim.tolist())} is not a parity "
+                             "eigenspace")
         product *= int(np.sign(xi))
     return (1 - product) // 2
 
@@ -488,9 +506,8 @@ class InvariantReport:
             "hsp": [{"k": list(lin.hsp), "v": list(lin.velocities), "m": lin.mass, "nu": lin.nu}
                     for lin in self.hsp],
             "chern_hsp": list(self.chern_hsp) if self.chern_hsp is not None else None,
-            "chern_plaquette": (
-                list(self.chern_plaquette) if self.chern_plaquette is not None else None
-            ),
+            "chern_plaquette": (list(self.chern_plaquette) if self.chern_plaquette is not None
+                                else None),
             "winding": self.winding,
             # the count is exact; the key stays for the readers of the JSON
             "winding_residual": 0.0 if self.winding is not None else None,
@@ -536,12 +553,6 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
         if w_num != winding:
             raise ValueError(f"winding cross-check failed: corner formula {winding}, "
                              f"preimage count {w_num}")
-    return InvariantReport(
-        model=model.name,
-        params=dict(model.params),
-        hsp=lins,
-        chern_hsp=chern_local,
-        chern_plaquette=chern_global,
-        winding=winding,
-        z2=z2,
-    )
+    return InvariantReport(model=model.name, params=dict(model.params), hsp=lins,
+                           chern_hsp=chern_local, chern_plaquette=chern_global, winding=winding,
+                           z2=z2)

@@ -35,15 +35,8 @@ from .generators import gell_mann, spin_matrices
 from .spectral import hermitian_eig
 
 __all__ = [
-    "BlochModel",
-    "evaluate",
-    "gradient",
-    "spin_j_continuum",
-    "maxwell_lattice",
-    "kane_mele",
-    "kane_mele_spin_sector",
-    "chiral_ti_3d",
-    "chiral_symmetry",
+    "BlochModel", "evaluate", "gradient", "spin_j_continuum", "maxwell_lattice", "kane_mele",
+    "kane_mele_spin_sector", "chiral_ti_3d", "chiral_symmetry",
 ]
 
 # The complex step of `BlochModel.coeff_grad`: a power of two, so Im / h is exact.
@@ -118,7 +111,7 @@ class BlochModel:
         """The (..., n_generators, momentum_dim) gradient of ``coeff`` at real momenta k: Im
         coeff(k + i h e_d) / h per axis d (Squire & Trapp, SIAM Rev. 40, 110 (1998)), exact
         to rounding since h = 2^-64 gives cosh h = 1 and sinh h = h in floating point."""
-        steps = k[..., None, :] + 1j * _COMPLEX_STEP * np.eye(self.momentum_dim)
+        steps = k[..., None, :] + _shared(np.eye, self.momentum_dim) * (1j * _COMPLEX_STEP)
         return (self.coeff(steps).imag / _COMPLEX_STEP).swapaxes(-1, -2)
 
     @property
@@ -136,17 +129,15 @@ class BlochModel:
 
 
 def _zone_corners(dim):
-    """The 2^dim zone corners, each coordinate 0 or pi, the last axis fastest."""
-    return tuple(np.array(c) for c in itertools.product((0.0, np.pi), repeat=dim))
+    """The 2^dim zone corners, each coordinate 0 or pi, the last axis fastest; read-only."""
+    return tuple(_shared(np.array, c) for c in itertools.product((0.0, np.pi), repeat=dim))
 
 
 def _check_momenta(model: BlochModel, k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape[-1] != model.momentum_dim:
-        raise ValueError(
-            f"momentum dimension mismatch: got {k.shape[-1]}, "
-            f"model '{model.name}' expects {model.momentum_dim}"
-        )
+        raise ValueError(f"momentum dimension mismatch: got {k.shape[-1]}, "
+                         f"model '{model.name}' expects {model.momentum_dim}")
     return k
 
 
@@ -168,12 +159,19 @@ def gradient(model: BlochModel, k) -> np.ndarray:
 # spin-J models: H = d(k) . (Jx, Jy, Jz)
 # ----------------------------------------------------------------------
 
+@functools.cache
+def _shared(builder, *args) -> np.ndarray:
+    """``builder(*args)``, built on first use and shared read-only."""
+    out = builder(*args)
+    out.setflags(write=False)
+    return out
+
+
 def _spin_model(j, basis: str, **fields) -> BlochModel:
-    """A 2D spin-j model with the generators `spin_matrices(j, basis)`, so velocities
-    on Jx and Jy and mass on Jz, and the square band path.  ``fields`` give the rest
-    of the `BlochModel`."""
-    return BlochModel(momentum_dim=2, generators=spin_matrices(j, basis),
-                      band_path=_SQUARE_PATH, **fields)
+    """A 2D spin-j model with the shared generators `spin_matrices(j, basis)`, so velocities
+    on Jx and Jy and mass on Jz, and the square band path; ``fields`` give the rest."""
+    gens = _shared(spin_matrices, j, basis) if isinstance(basis, str) else spin_matrices(j, basis)
+    return BlochModel(momentum_dim=2, generators=gens, band_path=_SQUARE_PATH, **fields)
 
 
 def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder") -> BlochModel:
@@ -249,18 +247,15 @@ _BOND_HATS = np.array(
 )
 
 
-@functools.cache
 def _km_generators() -> np.ndarray:
-    """The ten honeycomb generators, built once and shared read-only."""
+    """The ten honeycomb generators (built once, through `_shared`)."""
     # rows, as sublattice (x) spin: sx s0, sy s0, sz sz, sz s0, then sx m_j, sy m_j per bond j
     mats = [np.kron(_SX, _S0), np.kron(_SY, _S0), np.kron(_SZ, _SZ), np.kron(_SZ, _S0)]
     for hx, hy in _BOND_HATS:
         spin_part = hy * _SX - hx * _SY  # m_j: in-plane spin (x) bond-direction cross product
         mats.append(np.kron(_SX, spin_part))
         mats.append(np.kron(_SY, spin_part))
-    matrices = np.stack(mats)
-    matrices.setflags(write=False)
-    return matrices
+    return np.stack(mats)
 
 
 def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> BlochModel:
@@ -300,7 +295,7 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
     return BlochModel(
         name="kane_mele",
         momentum_dim=2,
-        generators=_km_generators(),
+        generators=_shared(_km_generators),
         coeff=coeff,
         hsps=(
             np.array([0.0, 0.0]),                  # Gamma
@@ -310,12 +305,7 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
             np.array([0.0, pi]),                   # M'
             np.array([pi, pi]),                    # M''
         ),
-        params={
-            "t": t,
-            "lambda_so": lambda_so,
-            "lambda_r": lambda_r,
-            "lambda_v": lambda_v,
-        },
+        params={"t": t, "lambda_so": lambda_so, "lambda_r": lambda_r, "lambda_v": lambda_v},
         periodic=True,
         band_path=_HEX_PATH,
         invariant="z2",
@@ -337,7 +327,9 @@ def kane_mele_spin_sector(t: float, lambda_so: float, lambda_v: float, spin: int
 
     def coeff(k, _c=full.coeff):
         c = _c(k)
-        return np.stack([c[..., 0], c[..., 1], c[..., 3] + c[..., 2]], axis=-1)
+        out = c[..., [0, 1, 3]]  # a copy: the staggered row takes the Haldane row on sz
+        out[..., 2] += c[..., 2]
+        return out
 
     return replace(
         full,
@@ -371,7 +363,7 @@ def chiral_ti_3d(M: float) -> BlochModel:
     return BlochModel(
         name="chiral_ti",
         momentum_dim=3,
-        generators=gell_mann()[3:7].copy(),  # lambda4 .. lambda7
+        generators=_shared(gell_mann)[3:7],  # lambda4 .. lambda7, a read-only view
         coeff=coeff,
         hsps=_zone_corners(3),
         params={"M": M},

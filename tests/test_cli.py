@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -520,6 +521,54 @@ def test_phase_diagram_refuses_a_kane_mele_sweep_at_t_zero(tmp_path, capsys):
     assert not (tmp_path / "phase_diagram.csv").exists()
 
 
+def test_phase_diagram_skips_then_refuses_an_overflowing_row(tmp_path, capsys):
+    # rows are reported in value order: the closing at M = 2 is skipped before the
+    # last row's overflowing |d| is refused as a config error
+    cfg = write_config(tmp_path, maxwell_config(0.0, {"sweep": {
+        "parameter": "M", "start": 2.0, "stop": 1e200, "step": 1e200}}))
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "skipping critical point M=2\n"
+        "config error: model.params {'t_h': 1.0, 'M': 1e+200} give a non-finite |d| "
+        "at k = (0.000000, 0.000000)\n")
+    assert not (tmp_path / "phase_diagram.csv").exists()
+
+
+def test_phase_diagram_skips_then_refuses_a_kane_mele_row_at_t_zero(tmp_path, capsys):
+    # the first row closes the valley gap (skipped), the second has no valley velocity
+    closing = 3 * math.sqrt(3) * 0.06
+    cfg = write_config(tmp_path, {"model": KANE_MELE_T0, "sweep": {
+        "parameter": "lambda_v", "start": closing, "stop": 0.4, "step": 0.05}})
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "skipping critical point lambda_v=0.311769\n" + T0_REFUSAL
+    assert not (tmp_path / "phase_diagram.csv").exists()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_phase_diagram_output_is_free_of_the_row_block(tmp_path, capsys, monkeypatch, block):
+    # blocks are walked one after another in value order: the skip lines, the CSV bytes
+    # and the refusal that ends a run do not depend on where the blocks split
+    runs = {}
+    for size in (cli._SWEEP_BLOCK, block):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", size)
+        for name, config in (
+                ("maxwell", maxwell_config(0.0, {"sweep": {
+                    "parameter": "M", "start": -3.0, "stop": 3.0, "step": 0.5}})),
+                ("t0", {"model": KANE_MELE_T0, "sweep": {
+                    "parameter": "lambda_v", "start": 3 * math.sqrt(3) * 0.06, "stop": 0.5,
+                    "step": 0.05}})):
+            out = tmp_path / f"{name}-{size}"
+            code = main(["phase-diagram", "--config", write_config(tmp_path, config),
+                         "--out", str(out)])
+            csv = out / "phase_diagram.csv"
+            runs.setdefault(name, []).append(
+                (code, capsys.readouterr().err, csv.read_bytes() if csv.exists() else None))
+    assert runs["maxwell"][0] == runs["maxwell"][1]
+    assert runs["maxwell"][0][1].count("skipping critical point") == 3
+    assert runs["t0"][0] == runs["t0"][1] == (
+        1, "skipping critical point lambda_v=0.311769\n" + T0_REFUSAL, None)
+
+
 @pytest.mark.parametrize("lambda_v", [0.1, 0.4], ids=["gapless", "gapped"])
 def test_invariants_refuse_kane_mele_at_t_zero(tmp_path, capsys, lambda_v):
     # gapped or not, t = 0 has no valley velocity to read a local index from
@@ -592,7 +641,7 @@ def test_sweep_chern_column_uses_the_models_lowest_band_spin(monkeypatch):
     monkeypatch.setattr(models, "maxwell_lattice", spin_half_lattice)
     section = {"name": "maxwell", "params": {"t_h": 1.0}}
     for mass, expected in ((-1.0, 1), (1.0, -1), (3.0, 0)):
-        row = cli._sweep_value(section, "M", mass)
+        (row,) = cli._sweep_rows(section, "M", [mass])
         model = spin_half_lattice(1.0, mass)
         assert row[1] == expected == compute_invariants(model).chern_hsp[0]
         assert row[1] == chern_from_hsp(model, -0.5)
@@ -602,7 +651,7 @@ def test_phase_diagram_without_sweep_invariant_refused_up_front(tmp_path, capsys
     def no_value(*args):
         raise AssertionError("a sweep value was computed")
 
-    monkeypatch.setattr(cli, "_sweep_value", no_value)
+    monkeypatch.setattr(cli, "_sweep_rows", no_value)
     cfg = write_config(
         tmp_path,
         {"model": {"name": "spin_j", "params": {"j": 1.0, "v_x": 1.0, "v_y": 1.0, "m": 0.5}},

@@ -1,16 +1,16 @@
 """Property tests for Hamiltonian assembly, the complex-step coefficient
 gradients, the momentum-batched spectral path, the chunked packet synthesis,
-the stacked high-symmetry-point linearization, the shared-solve plaquette
-Chern numbers, the rotation sense, the stacked honeycomb invariants, the
-bounded Rashba ramp and the CSV row template.
+the stacked high-symmetry-point linearization, the stacked phase-diagram rows,
+the shared-solve plaquette Chern numbers, the rotation sense, the stacked
+honeycomb invariants, the bounded Rashba ramp and the CSV row template.
 
 Each property is checked against a plain reference written here: the real
 coefficient einsum, hand-derived gradients, per-matrix ``hermitian_eig``
 calls, amplitudes built from explicit eigenvectors and from explicit
 degenerate-group projectors, a dense sin/cos sum, a one-shot factored
 product, a per-momentum packet loop, per-generator trace projections,
-per-band plaquette calls, per-point honeycomb solves, the full-mesh Rashba
-ramp and ``io.fmt`` per value.
+per-row one-model routes, per-band plaquette calls, per-point honeycomb
+solves, the full-mesh Rashba ramp and ``io.fmt`` per value.
 """
 
 import dataclasses
@@ -644,6 +644,67 @@ def test_stacked_linearization_matches_per_point(model):
         np.testing.assert_array_max_ulp(np.array((lin.mass, *lin.velocities)),
                                         np.array((mass, *velocities)), maxulp=4)
         assert lin.nu == int(np.sign(lin.mass) * np.sign(np.prod(lin.velocities)))
+
+
+# Each sweepable (factory, parameter) pair, its fixed parameters and its exact closings.
+SQRT27 = 3 * np.sqrt(3)
+SWEEP_PAIRS = {
+    "maxwell M": (maxwell_lattice, "M", (-2.0, 0.0, 2.0)),
+    "chiral_ti M": (chiral_ti_3d, "M", (-3.0, -1.0, 1.0, 3.0)),
+    "kane_mele lambda_v": (kane_mele, "lambda_v", None),
+    "kane_mele lambda_so": (kane_mele, "lambda_so", None),
+}
+
+
+@st.composite
+def sweeps(draw):
+    """One factory's models over drawn values of one sweepable parameter, about a third of
+    them at an exact gap closing (lambda_v = +-3 sqrt3 lambda_so for the honeycomb model), the
+    rest spread over every phase; t = 0 leaves the honeycomb valleys no velocity."""
+    factory, parameter, closings = SWEEP_PAIRS[draw(st.sampled_from(sorted(SWEEP_PAIRS)))]
+    if factory is maxwell_lattice:
+        fixed = {"t_h": draw(st.sampled_from([-1.3, 0.4, 1.0]))}
+    elif factory is kane_mele:
+        fixed = {"t": draw(st.sampled_from([1.0, -0.7, 0.4, 0.0])), "lambda_r": draw(
+            st.sampled_from([0.0, 0.05])), "lambda_so": draw(st.floats(0.02, 0.1)),
+            "lambda_v": draw(st.floats(-0.6, 0.6))}
+        other = fixed.pop(parameter)  # the coupling that fixes where this parameter closes
+        closings = ((SQRT27 * other, -SQRT27 * other) if parameter == "lambda_v"
+                    else (other / SQRT27, -other / SQRT27))
+    else:
+        fixed = {}
+    span = 1.5 * max(abs(c) for c in closings)
+    drawn = st.tuples(st.integers(0, 2), st.sampled_from(closings), st.floats(-span, span))
+    values = [closing if kind == 0 else value
+              for kind, closing, value in draw(st.lists(drawn, min_size=2, max_size=12))]
+    return [factory(**fixed, **{parameter: value}) for value in values]
+
+
+def one_model_row(model):
+    """A sweep row from the one-model routes (`linearize_at_hsp` read by `chern_from_hsp` or
+    `winding_from_hsp`, or `z2_kane_mele`), or the type and message of what they raise."""
+    try:
+        if model.invariant == "z2":
+            return [z2_kane_mele(model)]
+        lins = linearize_at_hsp(model, model.hsps)
+        index = (chern_from_hsp(model, model.band_spin(0), lins) if model.invariant == "chern"
+                 else invariants.winding_from_hsp(model, lins))
+        return [index] + [lin.nu for lin in lins]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(rows=sweeps())
+def test_stacked_sweep_rows_match_the_one_model_routes(rows):
+    stacked = [(type(row), str(row)) if isinstance(row, Exception) else row
+               for row in invariants.sweep_rows(rows)]
+    expected = [one_model_row(model) for model in rows]
+    # entry types too: an int index stays an int, a nu stays an int
+    assert [[(type(x), x) for x in row] for row in stacked] == \
+        [[(type(x), x) for x in row] for row in expected]
+    # the skipped rows are exactly those whose one-model route finds a closed gap
+    assert [row[0] is GaplessError for row in stacked] == \
+        [row[0] is GaplessError for row in expected]
 
 
 @st.composite
