@@ -4,7 +4,22 @@ Small multi-band lattice / continuum models, exact center-of-mass
 oscillation trajectories, rotation-sense classification at high-symmetry
 points, and invariant recovery (Chern, 3D winding, Z2) with
 independent global cross-checks.
+
+Importing the package loads numpy with one OpenBLAS thread, so outputs do not
+depend on the core count, unless numpy is loaded or OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set; os.environ is left as found.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(_os.environ):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import GaplessError, GridSizeError, NotHighSymmetryError
 from .spectral import SpectralDecomposition, hermitian_eig

@@ -3,7 +3,9 @@
     zb [--debug] bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
 
 Configs are strict JSON (unknown keys are rejected); numeric series land
-in CSV, reports in JSON, all byte-reproducible for a fixed config + seed.
+in CSV, reports in JSON, all byte-reproducible for a fixed config + seed, on
+any core count: `zbtopo` loads numpy with one OpenBLAS thread unless the caller
+sets one of its thread variables, which lets packet CSVs differ in the last bits.
 ``FACTORIES`` is the one list of model names: a model's parameters are its
 factory's arguments, and its band path, sweep invariant and sweep parameters
 are read off the ``BlochModel`` the factory returns.  A sweep computes its rows
@@ -174,7 +176,7 @@ def load_config(path: str, command: str) -> dict:
 
 def build_model(section: dict):
     """The model a config ``model`` section names; parameters annotated ``str`` are passed
-    as given, every other one must be a finite number that keeps |d| finite at the hsps."""
+    as given, every other one must be a finite number that keeps |d|^2 finite at the hsps."""
     name = section.get("name")
     if name not in FACTORIES:
         raise ConfigError(f"unknown model {name!r}; choose from {sorted(FACTORIES)}")
@@ -198,7 +200,7 @@ def build_model(section: dict):
 def _build_rows(name: str, rows: list):
     """The models that the factory of ``name``, looked up on `models` at call time, builds from
     the params dicts ``rows``, up to the first row refused, and that row's ConfigError or None:
-    a factory ValueError, or a non-finite |d| at an hsp (one check over all rows)."""
+    a factory ValueError, or a |d| or |d|^2 not finite at an hsp (one check over all rows)."""
     factory, built, error = getattr(models, FACTORIES[name]), [], None
     for params in rows:
         try:
@@ -210,10 +212,12 @@ def _build_rows(name: str, rows: list):
         return built, error
     hsps = np.array(built[0].hsps)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.linalg.norm([m.coeff(hsps) for m in built], axis=-1))
-    for r, h in zip(*np.nonzero(~finite)):
-        k = ", ".join(f"{x:.6f}" for x in hsps[h])
-        return built[:r], ConfigError(f"model.params {rows[r]} give a non-finite |d| at k = ({k})")
+        d = np.array([m.coeff(hsps) for m in built])
+        for r, h in zip(*np.nonzero(~np.isfinite(np.linalg.norm(d, axis=-1)))):
+            k, dk, scale = ", ".join(f"{x:.6f}" for x in hsps[h]), d[r, h], np.abs(d[r, h]).max()
+            size = (f"|d| = {scale * np.linalg.norm(dk / scale):.6e} (its square overflows)"
+                    if np.isfinite(dk).all() else "a non-finite |d|")
+            return built[:r], ConfigError(f"model.params {rows[r]} give {size} at k = ({k})")
     return built, error
 
 
@@ -348,6 +352,8 @@ def cmd_phase_diagram(config, out_dir):
         raise ConfigError("sweep needs stop >= start")
     if (stop - start) / step >= MAX_SWEEP_VALUES:
         raise ConfigError(f"sweep.step {step!r} gives more than {MAX_SWEEP_VALUES} values")
+    if not np.isfinite(stop + step / 2):
+        raise ConfigError(f"sweep.stop + sweep.step / 2 overflows: stop {stop!r}, step {step!r}")
     values = np.arange(start, stop + step / 2, step)
     if values.size == 0:
         raise ConfigError("empty sweep range")

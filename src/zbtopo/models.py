@@ -121,11 +121,15 @@ class BlochModel:
         return dim if len(self.generators) == dim + 1 else None
 
     def mass_eigenbasis(self) -> np.ndarray:
-        """The mass generator's eigenvectors as columns (`hermitian_eig`: ascending
-        eigenvalue, phase fixed), or the identity when the model has no mass row."""
+        """Mass-generator eigenvectors as columns (`hermitian_eig`), or the identity; read-only."""
         if self.mass_generator is None:
-            return np.eye(self.band_count, dtype=complex)
-        return hermitian_eig(self.generators[self.mass_generator]).states
+            return _shared(np.eye, self.band_count, None, 0, complex)
+        mass = np.ascontiguousarray(self.generators[self.mass_generator], dtype=complex)
+        return _shared(_eigenbasis, mass.shape, mass.tobytes())  # one solve per mass matrix
+
+
+def _eigenbasis(shape, data):
+    return hermitian_eig(np.frombuffer(data, dtype=complex).reshape(shape)).states
 
 
 def _zone_corners(dim):

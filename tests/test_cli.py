@@ -390,20 +390,25 @@ def test_invariants_at_transition_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("model, params, k", [
+@pytest.mark.parametrize("model, params, size, k", [
     ({"name": "chiral_ti", "params": {"M": 1e308}}, "{'M': 1e+308}",
-     "0.000000, 0.000000, 0.000000"),
+     "|d| = 1.000000e+308 (its square overflows)", "0.000000, 0.000000, 0.000000"),
     ({"name": "kane_mele",
       "params": {"t": 1e200, "lambda_so": 0.06, "lambda_r": 0.0, "lambda_v": 0.1}},
-     "{'t': 1e+200, 'lambda_so': 0.06, 'lambda_r': 0.0, 'lambda_v': 0.1}", "0.000000, 0.000000"),
-], ids=["chiral_ti", "kane_mele"])
-def test_invariants_with_an_overflowing_norm_is_config_error(tmp_path, capsys, model, params, k):
-    # |d| overflows to inf at a high-symmetry point: the parameters are refused
-    # before any zone mesh is built
+     "{'t': 1e+200, 'lambda_so': 0.06, 'lambda_r': 0.0, 'lambda_v': 0.1}",
+     "|d| = 3.000000e+200 (its square overflows)", "0.000000, 0.000000"),
+    # 2 t_h overflows in the coefficients themselves
+    ({"name": "maxwell", "params": {"t_h": 1e308, "M": 1e308}}, "{'t_h': 1e+308, 'M': 1e+308}",
+     "a non-finite |d|", "0.000000, 0.000000"),
+], ids=["chiral_ti", "kane_mele", "non_finite_coefficients"])
+def test_invariants_with_an_overflowing_norm_is_config_error(tmp_path, capsys, model, params,
+                                                             size, k):
+    # |d|^2 overflows at a high-symmetry point: the parameters are refused before any
+    # zone mesh is built, with the max-abs-scaled |d| when the coefficients are finite
     cfg = write_config(tmp_path, {"model": model})
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (f"config error: model.params {params} give a non-finite |d| "
-                                       f"at k = ({k})\n")
+    err = capsys.readouterr().err
+    assert err == f"config error: model.params {params} give {size} at k = ({k})\n"
 
 
 # ---------------------------------------------------------------- phase diagram
@@ -529,8 +534,8 @@ def test_phase_diagram_skips_then_refuses_an_overflowing_row(tmp_path, capsys):
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "skipping critical point M=2\n"
-        "config error: model.params {'t_h': 1.0, 'M': 1e+200} give a non-finite |d| "
-        "at k = (0.000000, 0.000000)\n")
+        "config error: model.params {'t_h': 1.0, 'M': 1e+200} give |d| = 2.000000e+200 "
+        "(its square overflows) at k = (0.000000, 0.000000)\n")
     assert not (tmp_path / "phase_diagram.csv").exists()
 
 
@@ -627,6 +632,18 @@ def test_phase_diagram_too_small_step_is_config_error(tmp_path, capsys, step):
     cfg = write_config(tmp_path, maxwell_config(0.0, {"sweep": {**SWEEP["sweep"], "step": step}}))
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"sweep.step {step!r} gives more than 1000000 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (1.7e308, 1.7e308, 1e308), (1.0, 1.7e308, 1e308), (1.797e308, 1.797e308, 2e305)])
+def test_phase_diagram_overflowing_sweep_end_is_config_error(tmp_path, capsys, start, stop, step):
+    # stop + step / 2, the end that np.arange is given, overflows to inf
+    cfg = write_config(tmp_path, maxwell_config(0.0, {"sweep": {
+        "parameter": "M", "start": start, "stop": stop, "step": step}}))
+    assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: sweep.stop + sweep.step / 2 overflows: "
+                                       f"stop {stop!r}, step {step!r}\n")
+    assert not (tmp_path / "phase_diagram.csv").exists()
 
 
 def test_sweep_chern_column_uses_the_models_lowest_band_spin(monkeypatch):
