@@ -57,7 +57,7 @@ from .invariants import (
     linearize_at_hsp,
     chern_from_hsp,
     chern_plaquette,
-    degree_2band,
+    zone_degree,
     winding_from_hsp,
     winding_numerical,
     z2_kane_mele,

@@ -3,11 +3,11 @@
 Two independent routes exist for every invariant: the sign-count over
 high-symmetry points (local, exact) and a zone integral (global, gauge
 free).  The lattice field-strength (plaquette) sum plays the global role
-in 2D, a signed preimage count of d/|d| in 3D, and the decoupled-sector Chern
-parity / inversion-parity products for the honeycomb model.  The sector
-Chern number behind that parity is the degree of d/|d| for the two-band
-sector H = d(k) . sigma, read by the same signed preimage count on the 2D
-zone mesh (`degree_2band`), with no eigensolve.
+in 2D, the degree of d/|d| in 3D, and the decoupled-sector Chern parity /
+inversion-parity products for the honeycomb model.  One signed preimage
+count, `zone_degree`, reads the degree of d/|d| : T^D -> S^D of every
+periodic model with a mass row, D = 2 or 3, with no eigensolve: the 3D
+winding number and the sector Chern number behind that parity are both it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessError, NotHighSymmetryError
-from .models import _PAULI, BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
+from .models import BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_spin_sector
 
 __all__ = [
     "HSPLinearization", "InvariantReport", "linearize_at_hsp", "chern_from_hsp", "chern_plaquette",
-    "degree_2band", "winding_from_hsp", "winding_numerical", "z2_kane_mele", "sweep_rows",
+    "zone_degree", "winding_from_hsp", "winding_numerical", "z2_kane_mele", "sweep_rows",
     "z2_spin_chern_parity", "z2_fu_kane_parity", "rashba_gap_ramp", "compute_invariants",
 ]
 
@@ -271,16 +271,15 @@ def _preimage_count(d) -> float:
     reflection (det -1) takes the target to e_(D+1), which a reflected cone [r_0 .. r_D] holds
     when its last-row cofactors (the cyclic 2D crosses, or the triple products of the first
     three components) share the sign of its determinant; the cone then adds the permutation's
-    sign times sgn det [d_0 .. d_D], minus that sign, and a flat cone adds 0.  `_refuse_gap`
-    refuses the gap 2|d| (D = 2) or |d| (D = 3), and an inf |d| is a ValueError."""
+    sign times sgn det [d_0 .. d_D], minus that sign, and a flat cone adds 0.  `zone_degree`
+    scales d so that |d| is the spectrum gap, which `_refuse_gap` refuses; an inf |d| is a
+    ValueError."""
     dim = d.ndim - 1
-    if dim == 2:
-        target, orientation, gap, what = SECTOR_TARGET, SECTOR_ORIENTATION, 2, "two-band"
-    else:
-        target, orientation, gap, what = WINDING_TARGET, DEGREE_ORIENTATION, 1, "spectrum"
+    target, orientation = ((SECTOR_TARGET, SECTOR_ORIENTATION) if dim == 2
+                           else (WINDING_TARGET, DEGREE_ORIENTATION))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(d, axis=-1)
-    _refuse_gap(gap * norms, f"{what} gap closes")
+    _refuse_gap(norms, "spectrum gap closes")
     if not np.isfinite(norms).all():
         at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
         raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
@@ -307,24 +306,24 @@ def _preimage_count(d) -> float:
     return orientation * float(total)
 
 
-def degree_2band(model: BlochModel, grid: int = 32) -> int:
-    """Lower-band Chern number of a two-band sector H = d(k) . (sx, sy, sz).
-
-    It is the degree of d/|d| : T^2 -> S^2, the signed preimage count that
-    `winding_numerical` runs in 3D (`_preimage_count`), in the orientation of
-    `chern_plaquette` (which quotes the lower band as +degree).  The
-    coefficients are evaluated once on the 2 grid mesh, and ``grid`` is read
-    off it as [::2, ::2]; the grid then doubles by the two-grid rule of
-    `chern_plaquette`, and a grid point where 2|d| falls below
-    PLAQUETTE_GAP_FLOOR is a GaplessError.  Only a periodic 2D model with
-    the three Pauli generators (`kane_mele_spin_sector`) is accepted.
-    """
-    if not (model.momentum_dim == 2 and model.periodic
-            and np.array_equal(model.generators, _PAULI)):
-        raise ValueError(f"the two-band degree needs a periodic 2D model with generators "
-                         f"(sx, sy, sz), got '{model.name}'")
-    check_grid(grid, PLAQUETTE_MAX_GRID)
-    return _refine(lambda n: (model.coeff(_zone_mesh(n)),), _preimage_count, grid, {})
+def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
+    """Degree of d/|d| : T^D -> S^D, D = 2 or 3, of a periodic model with a mass row: the
+    signed preimage count `_preimage_count` (Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).
+    In 2D band b carries -2 ``band_spin(b)`` deg, in 3D deg is the winding number.  The mesh
+    starts at ``grid``, read off mesh 2 ``grid``, and doubles by the two-grid rule of
+    `chern_plaquette` up to ``ceiling`` (default: 2^18 points at most).  A gap s |d(k)|, s the
+    mass generator's least level spacing, below PLAQUETTE_GAP_FLOOR or NaN is a GaplessError."""
+    dim = model.momentum_dim
+    if not (model.periodic and model.mass_generator is not None and dim in (2, 3)):
+        raise ValueError(f"the zone degree needs a periodic 2D or 3D model with a mass row, "
+                         f"got '{model.name}'")
+    top = (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID)[dim - 2]
+    ceiling = top if ceiling is None else ceiling
+    check_grid(ceiling, top, name="ceiling")
+    check_grid(grid, ceiling)
+    spacing = np.diff(np.linalg.eigvalsh(model.generators[model.mass_generator])).min()
+    return _refine(lambda n: (spacing * model.coeff(_zone_mesh(n, dim)),), _preimage_count,
+                   grid, {}, ceiling, dim)
 
 
 def check_grid(grid, upper=None, name="grid", lower=1):
@@ -344,17 +343,13 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
 
 
 def winding_numerical(model: BlochModel, grid: int = 40) -> int:
-    """3D winding number, the degree of d/|d| : T^3 -> S^3, as an exact signed preimage
-    count (`_preimage_count`; Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).  The mesh
-    starts at 8 and doubles up to ``grid`` (WINDING_MIN_GRID..WINDING_MAX_GRID) until two
-    successive meshes agree on the integer count, which is returned.  An unsettled count or
-    an inf |d| is a ValueError, a mesh point where |d| is below PLAQUETTE_GAP_FLOOR or NaN a
-    GaplessError."""
+    """3D winding number, the `zone_degree` of d/|d| : T^3 -> S^3.  The mesh starts at 8
+    and doubles up to ``grid`` (WINDING_MIN_GRID..WINDING_MAX_GRID) until two successive
+    meshes agree on the integer count, which is returned."""
     if model.momentum_dim != 3 or model.mass_generator is None:
         raise ValueError("the winding count needs a 3D four-generator chiral model")
     check_grid(grid, WINDING_MAX_GRID, lower=WINDING_MIN_GRID)
-    return _refine(lambda n: (model.coeff(_zone_mesh(n, 3)),), _preimage_count, 8, {}, grid,
-                   dim=3)
+    return zone_degree(model, 8, grid)
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +398,12 @@ def _valley_gaps(rows, valleys) -> list:
     return out
 
 
-def z2_spin_chern_parity(model: BlochModel, grid: int = 32) -> int:
-    """Z2 as the parity of one decoupled sector's Chern number (lambda_r = 0)."""
+def z2_spin_chern_parity(model: BlochModel) -> int:
+    """Z2 as the parity of one decoupled sector's Chern number, its `zone_degree` (lambda_r = 0)."""
     sector = _km_up_sector(model)
     if model.params["lambda_r"] != 0.0:
         raise ValueError("the decoupled-sector parity oracle needs lambda_r = 0")
-    return degree_2band(sector, grid) % 2
+    return zone_degree(sector) % 2
 
 
 def z2_fu_kane_parity(model: BlochModel) -> int:

@@ -36,6 +36,7 @@ from .invariants import (
     z2_fu_kane_parity,
     z2_kane_mele,
     z2_spin_chern_parity,
+    zone_degree,
 )
 from .models import chiral_ti_3d, kane_mele, maxwell_lattice, spin_j_continuum
 
@@ -85,7 +86,7 @@ def _random_spinor(rng, dim):
 
 
 def check_phase_table(rng) -> CheckResult:
-    """Per-interval local indices and lowest-band Chern, both routes."""
+    """Per-interval local indices and lowest-band Chern: corners, plaquettes, 2 x degree."""
     t0 = time.perf_counter()
     lines, ok = [], True
     for m_param, expected in PHASE_TABLE.items():
@@ -93,12 +94,15 @@ def check_phase_table(rng) -> CheckResult:
         lins = linearize_at_hsp(model, model.hsps)
         nus, local = tuple(lin.nu for lin in lins), chern_from_hsp(model, -1, lins)
         global_ = chern_plaquette(model, 0, 64)
-        good = nus == expected["nu"] and local == global_ == expected["chern"]
+        degree = 2 * zone_degree(model)
+        good = nus == expected["nu"] and local == global_ == degree == expected["chern"]
         ok &= good
         lines.append(
             f"M={m_param:+.0f}: nu={nus} chern_hsp={local} "
             f"chern_plaquette={global_} expected={expected['chern']}"
         )
+        if degree != expected["chern"]:
+            lines.append(f"M={m_param:+.0f}: 2 x zone_degree={degree} expected={expected['chern']}")
     ok &= _within_budget(lines, t0, 30)
     return _result("phase_table", ok, lines)
 
@@ -209,7 +213,7 @@ def check_kane_mele_z2(rng) -> CheckResult:
     for _ in range(50):
         lam_so, lam_v = _km_sample(rng)
         model = kane_mele(1.0, lam_so, 0.0, lam_v)
-        if z2_kane_mele(model) != z2_spin_chern_parity(model, 32):
+        if z2_kane_mele(model) != z2_spin_chern_parity(model):
             mismatches += 1
         # the lambda_r = 0 index carries over only while the gap stays open
         ramp = rashba_gap_ramp(1.0, lam_so, lam_v, 0.05, steps=6, grid=33)

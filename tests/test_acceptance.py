@@ -107,14 +107,29 @@ def test_non_finite_trajectories_fail_the_oracle_and_selection_rule(monkeypatch)
 def test_sign_flipped_winding_count_fails_the_battery(monkeypatch):
     # the count is the only global route to the 3D winding: flipping its sign
     # must fail check_winding on the masses with a nonzero winding, and with
-    # it the battery, while every other check still passes
+    # it the battery; in 2D it flips the phase table's degree, while the Z2
+    # parity and every other check still pass
     real = invariants._preimage_count
     monkeypatch.setattr(invariants, "_preimage_count", lambda d: -real(d))
     result = check_winding(np.random.default_rng(SEED))
     assert not result.passed
     assert "M=+2: corners=-1 count=1 expected=-1" in result.lines
     failed = [res.name for res in run_battery(SEED) if not res.passed]
-    assert failed == ["winding_3d"]
+    assert failed == ["phase_table", "winding_3d"]
+
+
+def test_sign_flipped_2d_count_fails_the_phase_table(monkeypatch):
+    # the phase table reads C = 2 deg off the 2D count, signed; the Z2 parity reads only
+    # deg mod 2, so without the table no check would see this fault
+    real = invariants._preimage_count
+    monkeypatch.setattr(invariants, "_preimage_count",
+                        lambda d: -real(d) if d.ndim == 3 else real(d))
+    result = check_phase_table(np.random.default_rng(SEED))
+    assert "M=-1: 2 x zone_degree=-2 expected=2" in result.lines
+    assert "M=+1: 2 x zone_degree=2 expected=-2" in result.lines
+    assert sum("zone_degree" in line for line in result.lines) == 2
+    failed = [res.name for res in run_battery(1) if not res.passed]
+    assert failed == ["phase_table"]
 
 
 def test_negated_velocities_fail_the_oracle_and_winding(monkeypatch):

@@ -16,7 +16,6 @@ from zbtopo import (
     chern_plaquette,
     chiral_ti_3d,
     compute_invariants,
-    degree_2band,
     kane_mele,
     kane_mele_spin_sector,
     linearize_at_hsp,
@@ -30,9 +29,11 @@ from zbtopo import (
     z2_fu_kane_parity,
     z2_kane_mele,
     z2_spin_chern_parity,
+    zone_degree,
 )
 from zbtopo import invariants
-from zbtopo.models import _PAULI, evaluate
+from zbtopo.generators import spin_matrices
+from zbtopo.models import evaluate
 
 PI = np.pi
 
@@ -187,7 +188,7 @@ def test_chern_from_hsp_reads_the_sector_valleys(spin):
     sector = kane_mele_spin_sector(1.0, 0.06, 0.1, spin)
     lins = linearize_at_hsp(sector, sector.hsps)
     assert [lin.nu for lin in lins] == [spin, spin]
-    assert chern_from_hsp(sector, -0.5) == spin == degree_2band(sector)
+    assert chern_from_hsp(sector, -0.5) == spin == zone_degree(sector)
     assert chern_from_hsp(kane_mele_spin_sector(1.0, 0.06, 0.4, spin), -0.5) == 0
 
 
@@ -332,17 +333,18 @@ def test_kane_mele_sector_cherns_opposite():
 def test_degree_refuses_an_on_grid_closing():
     # t = 0 leaves d = (0, 0, Haldane row), which vanishes at Gamma
     with pytest.raises(GaplessError, match=r"near k = \(0\.000000, 0\.000000\): gap 0\.000e\+00"):
-        degree_2band(kane_mele_spin_sector(0.0, 0.1, 0.0, +1))
+        zone_degree(kane_mele_spin_sector(0.0, 0.1, 0.0, +1))
 
 
 @pytest.mark.parametrize("model", [
-    maxwell_lattice(1.0, 1.0),
     kane_mele(1.0, 0.06, 0.0, 0.1),
     spin_j_continuum(0.5, 1.0, 1.0, 1.0),
-], ids=["three_band", "four_band", "continuum"])
-def test_degree_refuses_other_than_a_two_band_sector(model):
-    with pytest.raises(ValueError, match="two-band degree needs a periodic 2D model"):
-        degree_2band(model)
+], ids=["four_band", "continuum"])
+def test_zone_degree_refuses_a_model_without_a_mass_row_or_period(model):
+    with pytest.raises(ValueError) as info:
+        zone_degree(model)
+    assert str(info.value) == ("the zone degree needs a periodic 2D or 3D model with a mass row, "
+                               f"got '{model.name}'")
 
 
 # ---------------------------------------------------------------- 3D winding
@@ -406,7 +408,7 @@ def _nan_plaquette(value=np.nan):
     # an inf in H is refused the same way, before eigh: no gap is computed there
     (lambda: _nan_plaquette(np.inf),
      "Hamiltonian is not finite near k = (1.178097, 1.963495): gap nan"),
-    (_nan_sector_count, "two-band gap closes near k = (0.785398, 1.570796): gap nan"),
+    (_nan_sector_count, "spectrum gap closes near k = (0.785398, 1.570796): gap nan"),
     (_nan_winding, "spectrum gap closes near k = (0.785398, 1.570796, 2.356194): gap nan"),
 ])
 def test_zone_integrals_refuse_a_nan_integrand(integral, message):
@@ -427,7 +429,7 @@ def _overflow_sector_count():
     (lambda: winding_numerical(chiral_ti_3d(1e308), 16), "(0.000000, 0.000000, 0.000000)"),
     (lambda: winding_numerical(_planted(chiral_ti_3d(2.0), (2, 4, 6), 1e200), 16),
      "(0.785398, 1.570796, 2.356194)"),
-    (lambda: degree_2band(kane_mele_spin_sector(1e200, 0.06, 0.1, +1), 8),
+    (lambda: zone_degree(kane_mele_spin_sector(1e200, 0.06, 0.1, +1), 8),
      "(0.000000, 0.000000)"),
     (_overflow_sector_count, "(0.785398, 1.570796)"),
 ])
@@ -531,15 +533,15 @@ def test_winding_count_is_the_same_for_a_second_target(monkeypatch, m_param):
 
 def _degree_outcome(model, grid):
     try:
-        return degree_2band(model, grid)
+        return zone_degree(model, grid)
     except ValueError as err:
         return (type(err).__name__, str(err))
 
 
 def stacked_degree(model, grid):
-    """The outcome of `degree_2band` rebuilt from directly built meshes grid, 2 grid, ..
-    up to 512: a grid outside 1..512, a mesh whose gap 2|d| is below the floor or NaN, and
-    a count that never repeats on two successive meshes are refused."""
+    """The outcome of `zone_degree` on a two-band sector, rebuilt from directly built meshes
+    grid, 2 grid, .. up to 512: a grid outside 1..512, a mesh whose gap 2|d| is below the
+    floor or NaN, and a count that never repeats on two successive meshes are refused."""
     if not 1 <= grid <= 512:
         return ("ValueError", f"grid must be an integer in 1..512, got {grid}")
     previous, n = None, grid
@@ -549,7 +551,7 @@ def stacked_degree(model, grid):
         if not gap.min() >= invariants.PLAQUETTE_GAP_FLOOR:
             at = np.unravel_index(int(np.argmin(gap)), gap.shape)
             k = ", ".join(f"{2 * np.pi * i / n:.6f}" for i in at)
-            return ("GaplessError", f"two-band gap closes near k = ({k}): gap {gap.min():.3e}")
+            return ("GaplessError", f"spectrum gap closes near k = ({k}): gap {gap.min():.3e}")
         raw = _kuhn_count(n, d)
         if previous == int(raw):
             return int(raw)
@@ -581,7 +583,7 @@ def test_coarse_start_mesh_is_never_the_agreeing_value(grid):
     # meshes 1 and 2 see d(k) only at k in {0, pi}^2, where the sector's count reads 0
     # on both; the integer is the one two meshes of 4 and up agree on
     sector = kane_mele_spin_sector(1.0, 0.06, 0.1, +1)
-    assert degree_2band(sector, grid) == chern_plaquette(sector, 0, grid) == 1
+    assert zone_degree(sector, grid) == chern_plaquette(sector, 0, grid) == 1
     assert chern_plaquette(sector, (0, 1), grid) == (1, -1)
 
 
@@ -594,10 +596,10 @@ def test_sector_degree_is_the_same_for_a_second_target(monkeypatch):
         if abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) < 0.03:
             continue
         sector = kane_mele_spin_sector(t, lambda_so, lambda_v, int(rng.choice([1, -1])))
-        seen.append(degree_2band(sector))
+        seen.append(zone_degree(sector))
         with monkeypatch.context() as patch:
             patch.setattr(invariants, "SECTOR_TARGET", second / np.linalg.norm(second))
-            assert degree_2band(sector) == seen[-1]
+            assert zone_degree(sector) == seen[-1]
     assert set(seen) == {-1, 0, 1}
 
 
@@ -608,11 +610,41 @@ MAXWELL_NEAR_CRITICAL = [c + s * e for c in (-2.0, 0.0, 2.0) for s in (-1, 1)
 @pytest.mark.parametrize("start", [8, 32])
 @pytest.mark.parametrize("m_param", MAXWELL_NEAR_CRITICAL)
 def test_spin_one_chern_is_twice_the_sector_degree(m_param, start):
-    # the lowest band of J . d(k) carries -2 m deg(d/|d|) with m = -1, and a Pauli sector
-    # on the same coefficients carries deg: the 2D count reads the J = 1 lattice exactly
+    # the lowest band of J . d(k) carries -2 m deg(d/|d|) with m = -1: the 2D count reads
+    # the J = 1 lattice exactly, its gap |d| read off the spacing 1 of Jz
     model = maxwell_lattice(1.0, m_param)
-    sector = replace(model, generators=_PAULI)
-    assert 2 * degree_2band(sector, start) == chern_from_hsp(model, -1)
+    assert 2 * zone_degree(model, start) == chern_from_hsp(model, -1)
+
+
+# Spin-J lattices J . d(k) on the maxwell coefficients, near and away from the closings at
+# M = 0 and 2, where the plaquette sum of the outer bands aliases on unresolved meshes
+SPIN_J_TABLE = [(j, c + s * e) for j in (1.5, 2.5, 3.5) for c in (0.0, 2.0) for s in (-1, 1)
+                for e in (0.003, 0.01, 0.03, 0.0867, 0.2, 0.5)]
+
+
+@pytest.mark.parametrize("j, m_param", SPIN_J_TABLE)
+def test_spin_j_band_cherns_are_the_zone_degree(j, m_param):
+    # band b carries C_b = -2 m_b deg, m_b = band_spin(b): the corner formula at every band,
+    # from a coarse and a fine start mesh, with the gap |d| read off the spacing 1 of Jz
+    model = replace(maxwell_lattice(1.0, m_param), generators=spin_matrices(j, "ladder"))
+    spins = [model.band_spin(b) for b in range(model.band_count)]
+    corners = [chern_from_hsp(model, m) for m in spins]
+    for start in (8, 32):
+        degree = zone_degree(model, start)
+        assert [-2 * m * degree for m in spins] == corners
+
+
+@pytest.mark.parametrize("model, grid, ceiling, message", [
+    (maxwell_lattice(1.0, 1.0), 32, 1024, "ceiling must be an integer in 1..512, got 1024"),
+    (chiral_ti_3d(2.0), 8, 128, "ceiling must be an integer in 1..64, got 128"),
+    (chiral_ti_3d(2.0), 32, 16, "grid must be an integer in 1..16, got 32"),
+    (maxwell_lattice(1.0, 1.0), 32, 0, "ceiling must be an integer in 1..512, got 0"),
+])
+def test_zone_degree_refuses_a_mesh_above_its_ceiling(model, grid, ceiling, message):
+    # the default ceiling is the largest mesh of at most 2^18 points: 512^2 and 64^3
+    with pytest.raises(ValueError) as info:
+        zone_degree(model, grid, ceiling)
+    assert str(info.value) == message
 
 
 NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)
@@ -710,13 +742,13 @@ def test_z2_equals_sector_chern_parity():
             continue
         checked += 1
         model = kane_mele(1.0, lam_so, 0.0, lam_v)
-        assert z2_kane_mele(model) == z2_spin_chern_parity(model, 32)
+        assert z2_kane_mele(model) == z2_spin_chern_parity(model)
 
 
 def test_compute_invariants_cross_checks_z2(monkeypatch):
     topological = kane_mele(1.0, 0.06, 0.0, 0.1)
     assert compute_invariants(topological).z2 == 1
-    monkeypatch.setattr(invariants, "z2_spin_chern_parity", lambda model, grid=32: 0)
+    monkeypatch.setattr(invariants, "z2_spin_chern_parity", lambda model: 0)
     with pytest.raises(ValueError, match="valley index 1, sector Chern parity 0"):
         compute_invariants(topological)
     # with Rashba coupling only the valley index applies

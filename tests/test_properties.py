@@ -31,7 +31,6 @@ from zbtopo import (
     WavePacket,
     chern_from_hsp,
     chern_plaquette,
-    degree_2band,
     chiral_ti_3d,
     evaluate,
     gradient,
@@ -51,9 +50,11 @@ from zbtopo import (
     z2_kane_mele,
     zb_spectrum,
     zb_time_grid,
+    zone_degree,
 )
 from zbtopo import dynamics, invariants, io as zio
 from zbtopo.dynamics import _CHUNK, _oscillation, _pair_data
+from zbtopo.generators import spin_matrices
 
 seeds = st.integers(0, 2**32 - 1)
 ORIGIN2 = np.zeros(2)
@@ -765,13 +766,36 @@ def test_plaquette_band_tuple_matches_per_band_calls(model, grid, descending):
     assert len(set(joint_solved)) == len(joint_solved)
 
 
+# Every periodic model with a mass row, the zone degree's domain
+MASS_ROW_MODELS = {
+    "maxwell": maxwell_lattice(1.0, 1.3),
+    "chiral_ti": chiral_ti_3d(1.7),
+    "kane_mele_sector": kane_mele_spin_sector(1.0, 0.06, 0.1, -1),
+    "ladder_spin_3/2": dataclasses.replace(maxwell_lattice(0.7, -0.4),
+                                           generators=spin_matrices(1.5, "ladder")),
+}
+
+
+@given(name=st.sampled_from(sorted(MASS_ROW_MODELS)),
+       k=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3))
+def test_least_level_spacing_is_the_mass_spacing_times_norm(name, k):
+    # the zone degree's gap rule: H = d . G has least level spacing s |d|, s the least
+    # level spacing of the mass generator G_D
+    model = MASS_ROW_MODELS[name]
+    k = np.array(k[:model.momentum_dim])
+    spacing = np.diff(np.linalg.eigvalsh(model.generators[model.mass_generator])).min()
+    levels = np.linalg.eigvalsh(evaluate(model, k))
+    expected = spacing * np.linalg.norm(model.coeff(k))
+    assert np.diff(levels).min() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 @given(t=st.floats(0.5, 1.5), lambda_so=st.floats(0.02, 0.15), lambda_v=st.floats(-0.8, 0.8),
        spin=st.sampled_from([1, -1]))
 def test_sector_degree_equals_plaquette_chern(t, lambda_so, lambda_v, spin):
     # the sector gap 2|d| closes only at the valleys, where |lambda_v| = 3 sqrt(3) lambda_so
     assume(abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) > 0.03)
     sector = kane_mele_spin_sector(t, lambda_so, lambda_v, spin)
-    assert degree_2band(sector) == chern_plaquette(sector, 0)
+    assert zone_degree(sector) == chern_plaquette(sector, 0)
 
 
 # Unimodular changes of the reduced basis, k = A q: each keeps the torus and the degree
@@ -798,7 +822,7 @@ def test_dirac_point_index_is_the_sector_degree(t, t_sign, spin, lambda_so, lamb
     assume(abs(abs(lambda_v) - 3 * np.sqrt(3) * lambda_so) > 0.03)
     sector = sheared_sector(kane_mele_spin_sector(t_sign * t, lambda_so, lambda_v, spin),
                             SHEARS[shear])
-    assert chern_from_hsp(sector, -0.5) == degree_2band(sector)
+    assert chern_from_hsp(sector, -0.5) == zone_degree(sector)
 
 
 @st.composite
