@@ -29,7 +29,7 @@ print(f"  (candidate non-adjacent lines would sit at {2*mass}, {3*mass}, ...)")
 
 print("\nexhaustive check, 100 random spinors per spin value:")
 for j in (0.5, 1.0, 1.5, 2.0, 2.5):
-    report = selection_rule_check(j, mass, trials=100)
+    report = selection_rule_check(j, mass)
     print(
         f"  J = {j}: worst non-adjacent relative power = "
         f"{report.max_spurious_power:.2e}  -> {'pass' if report.passed else 'FAIL'}"

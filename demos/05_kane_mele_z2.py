@@ -38,6 +38,6 @@ print(f"\ninversion-parity products at lambda_v = 0: Z2 = {z2_fu_kane_parity(mod
 z2 = z2_kane_mele(kane_mele(1.0, COUPLING, 0.0, 0.1))
 print(f"\nRashba ramp at lambda_v = 0.1 (topological side, Z2 = {z2} at lambda_r = 0):")
 print(f"{'lambda_r':>9} | {'min bulk gap':>12}")
-for lam_r, gap in rashba_gap_ramp(1.0, COUPLING, 0.1, 0.05, steps=6):
+for lam_r, gap in rashba_gap_ramp(1.0, COUPLING, 0.1, 0.05):
     print(f"{lam_r:>9.3f} | {gap:>12.4f}")
 print("the gap stays open, so the lambda_r = 0 index carries over: Rashba-stable here.")

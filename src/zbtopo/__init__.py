@@ -21,50 +21,11 @@ if "numpy" not in _sys.modules and not {
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import GaplessError, GridSizeError, NotHighSymmetryError
-from .spectral import SpectralDecomposition, hermitian_eig
-from .generators import spin_matrices, gell_mann, adjacent_amplitude
-from .models import (
-    BlochModel,
-    evaluate,
-    gradient,
-    spin_j_continuum,
-    maxwell_lattice,
-    kane_mele,
-    kane_mele_spin_sector,
-    chiral_ti_3d,
-    chiral_symmetry,
-)
-from .dynamics import (
-    Trajectory,
-    ZBClosedForm,
-    ZBSpectrum,
-    WavePacket,
-    SelectionRuleReport,
-    zb_time_grid,
-    pcm_trajectory_exact,
-    pcm_trajectories_exact,
-    closed_form_spin1,
-    closed_form_chiral,
-    wavepacket_trajectory,
-    rotation_index,
-    zb_spectrum,
-    selection_rule_check,
-)
-from .invariants import (
-    HSPLinearization,
-    InvariantReport,
-    linearize_at_hsp,
-    chern_from_hsp,
-    chern_plaquette,
-    zone_degree,
-    winding_from_hsp,
-    winding_numerical,
-    z2_kane_mele,
-    z2_spin_chern_parity,
-    z2_fu_kane_parity,
-    rashba_gap_ramp,
-    compute_invariants,
-)
+from .errors import *  # noqa: F401,F403 - each module's __all__ is its public list
+from .spectral import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

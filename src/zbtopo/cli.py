@@ -2,8 +2,9 @@
 
     zb [--debug] bands|zb|invariants|phase-diagram|verify --config FILE [--out DIR]
 
-Configs are strict JSON (unknown keys are rejected); numeric series land
-in CSV, reports in JSON, all byte-reproducible for a fixed config + seed, on
+Configs are strict JSON: unknown keys, and sections that the command does not
+read, are rejected.  Numeric series land in CSV, reports in JSON, all
+byte-reproducible for a fixed config (whose ``seed`` only `verify` reads), on
 any core count: `zbtopo` loads numpy with one OpenBLAS thread unless the caller
 sets one of its thread variables, which lets packet CSVs differ in the last bits.
 ``FACTORIES`` is the one list of model names: a model's parameters are its
@@ -14,9 +15,9 @@ row whose one-model route raises `GaplessError` (a gap closing) is skipped with
 a ``skipping critical point`` line on stderr, any other refusal ends the run.
 Time-grid, drift and topology options a config leaves out take the library's
 defaults.
-The environment variable ZB_SEED overrides the config seed.  Exit codes:
-0 success, 1 runtime error (``--debug`` adds its traceback), 2 config error,
-3 verification failure.
+The environment variable ZB_SEED overrides the config seed of `verify`.
+Exit codes: 0 success, 1 runtime error (``--debug`` adds its traceback),
+2 config error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -76,16 +77,17 @@ MAX_SWEEP_VALUES = 10**6
 # Sweep rows built and computed together: memory stays flat up to MAX_SWEEP_VALUES.
 _SWEEP_BLOCK = 32
 # Size caps for `zb zb`, checked before anything is allocated: time samples
-# scale with samples_per_period x periods (64 x 8 by default) and a packet
-# sums over points ** momentum_dim momenta (at most 31^3 by default).
+# scale with samples_per_period x periods (the library's defaults when left out)
+# and a packet sums over points ** momentum_dim momenta (at most 31^3 by default).
 _MAX_PERIOD_SAMPLES = 10**5
 _MAX_PACKET_MOMENTA = 10**5
+_TIME_DEFAULTS = inspect.signature(pcm_trajectory_exact).parameters
 
 COMMAND_SECTIONS = {
-    "bands": {"required": {"model"}, "optional": {"bands_path", "seed"}},
-    "zb": {"required": {"model", "dynamics"}, "optional": {"seed"}},
-    "invariants": {"required": {"model"}, "optional": {"topology", "seed"}},
-    "phase-diagram": {"required": {"model", "sweep"}, "optional": {"topology", "seed"}},
+    "bands": {"required": {"model"}, "optional": {"bands_path"}},
+    "zb": {"required": {"model", "dynamics"}, "optional": set()},
+    "invariants": {"required": {"model"}, "optional": {"topology"}},
+    "phase-diagram": {"required": {"model", "sweep"}, "optional": set()},
     "verify": {"required": {"seed"}, "optional": set()},
 }
 
@@ -158,9 +160,10 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}")
     if not isinstance(dyn.get("include_drift", False), bool):
         raise ConfigError(f"dynamics.include_drift must be a boolean, got {dyn['include_drift']!r}")
-    spp = _integer(dyn.get("samples_per_period", 64), "dynamics.samples_per_period",
-                   MIN_SAMPLES_PER_PERIOD)
-    periods = _integer(dyn.get("periods", 8), "dynamics.periods", MIN_SPAN_PERIODS)
+    spp = _integer(dyn.get("samples_per_period", _TIME_DEFAULTS["samples_per_period"].default),
+                   "dynamics.samples_per_period", MIN_SAMPLES_PER_PERIOD)
+    periods = _integer(dyn.get("periods", _TIME_DEFAULTS["periods"].default), "dynamics.periods",
+                       MIN_SPAN_PERIODS)
     if spp * periods > _MAX_PERIOD_SAMPLES:
         raise ConfigError(f"dynamics.samples_per_period x dynamics.periods must be at most "
                           f"{_MAX_PERIOD_SAMPLES}, got {spp} x {periods}")

@@ -54,6 +54,7 @@ DEGENERACY_TOL = 1e-8  # neighbouring energies at most this far apart share a de
 _MAX_TIME_SAMPLES = 4 * 10**6  # default time grid; `zb zb` peaks near 350 bytes per sample
 _CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
 _SPURIOUS_TOL = 1e-10  # selection rule: largest relative power allowed away from the |m| line
+SELECTION_TRIALS = 100  # selection rule: random spinors per check
 
 
 @dataclass
@@ -587,8 +588,8 @@ class SelectionRuleReport:
     passed: bool
 
 
-def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> SelectionRuleReport:
-    """Verify that random spinors of a spin-j system oscillate only at |m|.
+def selection_rule_check(j, m: float, seed: int = 1234) -> SelectionRuleReport:
+    """Verify that SELECTION_TRIALS random spinors of a spin-j system oscillate only at |m|.
 
     The trials' exact trajectories at p = 0 come from one spinor stack; each
     is transformed and every Fourier bin away from the |m| line is compared
@@ -608,7 +609,8 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> Se
     worst_freq_err = 0.0
     ok = True
     dim = model.band_count
-    raws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(trials)]
+    raws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            for _ in range(SELECTION_TRIALS)]
     for traj in pcm_trajectories_exact(model, origin, [r / np.linalg.norm(r) for r in raws], times):
         if not np.isfinite(traj.pcm).all():
             worst_power = worst_freq_err = np.nan
@@ -630,7 +632,7 @@ def selection_rule_check(j, m: float, trials: int = 100, seed: int = 1234) -> Se
     return SelectionRuleReport(
         j=float(j),
         mass=m,
-        trials=trials,
+        trials=SELECTION_TRIALS,
         max_spurious_power=worst_power,
         max_frequency_error=worst_freq_err,
         passed=ok and worst_power < _SPURIOUS_TOL,

@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["GaplessError", "NotHighSymmetryError", "GridSizeError"]
+
 
 class GaplessError(ValueError):
     """A band gap required by the computation is closed (phase-transition point)."""

@@ -24,7 +24,7 @@ from .models import BlochModel, _check_momenta, evaluate, kane_mele, kane_mele_s
 
 __all__ = [
     "HSPLinearization", "InvariantReport", "linearize_at_hsp", "chern_from_hsp", "chern_plaquette",
-    "zone_degree", "winding_from_hsp", "winding_numerical", "z2_kane_mele", "sweep_rows",
+    "zone_degree", "winding_from_hsp", "winding_numerical", "z2_kane_mele",
     "z2_spin_chern_parity", "z2_fu_kane_parity", "rashba_gap_ramp", "compute_invariants",
 ]
 
@@ -273,7 +273,8 @@ def _preimage_count(d) -> float:
     three components) share the sign of its determinant; the cone then adds the permutation's
     sign times sgn det [d_0 .. d_D], minus that sign, and a flat cone adds 0.  `zone_degree`
     scales d so that |d| is the spectrum gap, which `_refuse_gap` refuses; an inf |d| is a
-    ValueError."""
+    ValueError.  The cones are read off d scaled by a power of two to max |d| < 1, which
+    leaves every sign as it is and keeps the products of D + 1 components from overflowing."""
     dim = d.ndim - 1
     target, orientation = ((SECTOR_TARGET, SECTOR_ORIENTATION) if dim == 2
                            else (WINDING_TARGET, DEGREE_ORIENTATION))
@@ -283,6 +284,7 @@ def _preimage_count(d) -> float:
     if not np.isfinite(norms).all():
         at = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
         raise ValueError(f"coefficient norm |d| overflows near k = ({_mesh_k(at, len(norms))})")
+    d = np.ldexp(d, -int(np.frexp(np.abs(d).max())[1]))
     v = target - np.eye(dim + 1)[dim]
     r0 = d @ (np.eye(dim + 1) - 2 * np.outer(v, v) / (v @ v))
     last = np.roll(r0, -1, axis=tuple(range(dim)))
@@ -326,12 +328,11 @@ def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
                    grid, {}, ceiling, dim)
 
 
-def check_grid(grid, upper=None, name="grid", lower=1):
+def check_grid(grid, upper, name="grid", lower=1):
     """Refuse a grid size that is not an integer in lower..upper (ValueError naming ``name``)."""
     integer = isinstance(grid, (int, np.integer)) and not isinstance(grid, bool)
-    if not integer or grid < lower or (upper is not None and grid > upper):
-        limit = f"an integer in {lower}..{upper}" if upper is not None else "a positive integer"
-        raise ValueError(f"{name} must be {limit}, got {grid!r}")
+    if not integer or grid < lower or grid > upper:
+        raise ValueError(f"{name} must be an integer in {lower}..{upper}, got {grid!r}")
 
 
 def winding_from_hsp(model: BlochModel, lins=None) -> int:
@@ -434,21 +435,26 @@ def z2_fu_kane_parity(model: BlochModel) -> int:
     return (1 - product) // 2
 
 
+# The Rashba ramp's lambda_r values and zone mesh side: 33 is a multiple of 3, so the
+# mesh k = 2 pi i / 33 holds both valleys K and K', where the gap is smallest.
+RAMP_STEPS = 6
+RAMP_GRID = 33
+
+
 @functools.cache
-def _ramp_mesh(grid):
-    """Zone mesh and ||R(k)||_F on it, R = dH/dlambda_r: built once per grid, read-only."""
-    mesh = _zone_mesh(grid)
+def _ramp_mesh():
+    """Zone mesh and ||R(k)||_F on it, R = dH/dlambda_r: built once, read-only."""
+    mesh = _zone_mesh(RAMP_GRID)
     rashba = np.linalg.norm(evaluate(kane_mele(0.0, 0.0, 1.0, 0.0), mesh), axis=(-2, -1))
     mesh.flags.writeable = rashba.flags.writeable = False
     return mesh, rashba
 
 
-def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
-                    lambda_r_max: float, steps: int = 6, grid: int = 33):
+def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float, lambda_r_max: float):
     """Track the bulk gap along a Rashba ramp 0 -> lambda_r_max.
 
-    Returns a list of (lambda_r, min bulk gap) pairs.  The grid includes the
-    valley momenta exactly when it is a multiple of 3.  At lambda_r = 0 the
+    Returns RAMP_STEPS (lambda_r, min bulk gap) pairs, the gap minimized over the
+    RAMP_GRID^2 zone mesh, which holds both valley momenta.  At lambda_r = 0 the
     spin sectors decouple with levels +-|d_s(k)|, and H(lambda_r) - H(0) =
     lambda_r R(k); by Weyl's inequality the gap at k lies within
     2 |lambda_r| ||R(k)||_F of 2 min_s |d_s(k)|, so each step solves only the
@@ -456,18 +462,16 @@ def rashba_gap_ramp(t: float, lambda_so: float, lambda_v: float,
     gap, which hold the same minimum, bit for bit.  A non-finite t,
     lambda_so, lambda_v or lambda_r_max is a ValueError naming it.
     """
-    check_grid(grid)
-    check_grid(steps, name="steps")
     for name, value in zip(("t", "lambda_so", "lambda_v", "lambda_r_max"),
                            (t, lambda_so, lambda_v, lambda_r_max)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    mesh, rashba = _ramp_mesh(grid)
+    mesh, rashba = _ramp_mesh()
     levels = np.linalg.norm([kane_mele_spin_sector(t, lambda_so, lambda_v, s).coeff(mesh)
                              for s in (1, -1)], axis=-1)
     gap0, scale = 2 * levels.min(axis=0), 1.0 + levels.max()
     out = []
-    for lam_r in np.linspace(0.0, lambda_r_max, steps):
+    for lam_r in np.linspace(0.0, lambda_r_max, RAMP_STEPS):
         model = kane_mele(t, lambda_so, float(lam_r), lambda_v)
         delta = abs(lam_r) * rashba
         # 1e-9 of the matrix scale covers the eigensolver's rounding

@@ -175,7 +175,7 @@ def check_selection_rule(rng) -> CheckResult:
     lines, ok = [], True
     for j in (0.5, 1.0, 1.5, 2.0, 2.5):
         seed = int(rng.integers(2**31))
-        report = selection_rule_check(j, 1.0, trials=100, seed=seed)
+        report = selection_rule_check(j, 1.0, seed=seed)
         ok &= report.passed
         lines.append(
             f"J={j}: max spurious relative power = {_reading(report.max_spurious_power)} "
@@ -216,7 +216,7 @@ def check_kane_mele_z2(rng) -> CheckResult:
         if z2_kane_mele(model) != z2_spin_chern_parity(model):
             mismatches += 1
         # the lambda_r = 0 index carries over only while the gap stays open
-        ramp = rashba_gap_ramp(1.0, lam_so, lam_v, 0.05, steps=6, grid=33)
+        ramp = rashba_gap_ramp(1.0, lam_so, lam_v, 0.05)
         if not all(gap > 1e-3 for _, gap in ramp):
             ramp_failures += 1
 

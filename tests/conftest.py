@@ -13,6 +13,6 @@ settings.load_profile("zbtopo")
 
 @pytest.fixture(autouse=True)
 def cold_ramp_cache():
-    """Each test starts without the per-grid Rashba term that earlier ramps cached,
+    """Each test starts without the Rashba term that an earlier ramp cached,
     so a test that counts assemblies sees the one a first ramp makes."""
     invariants._ramp_mesh.cache_clear()

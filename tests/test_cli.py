@@ -860,6 +860,23 @@ def test_zb_accepts_valid_plane_and_drift(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"  # swapped axes flip the x-y sense -1
 
 
+@pytest.mark.parametrize("command, extra, key", [
+    ("bands", {}, "seed"),
+    ("zb", {"dynamics": ZB_MOMENTUM}, "seed"),
+    ("invariants", {}, "seed"),
+    ("phase-diagram", SWEEP, "seed"),
+    ("phase-diagram", SWEEP, "topology"),
+])
+def test_section_the_command_does_not_read_is_config_error(tmp_path, capsys, command, extra, key):
+    # only verify reads a seed, and sweep rows read no zone grid: neither is accepted and ignored
+    value = {"seed": 1, "topology": {"plaquette_grid": 64}}[key]
+    cfg = write_config(tmp_path, maxwell_config(1.0, {**extra, key: value}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: unknown keys in config root: ['{key}']\n"
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_requires_seed(tmp_path):

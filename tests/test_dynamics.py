@@ -410,7 +410,7 @@ def test_spectrum_chiral_axial_at_twice_the_gap():
 
 @pytest.mark.parametrize("j", [1.0, 2.0])
 def test_selection_rule_check(j):
-    report = selection_rule_check(j, 1.0, trials=100, seed=555)
+    report = selection_rule_check(j, 1.0, seed=555)
     assert report.passed
     assert report.max_spurious_power < 1e-10
 
