@@ -15,6 +15,7 @@ from zbtopo import (
     zb_spectrum,
     zb_time_grid,
 )
+from zbtopo.dynamics import SELECTION_TRIALS
 
 mass = 1.0
 rng = np.random.default_rng(42)
@@ -27,7 +28,7 @@ for freq, power in zb_spectrum(traj).peaks:
     print(f"  omega = {freq:.6f}  relative power = {power:.3e}")
 print(f"  (candidate non-adjacent lines would sit at {2*mass}, {3*mass}, ...)")
 
-print("\nexhaustive check, 100 random spinors per spin value:")
+print(f"\nexhaustive check, {SELECTION_TRIALS} random spinors per spin value:")
 for j in (0.5, 1.0, 1.5, 2.0, 2.5):
     report = selection_rule_check(j, mass)
     print(

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import io as zio
 from . import models
-from .dynamics import (MIN_SAMPLES_PER_PERIOD, MIN_SPAN_PERIODS, SPINOR_NORM_TOL, WavePacket,
-                       packet_grid, pcm_trajectory_exact, rotation_index, wavepacket_trajectory,
-                       zb_spectrum)
+from .dynamics import (MIN_SAMPLES_PER_PERIOD, MIN_SPAN_PERIODS, SAMPLES_PER_PERIOD,
+                       SPAN_PERIODS, SPINOR_NORM_TOL, WavePacket, packet_grid,
+                       pcm_trajectory_exact, rotation_index, wavepacket_trajectory, zb_spectrum)
 from .errors import GaplessError, GridSizeError
 from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, WINDING_MIN_GRID, check_grid,
                          compute_invariants, sweep_rows)
@@ -71,7 +71,8 @@ SECTION_KEYS = {
     "sweep": {"parameter", "start", "stop", "step"},
 }
 
-_TOPOLOGY_GRIDS = {"plaquette_grid": (1, PLAQUETTE_MAX_GRID),
+# a start grid must leave the zone integral a doubled mesh to agree with
+_TOPOLOGY_GRIDS = {"plaquette_grid": (1, PLAQUETTE_MAX_GRID // 2),
                    "winding_grid": (WINDING_MIN_GRID, WINDING_MAX_GRID)}
 MAX_SWEEP_VALUES = 10**6
 # Sweep rows built and computed together: memory stays flat up to MAX_SWEEP_VALUES.
@@ -81,7 +82,6 @@ _SWEEP_BLOCK = 32
 # and a packet sums over points ** momentum_dim momenta (at most 31^3 by default).
 _MAX_PERIOD_SAMPLES = 10**5
 _MAX_PACKET_MOMENTA = 10**5
-_TIME_DEFAULTS = inspect.signature(pcm_trajectory_exact).parameters
 
 COMMAND_SECTIONS = {
     "bands": {"required": {"model"}, "optional": {"bands_path"}},
@@ -160,10 +160,9 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}")
     if not isinstance(dyn.get("include_drift", False), bool):
         raise ConfigError(f"dynamics.include_drift must be a boolean, got {dyn['include_drift']!r}")
-    spp = _integer(dyn.get("samples_per_period", _TIME_DEFAULTS["samples_per_period"].default),
+    spp = _integer(dyn.get("samples_per_period", SAMPLES_PER_PERIOD),
                    "dynamics.samples_per_period", MIN_SAMPLES_PER_PERIOD)
-    periods = _integer(dyn.get("periods", _TIME_DEFAULTS["periods"].default), "dynamics.periods",
-                       MIN_SPAN_PERIODS)
+    periods = _integer(dyn.get("periods", SPAN_PERIODS), "dynamics.periods", MIN_SPAN_PERIODS)
     if spp * periods > _MAX_PERIOD_SAMPLES:
         raise ConfigError(f"dynamics.samples_per_period x dynamics.periods must be at most "
                           f"{_MAX_PERIOD_SAMPLES}, got {spp} x {periods}")

@@ -55,6 +55,8 @@ _MAX_TIME_SAMPLES = 4 * 10**6  # default time grid; `zb zb` peaks near 350 bytes
 _CHUNK = 4096  # momenta per stacked eigensolve, level pairs per synthesis matmul
 _SPURIOUS_TOL = 1e-10  # selection rule: largest relative power allowed away from the |m| line
 SELECTION_TRIALS = 100  # selection rule: random spinors per check
+SAMPLES_PER_PERIOD = 64  # default time grid: samples per period of the fastest oscillation
+SPAN_PERIODS = 8  # default time grid: periods of the slowest oscillation spanned
 
 
 @dataclass
@@ -121,7 +123,8 @@ class WavePacket:
 
 
 def zb_time_grid(omega_fast: float, omega_slow: float | None = None,
-                 samples_per_period: int = 64, periods: int = 8) -> np.ndarray:
+                 samples_per_period: int = SAMPLES_PER_PERIOD,
+                 periods: int = SPAN_PERIODS) -> np.ndarray:
     """Uniform grid resolving omega_fast and spanning ``periods`` of omega_slow;
     refused with GridSizeError, unallocated, above ``_MAX_TIME_SAMPLES`` samples."""
     omega_slow = omega_fast if omega_slow is None else omega_slow
@@ -238,7 +241,8 @@ def _oscillation(times, omegas, amps):
 
 def pcm_trajectories_exact(model: BlochModel, k, spinors, times=None,
                            include_drift: bool = False, *,
-                           samples_per_period: int = 64, periods: int = 8) -> tuple:
+                           samples_per_period: int = SAMPLES_PER_PERIOD,
+                           periods: int = SPAN_PERIODS) -> tuple:
     """Oscillatory center-of-mass trajectories from the eigenvector-pair double sum,
     one per spinor of a stack (S, n) of mass-eigenbasis coefficients at momentum ``k``
     (or of S band indices: energy eigenstates, which do not oscillate).
@@ -258,11 +262,10 @@ def pcm_trajectories_exact(model: BlochModel, k, spinors, times=None,
 
 
 def pcm_trajectory_exact(model: BlochModel, k, spinor, times=None,
-                         include_drift: bool = False, *,
-                         samples_per_period: int = 64, periods: int = 8) -> Trajectory:
-    """:func:`pcm_trajectories_exact` for one spinor, or one band index."""
-    return pcm_trajectories_exact(model, k, [spinor], times, include_drift,
-                                  samples_per_period=samples_per_period, periods=periods)[0]
+                         include_drift: bool = False, **grid) -> Trajectory:
+    """:func:`pcm_trajectories_exact` for one spinor, or one band index; ``grid`` holds its
+    keyword-only time-grid options."""
+    return pcm_trajectories_exact(model, k, [spinor], times, include_drift, **grid)[0]
 
 
 def _momentum_sum(model, ks, weights, spinors, times, include_drift, spp, periods):
@@ -312,6 +315,12 @@ def _polar(w):
     return r, (float(np.angle(w)) if r > 0 else 0.0)
 
 
+def _closed_form_input(m, spinor):
+    if abs(m) < 1e-12:
+        raise GaplessError("mass m = 0: the gap is closed and the oscillation amplitude diverges")
+    return _unit_spinor(spinor, 3), (1.0 if m > 0 else -1.0)
+
+
 def _closed_form(comps, omega, mag, times):
     """Trajectory with components Re(C_c e^{i omega t}) for the complex amplitudes
     ``comps``, plus their (amplitude, phase, omega) summary.  ``times=None`` builds
@@ -339,14 +348,11 @@ def closed_form_spin1(v_x: float, v_y: float, m: float, spinor, times=None):
     so the sense of rotation flips with the sign of v_x v_y m.  Returns the
     trajectory plus the (amplitude, phase, omega) summary.
     """
-    if abs(m) < 1e-12:
-        raise GaplessError("mass m = 0: the gap is closed and the oscillation amplitude diverges")
-    a, b, c = _unit_spinor(spinor, 3)
+    (a, b, c), sgn = _closed_form_input(m, spinor)
     big_r = np.sqrt(2.0) * ((a - c) * np.conj(b)).real
     big_i = np.sqrt(2.0) * ((a + c) * np.conj(b)).imag
     mag = float(np.hypot(big_r, big_i))
     theta = float(np.arctan2(big_i, big_r)) if mag > 0 else 0.0
-    sgn = 1.0 if m > 0 else -1.0
     omega = abs(m)
 
     cx = (v_x / omega) * mag * np.exp(1j * (sgn * theta - np.pi / 2))
@@ -368,15 +374,12 @@ def closed_form_chiral(v_x: float, v_y: float, v_z: float, m: float, spinor, tim
 
     Mixed spinors must use :func:`pcm_trajectory_exact`.
     """
-    if abs(m) < 1e-12:
-        raise GaplessError("mass m = 0: the gap is closed and the oscillation amplitude diverges")
-    a, b, c = _unit_spinor(spinor, 3)
+    (a, b, c), sgn = _closed_form_input(m, spinor)
     if abs(b) > 1e-12 and abs(c) > 1e-12:
         raise ValueError(
             "spinor mixes both closed-form branches (b != 0 and c != 0); "
             "use pcm_trajectory_exact for general spinors"
         )
-    sgn = 1.0 if m > 0 else -1.0
     if abs(c) <= 1e-12:
         r2, th2 = _polar(a * np.conj(b))
         omega = abs(m)
@@ -403,13 +406,19 @@ def _unit_spinor(spinor, dim, model_name=None):
     return coeffs
 
 
+def _random_spinor(rng, dim):
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return raw / np.linalg.norm(raw)
+
+
 # ----------------------------------------------------------------------
 # Gaussian packets
 # ----------------------------------------------------------------------
 
 def wavepacket_trajectory(model: BlochModel, packet: WavePacket, grid_spec=None,
                           include_drift: bool = True, *,
-                          samples_per_period: int = 64, periods: int = 8) -> Trajectory:
+                          samples_per_period: int = SAMPLES_PER_PERIOD,
+                          periods: int = SPAN_PERIODS) -> Trajectory:
     """Momentum-averaged trajectory of a Gaussian packet.
 
     Per-momentum expectations are weighted by the normalized Gaussian
@@ -582,7 +591,6 @@ class SelectionRuleReport:
 
     j: float
     mass: float
-    trials: int
     max_spurious_power: float
     max_frequency_error: float
     passed: bool
@@ -603,15 +611,12 @@ def selection_rule_check(j, m: float, seed: int = 1234) -> SelectionRuleReport:
     omega = abs(m)
     times = zb_time_grid(omega)
     rng = np.random.default_rng(seed)
-    origin = np.zeros(2)
 
     worst_power = 0.0
     worst_freq_err = 0.0
     ok = True
-    dim = model.band_count
-    raws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            for _ in range(SELECTION_TRIALS)]
-    for traj in pcm_trajectories_exact(model, origin, [r / np.linalg.norm(r) for r in raws], times):
+    spinors = [_random_spinor(rng, model.band_count) for _ in range(SELECTION_TRIALS)]
+    for traj in pcm_trajectories_exact(model, np.zeros(2), spinors, times):
         if not np.isfinite(traj.pcm).all():
             worst_power = worst_freq_err = np.nan
             break
@@ -632,7 +637,6 @@ def selection_rule_check(j, m: float, seed: int = 1234) -> SelectionRuleReport:
     return SelectionRuleReport(
         j=float(j),
         mass=m,
-        trials=SELECTION_TRIALS,
         max_spurious_power=worst_power,
         max_frequency_error=worst_freq_err,
         passed=ok and worst_power < _SPURIOUS_TOL,

@@ -137,10 +137,9 @@ def chern_from_hsp(model: BlochModel, j, lins=None):
 
 
 def _hsp_index(j, total):
-    """-j * total, or for j None total / 2 (an odd total is a ValueError); int when integral."""
-    if j is None and total % 2 != 0:
-        raise ValueError(f"odd index sum {total}: inconsistent linearization")
-    value = total / 2 if j is None else -j * total
+    """-j * total, int when integral: the index of band spin j from its local sum, at j = -1/2
+    the two-band Chern number, the 3D winding number and the Kane-Mele valley index."""
+    value = -j * total
     return int(round(value)) if abs(value - round(value)) < 1e-12 else float(value)
 
 
@@ -152,7 +151,7 @@ def sweep_rows(rows) -> list:
     z2 = rows[0].invariant == "z2"
     local = [_km_up_sector(model) for model in rows] if z2 else rows
     closed = _valley_gaps(rows, local[0].hsps) if z2 else [None] * len(rows)
-    j = -0.5 if z2 else rows[0].band_spin(0) if rows[0].invariant == "chern" else None
+    j = rows[0].band_spin(0) if rows[0].invariant == "chern" else -0.5
     k = np.array(local[0].hsps)
     *_, nus, errors = _linearize_rows(np.array([model.coeff(k) for model in local]),
                                       np.array([model.coeff_grad(k) for model in local]), k)
@@ -243,6 +242,7 @@ def chern_plaquette(model: BlochModel, band, grid: int = 64):
     on a grid; bands go in tuple order, each coarse grid before the finer.
     Every zone mesh is diagonalized at most once per call, for all bands,
     and a band that cannot yet stop at grid n solves 2n and reads n off it.
+    A start ``grid`` above 256 has no finer mesh to agree with: refused before any solve.
     """
     if model.momentum_dim != 2:
         raise ValueError("plaquette Chern numbers are defined for 2D models")
@@ -250,7 +250,7 @@ def chern_plaquette(model: BlochModel, band, grid: int = 64):
     for b in bands:
         if not 0 <= b < model.band_count:
             raise ValueError(f"band {b} outside 0..{model.band_count - 1}")
-    check_grid(grid, PLAQUETTE_MAX_GRID)
+    check_grid(grid, PLAQUETTE_MAX_GRID // 2)
     solves = {}
     values = tuple(_refine(functools.partial(_zone_eigh, model),
                            functools.partial(_fhs_sum, model, b), grid, solves) for b in bands)
@@ -312,8 +312,8 @@ def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
     """Degree of d/|d| : T^D -> S^D, D = 2 or 3, of a periodic model with a mass row: the
     signed preimage count `_preimage_count` (Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).
     In 2D band b carries -2 ``band_spin(b)`` deg, in 3D deg is the winding number.  The mesh
-    starts at ``grid``, read off mesh 2 ``grid``, and doubles by the two-grid rule of
-    `chern_plaquette` up to ``ceiling`` (default: 2^18 points at most).  A gap s |d(k)|, s the
+    starts at ``grid``, read off mesh 2 ``grid`` <= ``ceiling``, and doubles by the two-grid rule
+    of `chern_plaquette` up to ``ceiling`` (default: 2^18 points at most).  A gap s |d(k)|, s the
     mass generator's least level spacing, below PLAQUETTE_GAP_FLOOR or NaN is a GaplessError."""
     dim = model.momentum_dim
     if not (model.periodic and model.mass_generator is not None and dim in (2, 3)):
@@ -322,7 +322,7 @@ def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
     top = (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID)[dim - 2]
     ceiling = top if ceiling is None else ceiling
     check_grid(ceiling, top, name="ceiling")
-    check_grid(grid, ceiling)
+    check_grid(grid, ceiling // 2)
     spacing = np.diff(np.linalg.eigvalsh(model.generators[model.mass_generator])).min()
     return _refine(lambda n: (spacing * model.coeff(_zone_mesh(n, dim)),), _preimage_count,
                    grid, {}, ceiling, dim)
@@ -336,11 +336,11 @@ def check_grid(grid, upper, name="grid", lower=1):
 
 
 def winding_from_hsp(model: BlochModel, lins=None) -> int:
-    """3D winding number: half the sum of nu = sgn(det V) sgn(m) over the
-    eight corner points (``lins`` as in `chern_from_hsp`)."""
+    """3D winding number -j sum_K nu_K at j = -1/2: half the (even) sum of nu = sgn(det V)
+    sgn(m) over the eight corner points (``lins`` as in `chern_from_hsp`)."""
     if model.momentum_dim != 3 or len(model.hsps) != 8:
         raise ValueError("the eight-point winding formula needs a 3D model")
-    return _hsp_index(None, sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps)))
+    return _hsp_index(-0.5, sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps)))
 
 
 def winding_numerical(model: BlochModel, grid: int = 40) -> int:
@@ -521,9 +521,9 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
     The model's declared ``invariant`` picks the route; every model with a
     mass generator also reports its high-symmetry-point linearizations.
     Each index with a second route is cross-checked against it: the Chern
-    numbers against the plaquette sum on periodic models, the winding against
-    the preimage count always, the Z2 index against the sector Chern parity at
-    lambda_r = 0.  A disagreement is a ValueError.
+    numbers against the plaquette sum, the winding against the preimage
+    count, the Z2 index against the sector Chern parity at lambda_r = 0.
+    A disagreement is a ValueError.
     """
     lins = ()
     chern_local = chern_global = winding = z2 = None
@@ -540,12 +540,10 @@ def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
     if model.invariant == "chern":
         chern_local = tuple(chern_from_hsp(model, model.band_spin(band), lins)
                             for band in range(model.band_count))
-        if model.periodic:
-            chern_global = chern_plaquette(model, tuple(range(model.band_count)),
-                                           plaquette_grid)
-            if chern_global != chern_local:
-                raise ValueError(f"Chern cross-check failed: corner formula {chern_local}, "
-                                 f"plaquette sum {chern_global}")
+        chern_global = chern_plaquette(model, tuple(range(model.band_count)), plaquette_grid)
+        if chern_global != chern_local:
+            raise ValueError(f"Chern cross-check failed: corner formula {chern_local}, "
+                             f"plaquette sum {chern_global}")
     elif model.invariant == "winding":
         winding = winding_from_hsp(model, lins)
         w_num = winding_numerical(model, winding_grid)

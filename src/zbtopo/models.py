@@ -93,7 +93,6 @@ class BlochModel:
     coeff: Callable[[np.ndarray], np.ndarray]
     hsps: tuple
     params: dict
-    periodic: bool
     momentum_cutoff: float | None = None
     band_path: tuple = ()
     invariant: str | None = None
@@ -102,6 +101,11 @@ class BlochModel:
     @property
     def band_count(self) -> int:
         return self.generators.shape[-1]
+
+    @property
+    def periodic(self) -> bool:
+        """A lattice model, 2 pi-periodic per axis, is one with no ``momentum_cutoff``."""
+        return self.momentum_cutoff is None
 
     def band_spin(self, band: int) -> float:
         """Spin index of ``band`` counted from the lowest: -J .. J, J = (bands - 1) / 2."""
@@ -197,7 +201,6 @@ def spin_j_continuum(j, v_x: float, v_y: float, m: float, basis: str = "ladder")
         coeff=coeff,
         hsps=(np.zeros(2),),
         params={"j": float(j), "v_x": v_x, "v_y": v_y, "m": m, "basis": basis},
-        periodic=False,
         momentum_cutoff=10.0,
     )
 
@@ -224,7 +227,6 @@ def maxwell_lattice(t_h: float, M: float) -> BlochModel:
         coeff=coeff,
         hsps=_zone_corners(2),
         params={"t_h": t_h, "M": M},
-        periodic=True,
         invariant="chern",
         sweep_parameters=("M",),
     )
@@ -310,7 +312,6 @@ def kane_mele(t: float, lambda_so: float, lambda_r: float, lambda_v: float) -> B
             np.array([pi, pi]),                    # M''
         ),
         params={"t": t, "lambda_so": lambda_so, "lambda_r": lambda_r, "lambda_v": lambda_v},
-        periodic=True,
         band_path=_HEX_PATH,
         invariant="z2",
         sweep_parameters=("lambda_v", "lambda_so"),
@@ -371,7 +372,6 @@ def chiral_ti_3d(M: float) -> BlochModel:
         coeff=coeff,
         hsps=_zone_corners(3),
         params={"M": M},
-        periodic=True,
         band_path=_CUBIC_PATH,
         invariant="winding",
         sweep_parameters=("M",),

@@ -16,6 +16,7 @@ import numpy as np
 from .dynamics import (
     _SPURIOUS_TOL,
     WavePacket,
+    _random_spinor,
     closed_form_chiral,
     closed_form_spin1,
     pcm_trajectories_exact,
@@ -40,9 +41,12 @@ from .invariants import (
 )
 from .models import chiral_ti_3d, kane_mele, maxwell_lattice, spin_j_continuum
 
-__all__ = ["CheckResult", "run_battery", "render_report", "run_verify", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_battery", "render_report", "run_verify"]
 
 SQRT27 = 3.0 * np.sqrt(3.0)
+ORACLE_SPINORS = 100  # closed forms: random spinors per family, half of them at each mass sign
+Z2_SAMPLES = 50  # Kane-Mele: random (lambda_so, lambda_v) for the sector parity and the ramp
+PARITY_SAMPLES = 10  # Kane-Mele: random lambda_so on the inversion-symmetric slice
 
 # Published phase table of the spin-1 lattice model (t_h = 1): per-interval
 # local indices at the four inversion points and the lowest-band Chern number.
@@ -80,11 +84,6 @@ def _within_budget(lines, t0, seconds) -> bool:
     return within
 
 
-def _random_spinor(rng, dim):
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return raw / np.linalg.norm(raw)
-
-
 def check_phase_table(rng) -> CheckResult:
     """Per-interval local indices and lowest-band Chern: corners, plaquettes, 2 x degree."""
     t0 = time.perf_counter()
@@ -108,11 +107,11 @@ def check_phase_table(rng) -> CheckResult:
 
 
 def check_closed_form_oracle(rng) -> CheckResult:
-    """Closed forms against the projector double sum, 100 random spinors each."""
-    tol = 1e-8
+    """Closed forms against the projector double sum, ORACLE_SPINORS random spinors each."""
+    tol, n = 1e-8, ORACLE_SPINORS
     # spinors drawn trial by trial, then solved in one stack per model and branch
-    spin1 = [_random_spinor(rng, 3) for _ in range(100)]
-    pairs = [_random_spinor(rng, 2) for _ in range(100)]
+    spin1 = [_random_spinor(rng, 3) for _ in range(n)]
+    pairs = [_random_spinor(rng, 2) for _ in range(n)]
     # np.max over the kept deviations propagates a NaN that max() would drop
     devs_spin1, devs_chiral = [], []
     for parity, mass in enumerate((-2.0, 2.0)):  # even trials at -2, odd at +2
@@ -124,9 +123,9 @@ def check_closed_form_oracle(rng) -> CheckResult:
 
     for parity, mass in enumerate((-1.0, 1.0)):
         model = chiral_ti_3d(3.0 + mass)
-        for first, omega in ((0, abs(mass)), (50, 2 * abs(mass))):  # in-plane, then axial
+        for first, omega in ((0, abs(mass)), (n // 2, 2 * abs(mass))):  # in-plane, then axial
             stack = [np.array([a, b, 0.0] if first == 0 else [a, 0.0, b])
-                     for a, b in pairs[first + parity:first + 50:2]]
+                     for a, b in pairs[first + parity:first + n // 2:2]]
             times = zb_time_grid(omega, omega)
             for s, exact in zip(stack, pcm_trajectories_exact(model, np.zeros(3), stack, times)):
                 closed, _ = closed_form_chiral(1.0, 1.0, 1.0, mass, s, times)
@@ -140,8 +139,8 @@ def check_closed_form_oracle(rng) -> CheckResult:
     offset = form.phase[0]
     ok = worst_spin1 < tol and worst_chiral < tol
     lines = [
-        f"spin-1 closed form vs exact, 100 spinors: max |dr| = {_reading(worst_spin1)}",
-        f"chiral closed forms vs exact, 100 spinors: max |dr| = {_reading(worst_chiral)}",
+        f"spin-1 closed form vs exact, {n} spinors: max |dr| = {_reading(worst_spin1)}",
+        f"chiral closed forms vs exact, {n} spinors: max |dr| = {_reading(worst_chiral)}",
         f"measured x phase offset vs pure-cosine convention: {offset:+.6f} rad (-pi/2: sine-like)",
         "pair amplitude convention: twice the ladder |<a|Jx|a+1>| matrix element",
     ]
@@ -210,7 +209,7 @@ def check_kane_mele_z2(rng) -> CheckResult:
     """Valley mass rule vs sector-Chern parity, parity products, Rashba ramp."""
     mismatches = 0
     ramp_failures = 0
-    for _ in range(50):
+    for _ in range(Z2_SAMPLES):
         lam_so, lam_v = _km_sample(rng)
         model = kane_mele(1.0, lam_so, 0.0, lam_v)
         if z2_kane_mele(model) != z2_spin_chern_parity(model):
@@ -221,7 +220,7 @@ def check_kane_mele_z2(rng) -> CheckResult:
             ramp_failures += 1
 
     parity_mismatches = 0
-    for _ in range(10):
+    for _ in range(PARITY_SAMPLES):
         lam_so = rng.uniform(0.03, 0.10)
         model = kane_mele(1.0, lam_so, 0.0, 0.0)
         if z2_kane_mele(model) != z2_fu_kane_parity(model):
@@ -229,10 +228,10 @@ def check_kane_mele_z2(rng) -> CheckResult:
 
     ok = mismatches == 0 and ramp_failures == 0 and parity_mismatches == 0
     lines = [
-        f"mass rule vs sector-Chern parity, 50 random (lambda_v, lambda_so): "
+        f"mass rule vs sector-Chern parity, {Z2_SAMPLES} random (lambda_v, lambda_so): "
         f"{mismatches} mismatches",
         f"Rashba ramp to 0.05 with tracked gap: {ramp_failures} failures",
-        f"mass rule vs inversion-parity products (lambda_v = 0), 10 samples: "
+        f"mass rule vs inversion-parity products (lambda_v = 0), {PARITY_SAMPLES} samples: "
         f"{parity_mismatches} mismatches",
     ]
     return _result("kane_mele_z2", ok, lines)
@@ -289,8 +288,6 @@ CHECKS = (
     check_kane_mele_z2,
     check_scaling_laws,
 )
-
-CHECK_NAMES = tuple(fn.__name__.removeprefix("check_") for fn in CHECKS)
 
 
 def run_battery(seed: int):

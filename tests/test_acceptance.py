@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from zbtopo import GaplessError, cli, dynamics, invariants, models
+from zbtopo import GaplessError, cli, dynamics, invariants, models, verify
 from zbtopo.spectral import SpectralDecomposition
 from zbtopo.verify import (
     check_closed_form_oracle,
@@ -102,6 +102,30 @@ def test_non_finite_trajectories_fail_the_oracle_and_selection_rule(monkeypatch)
         result = check(np.random.default_rng(SEED))
         assert not result.passed
         assert any("(non-finite reading)" in line for line in result.lines)
+
+
+def test_reports_name_the_sample_counts_their_loops_run(monkeypatch):
+    # each count is one constant, read by the loop and by its report line
+    calls = {"spinors": 0, "ramps": 0, "parities": 0}
+
+    def counting(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    for name, attr in (("spinors", "_random_spinor"), ("ramps", "rashba_gap_ramp"),
+                       ("parities", "z2_fu_kane_parity")):
+        monkeypatch.setattr(verify, attr, counting(name, getattr(verify, attr)))
+    monkeypatch.setattr(verify, "ORACLE_SPINORS", 12)
+    monkeypatch.setattr(verify, "Z2_SAMPLES", 3)
+    monkeypatch.setattr(verify, "PARITY_SAMPLES", 2)
+    oracle = check_closed_form_oracle(np.random.default_rng(SEED))
+    assert oracle.lines[0].startswith("spin-1 closed form vs exact, 12 spinors: max |dr| = ")
+    assert oracle.lines[1].startswith("chiral closed forms vs exact, 12 spinors: max |dr| = ")
+    z2 = check_kane_mele_z2(np.random.default_rng(SEED))
+    assert z2.lines[0] == ("mass rule vs sector-Chern parity, 3 random (lambda_v, lambda_so): "
+                           "0 mismatches")
+    assert z2.lines[2] == ("mass rule vs inversion-parity products (lambda_v = 0), 2 samples: "
+                           "0 mismatches")
+    assert oracle.passed and z2.passed and calls == {"spinors": 24, "ramps": 3, "parities": 2}
 
 
 def test_sign_flipped_winding_count_fails_the_battery(monkeypatch):

@@ -366,11 +366,12 @@ def test_invariants_kane_mele_trivial(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["z2"] == 0
 
 
-@pytest.mark.parametrize("grid", [0, -2, 2.5, "64", True, 1024])
+@pytest.mark.parametrize("grid", [0, -2, 2.5, "64", True, 1024, 257, 300, 512])
 def test_invariants_bad_plaquette_grid_is_config_error(tmp_path, capsys, grid):
+    # a start grid above 256 leaves the plaquette sum no second mesh below 512
     cfg = write_config(tmp_path, maxwell_config(1.0, {"topology": {"plaquette_grid": grid}}))
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "topology.plaquette_grid must be an integer in 1..512" in capsys.readouterr().err
+    assert "topology.plaquette_grid must be an integer in 1..256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [0, -1, 8, 15, 40.0, 65, 100000])

@@ -237,7 +237,8 @@ def test_subsampled_zone_solve_is_bit_equal_to_a_direct_solve(monkeypatch, n):
 
 @pytest.mark.parametrize(
     "band, grid, solved",
-    [(0, 64, [128]), ((0, 1, 2), 64, [128]), ((2, 1, 0), 16, [32]), (0, 300, [300])],
+    [(0, 64, [128]), ((0, 1, 2), 64, [128]), ((2, 1, 0), 16, [32]), (0, 300, []), (0, 257, []),
+     (0, 512, [])],
 )
 def test_plaquette_solves_each_grid_once(monkeypatch, band, grid, solved):
     shapes = []
@@ -251,8 +252,9 @@ def test_plaquette_solves_each_grid_once(monkeypatch, band, grid, solved):
     try:
         chern_plaquette(maxwell_lattice(1.0, 1.0), band, grid)
     except ValueError as exc:
-        # a grid above half the limit has no finer grid to agree with
-        assert grid > invariants.PLAQUETTE_MAX_GRID // 2 and "did not stabilize" in str(exc)
+        # a grid above half the limit has no finer grid to agree with: refused before a solve
+        assert str(exc) == f"grid must be an integer in 1..256, got {grid}"
+        assert grid > invariants.PLAQUETTE_MAX_GRID // 2
     assert shapes == [(n, n) for n in solved]
 
 
@@ -300,13 +302,13 @@ def test_plaquette_band_range_checked():
 
 def test_plaquette_grid_above_limit_rejected():
     # a start grid past the doubling limit used to leave the sum unbound
-    with pytest.raises(ValueError, match="grid must be an integer in 1..512, got 1024"):
+    with pytest.raises(ValueError, match="grid must be an integer in 1..256, got 1024"):
         chern_plaquette(maxwell_lattice(1.0, 1.0), 0, 1024)
 
 
 @pytest.mark.parametrize("grid", [0, -8])
 def test_plaquette_grid_nonpositive_rejected(grid):
-    with pytest.raises(ValueError, match=f"grid must be an integer in 1..512, got {grid}"):
+    with pytest.raises(ValueError, match=f"grid must be an integer in 1..256, got {grid}"):
         chern_plaquette(maxwell_lattice(1.0, 1.0), 0, grid)
 
 
@@ -555,10 +557,11 @@ def _degree_outcome(model, grid):
 
 def stacked_degree(model, grid):
     """The outcome of `zone_degree` on a two-band sector, rebuilt from directly built meshes
-    grid, 2 grid, .. up to 512: a grid outside 1..512, a mesh whose gap 2|d| is below the
-    floor or NaN, and a count that never repeats on two successive meshes are refused."""
-    if not 1 <= grid <= 512:
-        return ("ValueError", f"grid must be an integer in 1..512, got {grid}")
+    grid, 2 grid, .. up to 512: a grid outside 1..256, which leaves no second mesh, a mesh
+    whose gap 2|d| is below the floor or NaN, and a count that never repeats on two successive
+    meshes are refused."""
+    if not 1 <= grid <= 256:
+        return ("ValueError", f"grid must be an integer in 1..256, got {grid}")
     previous, n = None, grid
     while n <= 512:
         d = model.coeff(invariants._zone_mesh(n))
@@ -652,14 +655,22 @@ def test_spin_j_band_cherns_are_the_zone_degree(j, m_param):
 @pytest.mark.parametrize("model, grid, ceiling, message", [
     (maxwell_lattice(1.0, 1.0), 32, 1024, "ceiling must be an integer in 1..512, got 1024"),
     (chiral_ti_3d(2.0), 8, 128, "ceiling must be an integer in 1..64, got 128"),
-    (chiral_ti_3d(2.0), 32, 16, "grid must be an integer in 1..16, got 32"),
+    (chiral_ti_3d(2.0), 32, 16, "grid must be an integer in 1..8, got 32"),
     (maxwell_lattice(1.0, 1.0), 32, 0, "ceiling must be an integer in 1..512, got 0"),
+    (maxwell_lattice(1.0, 1.0), 257, None, "grid must be an integer in 1..256, got 257"),
+    (maxwell_lattice(1.0, 1.0), 512, None, "grid must be an integer in 1..256, got 512"),
+    (chiral_ti_3d(2.0), 64, None, "grid must be an integer in 1..32, got 64"),
 ])
-def test_zone_degree_refuses_a_mesh_above_its_ceiling(model, grid, ceiling, message):
-    # the default ceiling is the largest mesh of at most 2^18 points: 512^2 and 64^3
+def test_zone_degree_refuses_a_mesh_above_its_ceiling(monkeypatch, model, grid, ceiling, message):
+    # the default ceiling is the largest mesh of at most 2^18 points: 512^2 and 64^3, and a
+    # start mesh above half the ceiling leaves no second mesh to agree with; both are refused
+    # before any mesh is built
+    built, real = [], invariants._zone_mesh
+    monkeypatch.setattr(invariants, "_zone_mesh", lambda n, dim=2: built.append(n) or real(n, dim))
     with pytest.raises(ValueError) as info:
         zone_degree(model, grid, ceiling)
     assert str(info.value) == message
+    assert built == []
 
 
 NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)

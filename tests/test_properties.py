@@ -1194,7 +1194,7 @@ def reference_selection_rule(j, m, trials, seed):
         away[:1] = False
         away[max(0, main_bin - 2):main_bin + 3] = False
         worst_power = max(worst_power, float(spec.power[away].max()) if away.any() else 0.0)
-    return (float(j), m, trials, worst_power, worst_freq_err, bool(ok and worst_power < 1e-10))
+    return (float(j), m, worst_power, worst_freq_err, bool(ok and worst_power < 1e-10))
 
 
 @pytest.mark.parametrize("m", [-1.0, 1.0])
