@@ -13,7 +13,7 @@ are read off the ``BlochModel`` the factory returns.  A sweep computes its rows
 in stacked passes (`invariants.sweep_rows`) and reports them in row order: a
 row whose one-model route raises `GaplessError` (a gap closing) is skipped with
 a ``skipping critical point`` line on stderr, any other refusal ends the run.
-Time-grid, drift and topology options a config leaves out take the library's
+Time-grid, drift, rotation-plane and topology options a config leaves out take the library's
 defaults.
 The environment variable ZB_SEED overrides the config seed of `verify`.
 Exit codes: 0 success, 1 runtime error (``--debug`` adds its traceback),
@@ -154,8 +154,8 @@ def load_config(path: str, command: str) -> dict:
                 _number(packet[key], f"dynamics.packet.{key}", positive=True)
         if "grid_points" in packet:
             _integer(packet["grid_points"], "dynamics.packet.grid_points", 2)
-    plane = dyn.get("plane", [0, 1])
-    if (not isinstance(plane, list) or len(plane) != 2 or plane[0] == plane[1]
+    plane = dyn.get("plane")
+    if "plane" in dyn and (not isinstance(plane, list) or len(plane) != 2 or plane[0] == plane[1]
             or any(type(p) is not int or not 0 <= p <= 2 for p in plane)):
         raise ConfigError(f"dynamics.plane must be two distinct integers in 0..2, got {plane!r}")
     if not isinstance(dyn.get("include_drift", False), bool):
@@ -299,8 +299,7 @@ def cmd_zb(config, out_dir):
         raise ConfigError(f"dynamics.samples_per_period x dynamics.periods: {exc}") from exc
 
     spectrum = zb_spectrum(traj)
-    plane = tuple(dyn.get("plane", (0, 1)))
-    sense = rotation_index(traj, plane=plane)
+    sense = rotation_index(traj, tuple(dyn["plane"])) if "plane" in dyn else rotation_index(traj)
     zio.write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     zio.write_spectrum_csv(spectrum, os.path.join(out_dir, "spectrum.csv"))
     print(sense)

@@ -146,8 +146,8 @@ def _check_uniform(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1-D grid with at least two samples")
-    steps = np.diff(times)
-    if steps[0] <= 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+    steps = times[1:] - times[:-1]
+    if steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
         raise ValueError("non-uniform time grid")
     return times
 
@@ -482,16 +482,18 @@ def packet_grid(model, d, grid_spec):
 # trajectory analysis
 # ----------------------------------------------------------------------
 
-def _detrended(traj: Trajectory):
-    """Mean-free signal; a fitted drift line is removed only when the
-    trajectory carries one (fitting a line to a pure oscillation on a
-    discrete grid would itself leak power into every bin)."""
+def _detrended(traj: Trajectory, width=None):
+    """Mean-free signal of ``traj.pcm`` (T, C); only a trajectory that carries a drift has a line
+    fitted out, one per block of ``width`` columns, default all C (fitting a line to a pure
+    oscillation on a discrete grid would itself leak power into every bin)."""
     if traj.metadata.get("include_drift"):
-        t = traj.times
-        basis = np.stack([np.ones_like(t), t], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, traj.pcm, rcond=None)
-        return traj.pcm - basis @ coef
-    return traj.pcm - traj.pcm.mean(axis=0)
+        basis = np.stack([np.ones_like(traj.times), traj.times], axis=1)
+        clean, width = traj.pcm.copy(), width or traj.pcm.shape[1]
+        for lo in range(0, clean.shape[1], width):
+            x = clean[:, lo:lo + width]
+            x -= basis @ np.linalg.lstsq(basis, x, rcond=None)[0]
+        return clean
+    return traj.pcm - traj.pcm.sum(axis=0) / len(traj.pcm)  # .mean() bit for bit, but leaner
 
 
 def rotation_index(traj: Trajectory, plane=(0, 1)) -> int:
@@ -545,41 +547,48 @@ def _peak_shift(power3):
     return np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
 
 
+def _spectra(traj: Trajectory, width: int):
+    """`zb_spectrum` of S trajectories side by side, ``traj.pcm`` (T, S width): omegas, power
+    (B, S width) normalized per trajectory, per trajectory its peaks strongest first, unmerged
+    (equal powers in component-major, bin-ascending order), and the resolution; the first
+    trajectory whose dominant peak spans under four cycles raises.  At S = 1 or ``width`` > 1
+    each reads its lone spectrum bit for bit (a lone column's mean is summed pairwise)."""
+    times = _check_uniform(traj.times)
+    n, dt = len(times), times[1] - times[0]
+    power = np.abs(np.fft.rfft(_detrended(traj, width), axis=0)) ** 2
+    # per trajectory maxima, its columns laid end to end
+    top = power.T.reshape(-1, width * len(power)).max(axis=1)
+    # at or below 1e-12 of max |pcm| reads zero power, x / inf = 0 x: |rfft| <= n max|clean|
+    top[top <= (1e-12 * n * np.abs(traj.pcm.T).reshape(len(top), -1).max(axis=1)) ** 2] = np.inf
+    power /= top.repeat(width)
+    resolution = 2 * np.pi / (n * dt)
+
+    # local maxima, column-major (trajectory, then component) and bin-ascending
+    mid = power[1:-1]
+    col, b = np.nonzero(((mid >= 1e-10) & (mid > power[:-2]) & (mid >= power[2:])).T)
+    b = b + 1
+    shift = _peak_shift(power[b + np.array([[-1], [0], [1]]), col])
+    pairs = list(zip(((b + shift) * resolution).tolist(), power[b, col].tolist()))
+    edges = np.searchsorted(col, np.arange(0, power.shape[1] + 1, width)).tolist()
+    # a stable sort: of equal powers the first found stays first
+    peaks = [sorted(pairs[lo:hi], key=lambda pk: -pk[1]) for lo, hi in zip(edges, edges[1:])]
+    if any(line and line[0][0] / resolution < MIN_SPAN_PERIODS for line in peaks):
+        raise ValueError("sampling too short: fewer than four cycles of the dominant oscillation")
+    return 2 * np.pi * np.fft.rfftfreq(n, d=dt), power, peaks, resolution
+
+
 def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
     """Per-component Fourier magnitude spectrum with interpolated peak list.
 
     The mean and any linear drift are removed before the transform; what is
     left at or below 1e-12 of max |pcm| (a pure drift's roundoff) gives zero
     power and no peaks.  Raises if the sampling is non-uniform or spans fewer
-    than four cycles of the dominant oscillation.
+    than four cycles of the dominant oscillation.  The one-trajectory case of
+    `_spectra`, with each peak within one bin of a stronger one merged into it.
     """
-    times = _check_uniform(traj.times)
-    clean = _detrended(traj)
-    n = len(times)
-    dt = times[1] - times[0]
-    spec = np.fft.rfft(clean, axis=0)
-    omegas = 2 * np.pi * np.fft.rfftfreq(n, d=dt)
-    power = np.abs(spec) ** 2
-    top = power.max()
-    resolution = 2 * np.pi / (n * dt)
-    if top <= (1e-12 * n * np.max(np.abs(traj.pcm))) ** 2:  # |rfft| <= n max|clean|
-        return ZBSpectrum(omegas=omegas, power=0.0 * power, peaks=(), resolution=resolution)
-    power = power / top
-
-    # local maxima, component-major and bin-ascending: max() below keeps the first of equals
-    mid = power[1:-1]
-    comp, b = np.nonzero(((mid >= 1e-10) & (mid > power[:-2]) & (mid >= power[2:])).T)
-    b = b + 1
-    shift = _peak_shift(power[b + np.array([[-1], [0], [1]]), comp])
-    peaks = list(zip(((b + shift) * resolution).tolist(), power[b, comp].tolist()))
-    if peaks:
-        dom = max(peaks, key=lambda pk: pk[1])
-        if dom[0] / resolution < MIN_SPAN_PERIODS:
-            raise ValueError(
-                "sampling too short: fewer than four cycles of the dominant oscillation"
-            )
+    omegas, power, (peaks,), resolution = _spectra(traj, traj.pcm.shape[1])
     merged = []
-    for freq, pw in sorted(peaks, key=lambda pk: -pk[1]):
+    for freq, pw in peaks:
         if all(abs(freq - f0) > resolution for f0, _ in merged):
             merged.append((freq, pw))
     return ZBSpectrum(omegas=omegas, power=power, peaks=tuple(merged), resolution=resolution)
@@ -599,45 +608,28 @@ class SelectionRuleReport:
 def selection_rule_check(j, m: float, seed: int = 1234) -> SelectionRuleReport:
     """Verify that SELECTION_TRIALS random spinors of a spin-j system oscillate only at |m|.
 
-    The trials' exact trajectories at p = 0 come from one spinor stack; each
-    is transformed and every Fourier bin away from the |m| line is compared
-    against the main peak; the worst relative power over all trials is reported.
-    A trajectory with a non-finite entry fails the check and reports NaN, and
-    one with no spectral line fails it too: a random spinor always oscillates.
+    The trials' exact trajectories at p = 0 come from one spinor stack and one `_spectra`
+    pass; each trial's dominant line is compared with |m| and every bin away from it with the
+    main peak, and the worst relative power over all trials is reported.  A non-finite entry
+    fails the check and reports NaN, and a trial with no spectral line fails it too: a random
+    spinor always oscillates.
     """
     if j > 3.5:
         raise ValueError("selection-rule check supports j <= 7/2")
-    model = spin_j_continuum(j, 1.0, 1.0, m)
-    omega = abs(m)
-    times = zb_time_grid(omega)
-    rng = np.random.default_rng(seed)
-
-    worst_power = 0.0
-    worst_freq_err = 0.0
-    ok = True
+    model, omega = spin_j_continuum(j, 1.0, 1.0, m), abs(m)
+    times, rng = zb_time_grid(omega), np.random.default_rng(seed)
     spinors = [_random_spinor(rng, model.band_count) for _ in range(SELECTION_TRIALS)]
-    for traj in pcm_trajectories_exact(model, np.zeros(2), spinors, times):
-        if not np.isfinite(traj.pcm).all():
-            worst_power = worst_freq_err = np.nan
-            break
-        spec = zb_spectrum(traj)
-        if not spec.peaks:
-            ok = False
-            continue
-        main_bin = int(round(omega / spec.resolution))
-        freq, _ = max(spec.peaks, key=lambda pk: pk[1])
-        worst_freq_err = max(worst_freq_err, abs(freq - omega))
-        if abs(freq - omega) > spec.resolution:
-            ok = False
-        away = np.ones(spec.power.shape[0], dtype=bool)
-        away[0] = False
-        away[max(0, main_bin - 2) : main_bin + 3] = False
-        spurious = float(spec.power[away].max()) if away.any() else 0.0
-        worst_power = max(worst_power, spurious)
-    return SelectionRuleReport(
-        j=float(j),
-        mass=m,
-        max_spurious_power=worst_power,
-        max_frequency_error=worst_freq_err,
-        passed=ok and worst_power < _SPURIOUS_TOL,
-    )
+    pcm = np.hstack([x.pcm for x in pcm_trajectories_exact(model, np.zeros(2), spinors, times)])
+    if not np.isfinite(pcm).all():
+        return SelectionRuleReport(float(j), m, np.nan, np.nan, False)
+    _, power, peaks, resolution = _spectra(Trajectory(times, pcm), 3)
+    bins = np.arange(len(power))  # away from bin 0 and from the two bins each side of |m|
+    away = (bins > 0) & (np.abs(bins - int(round(omega / resolution))) > 2)
+    spurious = np.max(power[away], axis=0, initial=0.0).reshape(-1, 3).max(axis=1).tolist()
+    # each trial with a line: its dominant frequency and spurious power; max() from 0.0 skips NaN
+    lines = [(line[0][0], away_max) for line, away_max in zip(peaks, spurious) if line]
+    worst_freq_err = max([0.0] + [abs(freq - omega) for freq, _ in lines])
+    worst_power = max([0.0] + [away_max for _, away_max in lines])
+    ok = len(lines) == len(peaks) and not any(abs(freq - omega) > resolution for freq, _ in lines)
+    return SelectionRuleReport(float(j), m, worst_power, worst_freq_err,
+                               ok and worst_power < _SPURIOUS_TOL)

@@ -31,11 +31,13 @@ __all__ = [
 MASS_FLOOR = 1e-9
 PROJECTION_TOL = 1e-8
 PLAQUETTE_GAP_FLOOR = 1e-6
+PLAQUETTE_GRID = 64  # default start mesh of `chern_plaquette`
 PLAQUETTE_MAX_GRID = 512
 # The count starts on mesh 8 and doubles, so a ceiling of 16 is the least that admits two
 # meshes to agree; every counted mesh is 8 * 2^k, free of the flat cones of n = 2 (mod 4).
 WINDING_MIN_GRID = 16
 WINDING_MAX_GRID = 64  # one count on the 64^3 mesh peaks at 78 MB traced, 1.2 MB at 16^3
+WINDING_GRID = 40  # default ceiling of `winding_numerical`
 # The direction on S^3 whose signed preimages the 3D winding count sums: generic, and
 # not +-e4, whose preimages are the zone corners that the corner formula already reads.
 WINDING_TARGET = np.array([2.0, -4.0, 5.0, 6.0]) / 9.0  # unit: 4 + 16 + 25 + 36 = 81
@@ -232,7 +234,7 @@ def _refine(zone, integral, grid: int, meshes: dict, ceiling=PLAQUETTE_MAX_GRID,
                      f"(last {raw!r})")
 
 
-def chern_plaquette(model: BlochModel, band, grid: int = 64):
+def chern_plaquette(model: BlochModel, band, grid: int = PLAQUETTE_GRID):
     """Gauge-invariant plaquette Chern number of one band, or a tuple of them.
 
     ``band`` is one index (returns an int) or a tuple of indices (returns a
@@ -313,8 +315,9 @@ def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
     signed preimage count `_preimage_count` (Berg & Luscher, Nucl. Phys. B 190, 412 (1981)).
     In 2D band b carries -2 ``band_spin(b)`` deg, in 3D deg is the winding number.  The mesh
     starts at ``grid``, read off mesh 2 ``grid`` <= ``ceiling``, and doubles by the two-grid rule
-    of `chern_plaquette` up to ``ceiling`` (default: 2^18 points at most).  A gap s |d(k)|, s the
-    mass generator's least level spacing, below PLAQUETTE_GAP_FLOOR or NaN is a GaplessError."""
+    of `chern_plaquette` up to ``ceiling`` (default: 2^18 points at most; 8 for a start of 1 or 2,
+    since meshes 1 and 2 are never agreed with).  A gap s |d(k)|, s the mass generator's least
+    level spacing, below PLAQUETTE_GAP_FLOOR or NaN is a GaplessError."""
     dim = model.momentum_dim
     if not (model.periodic and model.mass_generator is not None and dim in (2, 3)):
         raise ValueError(f"the zone degree needs a periodic 2D or 3D model with a mass row, "
@@ -322,6 +325,8 @@ def zone_degree(model: BlochModel, grid: int = 32, ceiling=None) -> int:
     top = (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID)[dim - 2]
     ceiling = top if ceiling is None else ceiling
     check_grid(ceiling, top, name="ceiling")
+    if grid in (1, 2) and ceiling < 8 and not isinstance(grid, bool):  # meshes 4 and 8 agree first
+        raise ValueError(f"grid {grid} needs a ceiling of at least 8, got ceiling {ceiling}")
     check_grid(grid, ceiling // 2)
     spacing = np.diff(np.linalg.eigvalsh(model.generators[model.mass_generator])).min()
     return _refine(lambda n: (spacing * model.coeff(_zone_mesh(n, dim)),), _preimage_count,
@@ -343,7 +348,7 @@ def winding_from_hsp(model: BlochModel, lins=None) -> int:
     return _hsp_index(-0.5, sum(lin.nu for lin in lins or linearize_at_hsp(model, model.hsps)))
 
 
-def winding_numerical(model: BlochModel, grid: int = 40) -> int:
+def winding_numerical(model: BlochModel, grid: int = WINDING_GRID) -> int:
     """3D winding number, the `zone_degree` of d/|d| : T^3 -> S^3.  The mesh starts at 8
     and doubles up to ``grid`` (WINDING_MIN_GRID..WINDING_MAX_GRID) until two successive
     meshes agree on the integer count, which is returned."""
@@ -514,8 +519,8 @@ class InvariantReport:
         }
 
 
-def compute_invariants(model: BlochModel, plaquette_grid: int = 64,
-                       winding_grid: int = 40) -> InvariantReport:
+def compute_invariants(model: BlochModel, plaquette_grid: int = PLAQUETTE_GRID,
+                       winding_grid: int = WINDING_GRID) -> InvariantReport:
     """Run every invariant that applies to the given model.
 
     The model's declared ``invariant`` picks the route; every model with a

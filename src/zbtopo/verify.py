@@ -32,6 +32,7 @@ from .invariants import (
     chern_plaquette,
     linearize_at_hsp,
     rashba_gap_ramp,
+    sweep_rows,
     winding_from_hsp,
     winding_numerical,
     z2_fu_kane_parity,
@@ -92,7 +93,7 @@ def check_phase_table(rng) -> CheckResult:
         model = maxwell_lattice(1.0, m_param)
         lins = linearize_at_hsp(model, model.hsps)
         nus, local = tuple(lin.nu for lin in lins), chern_from_hsp(model, -1, lins)
-        global_ = chern_plaquette(model, 0, 64)
+        global_ = chern_plaquette(model, 0)
         degree = 2 * zone_degree(model)
         good = nus == expected["nu"] and local == global_ == degree == expected["chern"]
         ok &= good
@@ -190,7 +191,7 @@ def check_winding(rng) -> CheckResult:
     for m_param, expected in WINDING_TABLE.items():
         model = chiral_ti_3d(m_param)
         local = winding_from_hsp(model)
-        count = winding_numerical(model, 40)
+        count = winding_numerical(model)
         ok &= local == count == expected
         lines.append(f"M={m_param:+.0f}: corners={local} count={count} expected={expected}")
     ok &= _within_budget(lines, t0, 120)
@@ -206,13 +207,16 @@ def _km_sample(rng):
 
 
 def check_kane_mele_z2(rng) -> CheckResult:
-    """Valley mass rule vs sector-Chern parity, parity products, Rashba ramp."""
-    mismatches = 0
-    ramp_failures = 0
-    for _ in range(Z2_SAMPLES):
-        lam_so, lam_v = _km_sample(rng)
-        model = kane_mele(1.0, lam_so, 0.0, lam_v)
-        if z2_kane_mele(model) != z2_spin_chern_parity(model):
+    """Valley mass rule vs sector-Chern parity, parity products, Rashba ramp.  The valley
+    indices come from one `sweep_rows` pass; a sample's refusal (`z2_kane_mele`'s error) is
+    raised at its turn, after the parity and ramp of every earlier sample."""
+    samples = [_km_sample(rng) for _ in range(Z2_SAMPLES)]
+    rows = [kane_mele(1.0, lam_so, 0.0, lam_v) for lam_so, lam_v in samples]
+    mismatches = ramp_failures = 0
+    for (lam_so, lam_v), model, valley in zip(samples, rows, sweep_rows(rows)):
+        if isinstance(valley, Exception):
+            raise valley
+        if valley[0] != z2_spin_chern_parity(model):
             mismatches += 1
         # the lambda_r = 0 index carries over only while the gap stays open
         ramp = rashba_gap_ramp(1.0, lam_so, lam_v, 0.05)

@@ -249,3 +249,63 @@ def test_non_finite_zone_sum_is_refused_on_its_first_grid(monkeypatch, layer, gr
     monkeypatch.setattr(invariants, layer, nan[layer])
     with pytest.raises(ValueError, match=f"^zone sum is not finite on grid {grid}: nan$"):
         run_battery(1)
+
+
+Z2_LINES = ("mass rule vs sector-Chern parity, 50 random (lambda_v, lambda_so): {} mismatches",
+            "Rashba ramp to 0.05 with tracked gap: {} failures",
+            "mass rule vs inversion-parity products (lambda_v = 0), 10 samples: {} mismatches")
+
+
+def test_a_flipped_valley_row_fails_the_z2_check(monkeypatch):
+    # the valley indices come from one stacked pass, each compared with its sector parity:
+    # a pass that flips one row reads one mismatch
+    assert check_kane_mele_z2(np.random.default_rng(SEED)).lines[0] == Z2_LINES[0].format(0)
+    real = verify.sweep_rows
+
+    def flip_one(rows):
+        out = real(rows)
+        out[7] = [1 - out[7][0]]
+        return out
+
+    monkeypatch.setattr(verify, "sweep_rows", flip_one)
+    result = check_kane_mele_z2(np.random.default_rng(SEED))
+    assert not result.passed
+    assert result.lines[0] == Z2_LINES[0].format(1)
+
+
+def test_a_closing_sample_raises_what_the_one_model_route_raises(monkeypatch):
+    # a sample on the boundary lambda_v = 3 sqrt3 lambda_so is refused with the error that
+    # z2_kane_mele raises for it, at its turn: after the ramps of the samples before it
+    closing = (0.06, verify.SQRT27 * 0.06)
+    with pytest.raises(GaplessError) as one_model:
+        invariants.z2_kane_mele(models.kane_mele(1.0, closing[0], 0.0, closing[1]))
+    draws = iter([(0.05, 0.1), (0.08, 0.3), (0.04, 0.05), closing])
+    monkeypatch.setattr(verify, "_km_sample", lambda rng: next(draws, (0.05, 0.1)))
+    ramps, real = [], verify.rashba_gap_ramp
+    monkeypatch.setattr(verify, "rashba_gap_ramp", lambda *args: ramps.append(args) or real(*args))
+    with pytest.raises(GaplessError) as stacked:
+        check_kane_mele_z2(np.random.default_rng(SEED))
+    assert str(stacked.value) == str(one_model.value)
+    assert len(ramps) == 3
+
+
+def test_an_earlier_sample_error_comes_before_a_later_valley_error(monkeypatch):
+    draws = iter([(0.05, 0.1), (0.08, 0.3), (0.06, verify.SQRT27 * 0.06)])
+    monkeypatch.setattr(verify, "_km_sample", lambda rng: next(draws, (0.05, 0.1)))
+
+    def failing_ramp(t, lambda_so, lambda_v, lambda_r_max):
+        if lambda_so == 0.08:
+            raise RuntimeError("ramp of sample 1")
+        return [(0.0, 1.0)]
+
+    monkeypatch.setattr(verify, "rashba_gap_ramp", failing_ramp)
+    with pytest.raises(RuntimeError, match="^ramp of sample 1$"):
+        check_kane_mele_z2(np.random.default_rng(SEED))
+
+
+def test_seed_653558843_fails_the_z2_ramp_alone():
+    # the one known verify failure: one Rashba ramp closes its tracked gap
+    results = run_battery(653558843)
+    assert [res.name for res in results if not res.passed] == ["kane_mele_z2"]
+    z2 = next(res for res in results if res.name == "kane_mele_z2")
+    assert z2.lines == tuple(line.format(count) for line, count in zip(Z2_LINES, (0, 1, 0)))

@@ -836,7 +836,7 @@ def test_zb_bad_packet_field_is_config_error(tmp_path, capsys, packet, message):
 
 
 @pytest.mark.parametrize("plane", [[0, 7], [1, 1], [-1, 0], [0, 1.0], [0, True], [0, 1, 2],
-                                   "xy"])
+                                   "xy", None])
 def test_zb_bad_plane_is_config_error(tmp_path, capsys, plane):
     cfg = write_config(tmp_path, maxwell_config(1.0, {"dynamics": {**MOMENTUM_DYNAMICS,
                                                                    "plane": plane}}))

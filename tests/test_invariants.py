@@ -673,6 +673,23 @@ def test_zone_degree_refuses_a_mesh_above_its_ceiling(monkeypatch, model, grid, 
     assert built == []
 
 
+@pytest.mark.parametrize("grid, ceiling", [(2, 4), (1, 2), (1, 1), (1, 4), (2, 7), (1, 7)])
+def test_zone_degree_refuses_a_coarse_start_below_ceiling_8(monkeypatch, grid, ceiling):
+    # meshes 1 and 2 are never agreed with, so a count from start 1 or 2 stops on mesh 8 at the
+    # earliest: a lower ceiling is refused, naming both, before any mesh is built
+    built, real = [], invariants._zone_mesh
+    monkeypatch.setattr(invariants, "_zone_mesh", lambda n, dim=2: built.append(n) or real(n, dim))
+    with pytest.raises(ValueError) as info:
+        zone_degree(kane_mele_spin_sector(1.0, 0.06, 0.1, +1), grid, ceiling)
+    assert str(info.value) == f"grid {grid} needs a ceiling of at least 8, got ceiling {ceiling}"
+    assert built == []
+
+
+@pytest.mark.parametrize("grid, ceiling", [(1, 8), (2, 8), (3, 6)])
+def test_zone_degree_counts_from_a_coarse_start_at_the_least_ceiling(grid, ceiling):
+    assert zone_degree(kane_mele_spin_sector(1.0, 0.06, 0.1, +1), grid, ceiling) == 1
+
+
 NEAR_CRITICAL = [c + s * e for c in (-3.0, -1.0, 1.0, 3.0) for s in (-1, 1)
                  for e in (0.001, 0.01, 0.1)]
 

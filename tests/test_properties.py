@@ -1298,3 +1298,109 @@ def test_trajectory_peaks_match_the_per_bin_loop(seed, j, comps):
     spec = zb_spectrum(traj)
     omegas, power, peaks, resolution = reference_spectrum(traj)
     assert peaks == spec.peaks and same_bits(power, spec.power)
+
+
+# ---------------------------------------------------------------- stacked spectra
+
+def per_trajectory_spectrum(traj):
+    """``zb_spectrum`` of one trajectory as it was written before the stacked core: its own
+    detrend, transform, normalization and vectorized peak search, merged peaks strongest first."""
+    times, pcm = traj.times, traj.pcm
+    n, dt = len(times), times[1] - times[0]
+    if traj.metadata.get("include_drift"):
+        basis = np.stack([np.ones_like(times), times], axis=1)
+        clean = pcm - basis @ np.linalg.lstsq(basis, pcm, rcond=None)[0]
+    else:
+        clean = pcm - pcm.mean(axis=0)
+    power = np.abs(np.fft.rfft(clean, axis=0)) ** 2
+    omegas = 2 * np.pi * np.fft.rfftfreq(n, d=dt)
+    top, resolution = power.max(), 2 * np.pi / (n * dt)
+    if top <= (1e-12 * n * np.max(np.abs(pcm))) ** 2:
+        return omegas, 0.0 * power, (), resolution
+    power = power / top
+    mid = power[1:-1]
+    comp, b = np.nonzero(((mid >= 1e-10) & (mid > power[:-2]) & (mid >= power[2:])).T)
+    b = b + 1
+    left, centre, right = np.sqrt(power[b + np.array([[-1], [0], [1]]), comp])
+    denom = left - 2 * centre + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
+    peaks = list(zip(((b + shift) * resolution).tolist(), power[b, comp].tolist()))
+    if peaks and max(peaks, key=lambda pk: pk[1])[0] / resolution < 4:
+        raise ValueError("sampling too short: fewer than four cycles of the dominant oscillation")
+    return omegas, power, merge_peaks(sorted(peaks, key=lambda pk: -pk[1]), resolution), resolution
+
+
+def merge_peaks(peaks, resolution):
+    merged = []
+    for freq, pw in peaks:
+        if all(abs(freq - f0) > resolution for f0, _ in merged):
+            merged.append((freq, pw))
+    return tuple(merged)
+
+
+def stacked_outcome(pcms, times, drift):
+    """Per trajectory (omegas, power, merged peaks, resolution) from one `_spectra` pass over
+    the trajectories side by side, or the message of what it raises."""
+    width = pcms[0].shape[1]
+    try:
+        omegas, power, peaks, resolution = dynamics._spectra(
+            Trajectory(times, np.hstack(pcms), {"include_drift": drift}), width)
+    except ValueError as exc:
+        return str(exc)
+    return [(omegas.tobytes(), power[:, s * width:(s + 1) * width].tobytes(),
+             merge_peaks(line, resolution), resolution) for s, line in enumerate(peaks)]
+
+
+def per_trajectory_outcome(pcms, times, drift):
+    out = []
+    for pcm in pcms:
+        try:
+            omegas, power, peaks, resolution = per_trajectory_spectrum(
+                Trajectory(times, pcm, {"include_drift": drift}))
+        except ValueError as exc:
+            return str(exc)
+        out.append((omegas.tobytes(), power.tobytes(), peaks, resolution))
+    return out
+
+
+@given(seed=seeds, drift=st.booleans(), count=st.integers(1, 5), comps=st.integers(2, 3),
+       silent=st.booleans(), noise=st.booleans())
+def test_stacked_spectra_match_the_per_trajectory_spectrum(seed, drift, count, comps, silent,
+                                                           noise):
+    # random spin-j trajectories on one grid, with or without a drift line, and optionally a
+    # silent band eigenstate and a noise trajectory rich in peaks, at random positions; one
+    # column alone is summed pairwise by its mean, so stacks carry two or three components
+    rng = np.random.default_rng(seed)
+    model = spin_j_continuum(rng.choice([0.5, 1.0, 1.5, 2.5]), 1.0, rng.uniform(0.5, 1.5),
+                             rng.uniform(0.5, 2.0))
+    k, times = rng.uniform(-1.0, 1.0, 2), zb_time_grid(rng.uniform(4.0, 6.0), 0.5)
+    spinors = [random_unitary(rng, model.band_count)[0] for _ in range(count)]
+    stack = pcm_trajectories_exact(model, k, spinors, times, drift)
+    pcms = [traj.pcm[:, :comps] for traj in stack]
+    if silent:
+        band = pcm_trajectory_exact(model, k, int(rng.integers(model.band_count)), times, drift)
+        pcms.insert(int(rng.integers(len(pcms) + 1)), band.pcm[:, :comps])
+    if noise:
+        line = np.outer(times, rng.uniform(-1.0, 1.0, comps))
+        pcms.insert(int(rng.integers(len(pcms) + 1)),
+                    rng.standard_normal((len(times), comps)) + line)
+    outcome = stacked_outcome(pcms, times, drift)
+    assert outcome == per_trajectory_outcome(pcms, times, drift)
+    if silent and not isinstance(outcome, str):
+        assert any(peaks == () for _, _, peaks, _ in outcome)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_stacked_spectra_raise_on_a_too_short_trajectory(drift):
+    # two periods of the dominant line are under the four that the peak search needs: the
+    # stack raises what the per-trajectory spectrum raises for that trajectory alone
+    model = spin_j_continuum(1.5, 1.0, 1.0, 1.0)
+    times = zb_time_grid(4.0, 0.5)
+    spinors = list(random_unitary(np.random.default_rng(8), model.band_count)[:2])
+    pcms = [traj.pcm for traj in pcm_trajectories_exact(model, np.array([0.2, -0.1]), spinors,
+                                                         times, drift)]
+    pcms.insert(1, np.stack([np.cos(4 * np.pi * times / times[-1])] * 3, axis=1))
+    message = "sampling too short: fewer than four cycles of the dominant oscillation"
+    assert isinstance(per_trajectory_outcome(pcms[:1], times, drift), list)
+    assert per_trajectory_outcome(pcms, times, drift) == message
+    assert stacked_outcome(pcms, times, drift) == message
