@@ -40,6 +40,7 @@ from .errors import GaplessError, GridSizeError
 from .invariants import (PLAQUETTE_MAX_GRID, WINDING_MAX_GRID, WINDING_MIN_GRID, check_grid,
                          compute_invariants, sweep_rows)
 from .models import evaluate
+from .spectral import MAX_DIM
 from .verify import run_verify
 
 __all__ = ["main", "ConfigError"]
@@ -267,6 +268,9 @@ def cmd_bands(config, out_dir):
 
 def cmd_zb(config, out_dir):
     model = build_model(config["model"])
+    if model.band_count > MAX_DIM:  # only spin_j's band count, 2j + 1, is set by a parameter
+        raise ConfigError(f"model.params.j = {model.params['j']!r} gives {model.band_count} "
+                          f"bands; zb zb solves at most {MAX_DIM} (j <= {(MAX_DIM - 1) / 2})")
     dyn = config["dynamics"]
     if ("momentum" in dyn) == ("packet" in dyn):
         raise ConfigError("dynamics needs exactly one of 'momentum' or 'packet'")

@@ -596,12 +596,10 @@ def zb_spectrum(traj: Trajectory) -> ZBSpectrum:
 
 @dataclass(frozen=True)
 class SelectionRuleReport:
-    """Outcome of the adjacent-pair frequency check for one spin value."""
+    """Outcome of the adjacent-pair frequency check for one spin value: the worst spurious
+    relative power over the trials (NaN if a trajectory is not finite), and the verdict."""
 
-    j: float
-    mass: float
     max_spurious_power: float
-    max_frequency_error: float
     passed: bool
 
 
@@ -621,15 +619,13 @@ def selection_rule_check(j, m: float, seed: int = 1234) -> SelectionRuleReport:
     spinors = [_random_spinor(rng, model.band_count) for _ in range(SELECTION_TRIALS)]
     pcm = np.hstack([x.pcm for x in pcm_trajectories_exact(model, np.zeros(2), spinors, times)])
     if not np.isfinite(pcm).all():
-        return SelectionRuleReport(float(j), m, np.nan, np.nan, False)
+        return SelectionRuleReport(np.nan, False)
     _, power, peaks, resolution = _spectra(Trajectory(times, pcm), 3)
     bins = np.arange(len(power))  # away from bin 0 and from the two bins each side of |m|
     away = (bins > 0) & (np.abs(bins - int(round(omega / resolution))) > 2)
     spurious = np.max(power[away], axis=0, initial=0.0).reshape(-1, 3).max(axis=1).tolist()
     # each trial with a line: its dominant frequency and spurious power; max() from 0.0 skips NaN
     lines = [(line[0][0], away_max) for line, away_max in zip(peaks, spurious) if line]
-    worst_freq_err = max([0.0] + [abs(freq - omega) for freq, _ in lines])
     worst_power = max([0.0] + [away_max for _, away_max in lines])
     ok = len(lines) == len(peaks) and not any(abs(freq - omega) > resolution for freq, _ in lines)
-    return SelectionRuleReport(float(j), m, worst_power, worst_freq_err,
-                               ok and worst_power < _SPURIOUS_TOL)
+    return SelectionRuleReport(worst_power, ok and worst_power < _SPURIOUS_TOL)

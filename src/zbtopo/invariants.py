@@ -149,7 +149,7 @@ def sweep_rows(rows) -> list:
     """Phase-diagram entries of the models ``rows`` (one factory's: one layout and one set of
     hsps, with finite coefficients there) from one stacked pass: per row ``[index] + nu`` as
     `chern_from_hsp` (lowest band) or `winding_from_hsp` read them off `linearize_at_hsp`,
-    ``[z2]`` as `z2_kane_mele` gives it, or what that one-model route raises for the row."""
+    ``[z2]`` as its one-row case `z2_kane_mele` defines it, or what that route raises per row."""
     z2 = rows[0].invariant == "z2"
     local = [_km_up_sector(model) for model in rows] if z2 else rows
     closed = _valley_gaps(rows, local[0].hsps) if z2 else [None] * len(rows)
@@ -376,27 +376,26 @@ def _km_up_sector(model: BlochModel) -> BlochModel:
 
 def z2_kane_mele(model: BlochModel) -> int:
     """Z2 index: the spin-up sector's local Chern number at its valleys,
-    ``chern_from_hsp(sector, -1/2)``, mod 2.
+    ``chern_from_hsp(sector, -1/2)``, mod 2, read off the one row of `sweep_rows`.
 
     The sector drops the Rashba block entirely, which is exactly the
     Rashba-free reduction used to classify the phase; its validity is guarded
-    by the full model's valley gaps, checked first, not assumed (the one-row
-    case of `_valley_gaps`, which `sweep_rows` runs over a whole sweep).  t = 0
-    is refused as a vanishing velocity at the valley K.
+    by the full model's valley gaps, checked first, not assumed.  t = 0 is
+    refused as a vanishing velocity at the valley K.
     """
-    sector = _km_up_sector(model)
-    closed = _valley_gaps([model], sector.hsps)[0]
-    if closed is not None:
-        raise closed
-    return chern_from_hsp(sector, -0.5) % 2
+    _km_params(model)
+    (row,) = sweep_rows([model])
+    if isinstance(row, Exception):
+        raise row
+    return row[0]
 
 
 def _valley_gaps(rows, valleys) -> list:
     """Per honeycomb model in ``rows``, the GaplessError of the first of ``valleys`` where the
-    full model's gap w_2 - w_1 falls below MASS_FLOOR, or None: one eigvalsh for all R x 2."""
+    full model's gap w_2 - w_1 falls below MASS_FLOOR, or None: one eigvalsh of all R x 2
+    valley Hamiltonians (`evaluate`)."""
     valleys = np.array(valleys)
-    coeffs = np.array([model.coeff(valleys) for model in rows]).astype(complex)
-    w = np.linalg.eigvalsh(np.einsum("...g,gij->...ij", coeffs, rows[0].generators))
+    w = np.linalg.eigvalsh(np.array([evaluate(model, valleys) for model in rows]))
     gaps, out = w[..., 2] - w[..., 1], [None] * len(rows)
     for r, v in zip(*np.nonzero(gaps < MASS_FLOOR)):
         out[r] = out[r] or GaplessError(f"honeycomb gap closed at valley k = "

@@ -1,8 +1,10 @@
 """CSV and JSON emission with a reproducibility contract.
 
 Numeric series go to CSV with 17-significant-digit floats (enough to
-round-trip a double exactly), UTF-8, LF line endings; reports and configs
-are JSON.  Identical inputs always produce byte-identical files.
+round-trip a double exactly), UTF-8, LF line endings; reports are JSON.
+Identical inputs always produce byte-identical files.  Both are emitted,
+not read: any CSV reader gets the doubles back, e.g. ``np.loadtxt(path,
+delimiter=",", skiprows=1, ndmin=2)``.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from .dynamics import Trajectory, ZBSpectrum
 __all__ = [
     "fmt",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_spectrum_csv",
-    "read_spectrum_csv",
     "write_bands_csv",
     "write_sweep_csv",
-    "read_csv_table",
     "report_json",
 ]
 
@@ -51,23 +50,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     _write_rows(path, ["t", "x", "y", "z"], _column_rows(traj.times, traj.pcm))
 
 
-def read_trajectory_csv(path) -> Trajectory:
-    header, data = read_csv_table(path)
-    if header != ["t", "x", "y", "z"]:
-        raise ValueError(f"unexpected trajectory header {header}")
-    return Trajectory(times=data[:, 0], pcm=data[:, 1:4])
-
-
 def write_spectrum_csv(spectrum: ZBSpectrum, path) -> None:
     """One row per frequency bin: omega,px,py,pz (relative power)."""
     _write_rows(path, ["omega", "px", "py", "pz"], _column_rows(spectrum.omegas, spectrum.power))
-
-
-def read_spectrum_csv(path):
-    header, data = read_csv_table(path)
-    if header != ["omega", "px", "py", "pz"]:
-        raise ValueError(f"unexpected spectrum header {header}")
-    return data[:, 0], data[:, 1:4]
 
 
 def write_bands_csv(path, arc, momenta, energies) -> None:
@@ -79,14 +64,6 @@ def write_bands_csv(path, arc, momenta, energies) -> None:
 
 def write_sweep_csv(path, header, rows) -> None:
     _write_rows(path, header, rows)
-
-
-def read_csv_table(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    header = raw[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in raw[1:]])
-    return header, data
 
 
 def report_json(payload: dict) -> str:

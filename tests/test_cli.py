@@ -10,14 +10,16 @@ from zbtopo import cli, models
 from zbtopo import chern_from_hsp, compute_invariants, spin_matrices
 from zbtopo.cli import main
 from zbtopo.dynamics import Trajectory
-from zbtopo.io import (
-    read_csv_table,
-    read_spectrum_csv,
-    read_trajectory_csv,
-    write_trajectory_csv,
-)
+from zbtopo.io import write_trajectory_csv
 
 SQH = 0.7071067811865476
+
+
+def read_csv(path):
+    """The header fields and the (rows, columns) data of a CSV that `zb` wrote."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -141,7 +143,7 @@ def test_bands_follow_declared_path(tmp_path, capsys, name):
                                   "bands_path": {"points_per_segment": 4}})
     assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    _, data = read_csv_table(tmp_path / "bands.csv")
+    _, data = read_csv(tmp_path / "bands.csv")
     assert len(data) == 4 * (len(model.band_path) - 1) + 1
     for i, (_, node) in enumerate(model.band_path):
         np.testing.assert_array_equal(data[4 * i, 1:1 + model.momentum_dim], node)
@@ -182,7 +184,7 @@ def test_phase_diagram_follows_declared_sweep_data(tmp_path, capsys, name):
 def test_bands_triple_point_at_transition(tmp_path):
     cfg = write_config(tmp_path, maxwell_config(2.0))
     assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 0
-    header, data = read_csv_table(tmp_path / "bands.csv")
+    header, data = read_csv(tmp_path / "bands.csv")
     assert header == ["s", "k1", "k2", "E1", "E2", "E3"]
     arc = data[:, 0]
     assert np.all(np.diff(arc) > 0)
@@ -193,7 +195,7 @@ def test_bands_triple_point_at_transition(tmp_path):
 def test_bands_gap_at_gamma(tmp_path):
     cfg = write_config(tmp_path, maxwell_config(3.0))
     assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 0
-    _, data = read_csv_table(tmp_path / "bands.csv")
+    _, data = read_csv(tmp_path / "bands.csv")
     row = data[np.hypot(data[:, 1], data[:, 2]) < 1e-12][0]
     adjacent_gap = row[4] - row[3]
     assert abs(adjacent_gap - 2.0) < 1e-12  # 2 |t_h (M - 2)| at M = 3
@@ -240,10 +242,11 @@ def test_zb_csv_round_trip(tmp_path, capsys):
     )
     assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    traj = read_trajectory_csv(tmp_path / "trajectory.csv")
-    assert traj.pcm.shape[1] == 3
-    omegas, power = read_spectrum_csv(tmp_path / "spectrum.csv")
-    assert omegas.shape[0] == power.shape[0]
+    header, data = read_csv(tmp_path / "trajectory.csv")
+    assert header == ["t", "x", "y", "z"]
+    traj = Trajectory(times=data[:, 0], pcm=data[:, 1:])
+    header, spectrum = read_csv(tmp_path / "spectrum.csv")
+    assert header == ["omega", "px", "py", "pz"] and spectrum.shape[1] == 4
     # 17-significant-digit floats round-trip exactly: re-writing is identical
     write_trajectory_csv(traj, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "trajectory.csv").read_bytes()
@@ -262,7 +265,7 @@ def test_trajectory_csv_is_written_as_it_streams(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6, f"traced peak {peak / 1e6:.2f} MB"
-    assert np.array_equal(read_trajectory_csv(tmp_path / "long.csv").pcm, traj.pcm)
+    assert np.array_equal(read_csv(tmp_path / "long.csv")[1][:, 1:], traj.pcm)
 
 
 def test_chiral_packet_run_memory(tmp_path, capsys):
@@ -421,7 +424,7 @@ def test_phase_diagram_reproduces_intervals(tmp_path, capsys):
     cfg = write_config(tmp_path, maxwell_config(0.0, SWEEP))
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    header, data = read_csv_table(tmp_path / "phase_diagram.csv")
+    header, data = read_csv(tmp_path / "phase_diagram.csv")
     assert header == ["M", "chern", "nu_0_0", "nu_0_pi", "nu_pi_0", "nu_pi_pi"]
     # critical points -2, 0, 2 skipped
     assert not np.any(np.isin(data[:, 0], [-2.0, 0.0, 2.0]))
@@ -506,7 +509,7 @@ def test_phase_diagram_skips_only_the_closing_itself(tmp_path, capsys):
     )
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == "skipping critical point M=2\n"
-    header, data = read_csv_table(tmp_path / "phase_diagram.csv")
+    header, data = read_csv(tmp_path / "phase_diagram.csv")
     assert data[:, 0].tolist() == [2.0 - 5e-7, 2.0 - 5e-7 + 2 * 5e-7]
     assert data[:, 1].tolist() == [-2, 0]
     assert data[:, 2].tolist() == [-1, 1]  # nu at Gamma turns with the mass
@@ -602,7 +605,7 @@ def test_debug_adds_the_traceback_on_exit_one_only(tmp_path, capsys, command, co
         return
     assert plain.err == T0_REFUSAL
     assert debug.err.startswith("Traceback (most recent call last):\n")
-    assert "in linearize_at_hsp\n" in debug.err and debug.err.endswith("\n" + T0_REFUSAL)
+    assert "in z2_kane_mele\n" in debug.err and debug.err.endswith("\n" + T0_REFUSAL)
 
 
 def test_chiral_phase_diagram_winding_column(tmp_path, capsys):
@@ -613,7 +616,7 @@ def test_chiral_phase_diagram_winding_column(tmp_path, capsys):
     )
     assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    header, data = read_csv_table(tmp_path / "phase_diagram.csv")
+    header, data = read_csv(tmp_path / "phase_diagram.csv")
     assert header[:2] == ["M", "winding"]
     lookup = dict(zip(data[:, 0], data[:, 1]))
     assert lookup == {-4.0: 0, -2.0: -1, 0.0: 2, 2.0: -1, 4.0: 0}
@@ -704,6 +707,22 @@ def test_model_constructor_refusal_is_config_error(tmp_path, capsys, model, mess
     cfg = write_config(tmp_path, {"model": model})
     assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j", [4.5, 100])
+def test_zb_spin_above_eight_bands_is_config_error(tmp_path, capsys, j):
+    # the trajectory solver takes at most 8 bands; bands and invariants take any j
+    model = {"name": "spin_j", "params": {"j": j, "v_x": 1.0, "v_y": 1.0, "m": 0.5}}
+    dynamics = {"momentum": [0.0, 0.0], "spinor": {"eigenstate": 0}}
+    cfg = write_config(tmp_path, {"model": model, "dynamics": dynamics})
+    assert main(["zb", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: model.params.j = {float(j)!r} gives {int(2 * j + 1)} bands; "
+        f"zb zb solves at most 8 (j <= 3.5)\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+    for command in ("bands", "invariants"):
+        cfg = write_config(tmp_path, {"model": model})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("packet", [5, "wide", [20.0], None])
