@@ -5,8 +5,10 @@ never drift apart; every tolerance is pinned inside the check itself.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -90,7 +92,11 @@ def test_criterion_8_verify_determinism(tmp_path):
     identical = reports[0] == reports[1]
     print(f"ACCEPTANCE 8 [{'PASS' if identical else 'FAIL'}] byte-identical verify reports")
     assert identical
-    assert b"summary: 8/8 checks passed" in reports[0][0]
+    # two runs that both doubled their output would still be identical
+    stdout, report = reports[0]
+    assert stdout == report
+    assert [line for line in stdout.splitlines() if line.startswith(b"summary:")] == [
+        b"summary: 8/8 checks passed"]
 
 
 def test_non_finite_trajectories_fail_the_oracle_and_selection_rule(monkeypatch):
@@ -309,3 +315,100 @@ def test_seed_653558843_fails_the_z2_ramp_alone():
     assert [res.name for res in results if not res.passed] == ["kane_mele_z2"]
     z2 = next(res for res in results if res.name == "kane_mele_z2")
     assert z2.lines == tuple(line.format(count) for line, count in zip(Z2_LINES, (0, 1, 0)))
+
+
+def _line_check(line):
+    """A one-line stand-in for verify.CHECKS."""
+    return lambda rng: verify._result("planted", True, [line()])
+
+
+def _fail_in(pid_test, exc):
+    """A check that raises ``exc`` in every process for which ``pid_test(pid)`` holds."""
+    def check(rng):
+        if pid_test(os.getpid()):
+            raise exc
+        return verify._result("planted", True, ["ok"])
+    return check
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_determinism_rerun_runs_in_another_process(monkeypatch):
+    # a line carrying the pid reads differently in the re-run's process
+    monkeypatch.setattr(verify, "CHECKS", (_line_check(lambda: f"pid {os.getpid()}"),))
+    text, ok = verify.run_verify(SEED)
+    assert not ok
+    assert f"    pid {os.getpid()}\n" in text
+    assert text.endswith(f"[FAIL] determinism\n    re-run with seed {SEED} is byte-identical: no\n"
+                         "summary: 1/2 checks passed\n")
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_normal_run(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", (_line_check(lambda: "same everywhere"),))
+    text, ok = verify.run_verify(SEED)
+    assert ok and text.endswith("byte-identical: yes\nsummary: 2/2 checks passed\n")
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_first_battery_error(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", (_fail_in(lambda pid: True, GaplessError("planted")),))
+    with pytest.raises(GaplessError, match="^planted$"):
+        verify.run_verify(SEED)
+    _assert_no_child_left()
+
+
+def test_a_dying_rerun_is_an_error_naming_its_status(monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(verify, "CHECKS",
+                        (_fail_in(lambda pid: pid != parent, GaplessError("re-run only")),))
+    with pytest.raises(RuntimeError, match="^determinism re-run exited with status 1$"):
+        verify.run_verify(SEED)
+    _assert_no_child_left()
+
+
+def test_an_interrupt_kills_the_rerun(monkeypatch):
+    # the re-run would sleep for a minute: the parent kills it instead of waiting
+    parent = os.getpid()
+
+    def check(rng):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_verify(SEED)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("where, err", [
+    ("True", "error: planted\n"),
+    ("pid != parent", "error: determinism re-run exited with status 1\n"),
+], ids=["both-batteries", "re-run-only"])
+def test_a_battery_fault_prints_one_error_line(tmp_path, where, err):
+    # a real `zb verify` process: the forked re-run writes nothing to the shared
+    # stdout or stderr, so a fault reads as one error line, not two
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"seed": SEED}), encoding="utf-8")
+    script = f"""
+import os, sys
+from zbtopo import GaplessError, cli, verify
+parent = os.getpid()
+def check(rng):
+    pid = os.getpid()
+    if {where}:
+        raise GaplessError("planted")
+    return verify._result("planted", True, ["ok"])
+verify.CHECKS = (check,)
+sys.exit(cli.main(["verify", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+    assert not (tmp_path / "verify_report.txt").exists()
